@@ -36,6 +36,7 @@ from .constructions import (
 from .detect import (
     Embedding,
     InducedK2tCertificate,
+    SelfCheckError,
     contains_family_member,
     contains_subgraph,
     find_independent_set,

@@ -2,7 +2,8 @@
 search, graph generation, and the verification suites.
 
 Exit codes: 0 = pass / nothing found, 1 = semantic finding (certificate
-found, suite violations), 2 = usage or internal error. The
+found, suite violations), 2 = usage or internal error (a failed
+certificate self-check, ``detect.SelfCheckError``). The
 K2TLAB_THREADS environment variable sets the default worker count for
 the sharded suites.
 """
@@ -79,7 +80,15 @@ def _parse_shard(text: str | None) -> tuple[int, int] | None:
         raise click.UsageError(f"--shard expects I/K, got {text!r}") from None
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except detect.SelfCheckError as exc:
+            raise CommandError(f"internal error: {exc}") from exc
+
+
+@click.group(cls=_Main)
 def main():
     """Exact toolkit for clique bounds and induced Turan numbers of
     graphs with no induced K_(2,t)."""
@@ -254,7 +263,7 @@ def cmd_witness(graph_path, h_path, t, json_path):
 @click.option("--nmax", type=int, default=None, help="largest n for exhaustive suites")
 @click.option("--t", type=int, default=None, help="restrict to one t")
 @click.option("--shard", default=None, help="I/K interval of the search space")
-@click.option("--workers", type=int, default=None, help="worker processes (default: K2TLAB_THREADS or 1)")
+@click.option("--workers", type=click.IntRange(min=1), default=None, help="worker processes, at most one per CPU and shard (default: K2TLAB_THREADS or 1)")
 @click.option("--json", "json_path", type=click.Path())
 def cmd_verify(suite_id, nmax, t, shard, workers, json_path):
     """Run a verification suite; exit 1 iff it reports violations."""

@@ -4,7 +4,7 @@ of a fixed pattern, and maximum clique.
 All searches are deterministic: candidates are explored in increasing
 vertex order, so returned certificates are reproducible across runs and
 platforms. Every certificate is checked against the host graph before it
-is returned (plain ``assert``, active in test builds).
+is returned; a failed check raises ``SelfCheckError``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,18 @@ from typing import Optional, Sequence
 from .graphs import Graph, GraphError, bits
 
 MAX_PATTERN_VERTICES = 10
+
+
+class SelfCheckError(RuntimeError):
+    """A certificate failed its own re-check against the host graph: a
+    defect in k2tlab, never in the input. The checks are explicit, so they
+    also run under ``python -O``."""
+
+
+def require(ok: bool, what: str) -> None:
+    """Raise ``SelfCheckError`` naming ``what`` unless ``ok``."""
+    if not ok:
+        raise SelfCheckError(f"self-check failed: {what}")
 
 
 @dataclass(frozen=True)
@@ -66,35 +78,33 @@ class Embedding:
         return True
 
 
-def _lex_clique(masks: Sequence[int], universe: int, size: int) -> Optional[int]:
-    """Lexicographically least clique of exactly ``size`` vertices inside
-    ``universe``, as a bitmask, or None. ``masks`` is the adjacency."""
-    if size == 0:
+def _lex_set(adj: Sequence[int], universe: int, size: int, flip: int) -> Optional[int]:
+    """The search kernel: the lexicographically least set of exactly
+    ``size`` vertices inside ``universe`` that is a clique (``flip`` = 0) or
+    an independent set (``flip`` = -1) of ``adj``, as a bitmask, or None.
+
+    XOR with -1 complements a row, so both searches recurse on the same
+    candidate masks without building complement rows.
+    """
+    if size <= 0:
         return 0
-
-    def rec(cand: int, remaining: int) -> Optional[int]:
-        while cand:
-            if cand.bit_count() < remaining:
-                return None
-            low = cand & -cand
-            v = low.bit_length() - 1
-            if remaining == 1:
-                return low
-            sub = rec(cand & masks[v], remaining - 1)
-            if sub is not None:
-                return low | sub
-            cand ^= low
-        return None
-
-    return rec(universe, size)
+    cand = universe
+    while cand:
+        if cand.bit_count() < size:
+            return None
+        low = cand & -cand
+        if size == 1:
+            return low
+        cand ^= low
+        sub = _lex_set(adj, cand & (adj[low.bit_length() - 1] ^ flip), size - 1, flip)
+        if sub is not None:
+            return low | sub
+    return None
 
 
 def _independent_set_mask(g: Graph, universe: int, t: int) -> Optional[int]:
-    """Lex-least independent t-set inside ``universe``: a clique search on
-    the complement adjacency (one kernel serves both detectors)."""
-    full = g.full_mask
-    comp = [~row & full & ~(1 << v) for v, row in enumerate(g.adj)]
-    return _lex_clique(comp, universe, t)
+    """Lex-least independent t-set of ``g`` inside ``universe``, as a mask."""
+    return _lex_set(g.adj, universe, t, -1)
 
 
 def find_independent_set(g: Graph, t: int) -> Optional[frozenset[int]]:
@@ -111,8 +121,10 @@ def find_independent_set(g: Graph, t: int) -> Optional[frozenset[int]]:
     if mask is None:
         return None
     result = frozenset(bits(mask))
-    assert len(result) == t and all(
-        not g.has_edge(u, v) for u in result for v in result if u < v
+    require(
+        len(result) == t
+        and all(not g.has_edge(u, v) for u in result for v in result if u < v),
+        "find_independent_set: not an independent t-set",
     )
     return result
 
@@ -121,27 +133,19 @@ def find_induced_k2t(g: Graph, t: int) -> Optional[InducedK2tCertificate]:
     """Search for an induced K_{2,t}: a non-adjacent pair whose common
     neighbourhood contains an independent t-set.
 
-    Pairs are scanned by descending common-neighbourhood size (ties in
-    lexicographic order) -- a speed heuristic only. Requires t >= 2.
+    Returns the first one in lexicographic order of the pair (a, b), a < b,
+    with the lex-least t-side of that pair (see ``mask_has_induced_k2t``).
+    Requires t >= 2.
     """
     if t < 2:
         raise GraphError(f"induced K_(2,t) needs t >= 2, got {t}")
-    full = g.full_mask
-    pairs = []
-    for a in range(g.n):
-        non = ~g.adj[a] & full & ~((1 << (a + 1)) - 1)
-        for b in bits(non):
-            common = g.adj[a] & g.adj[b]
-            if common.bit_count() >= t:
-                pairs.append((-common.bit_count(), a, b, common))
-    pairs.sort()
-    for _, a, b, common in pairs:
-        mask = _independent_set_mask(g, common, t)
-        if mask is not None:
-            cert = InducedK2tCertificate(a=a, b=b, t_side=frozenset(bits(mask)))
-            assert cert.check(g)
-            return cert
-    return None
+    found = mask_has_induced_k2t(g.adj, g.n, t)
+    if found is None:
+        return None
+    a, b, side = found
+    cert = InducedK2tCertificate(a=a, b=b, t_side=frozenset(bits(side)))
+    require(cert.check(g), "find_induced_k2t: invalid certificate")
+    return cert
 
 
 def max_clique(g: Graph) -> frozenset[int]:
@@ -150,10 +154,13 @@ def max_clique(g: Graph) -> frozenset[int]:
     if g.n == 0:
         raise GraphError("max_clique undefined on the empty graph")
     best = _max_clique_size(g.adj, g.full_mask)
-    mask = _lex_clique(g.adj, g.full_mask, best)
-    assert mask is not None
-    clique = frozenset(bits(mask))
-    assert all(g.has_edge(u, v) for u in clique for v in clique if u < v)
+    mask = _lex_set(g.adj, g.full_mask, best, 0)
+    clique = frozenset(bits(mask or 0))
+    require(
+        len(clique) == best
+        and all(g.has_edge(u, v) for u in clique for v in clique if u < v),
+        "max_clique: not a clique of the maximum size",
+    )
     return clique
 
 
@@ -242,7 +249,7 @@ def contains_subgraph(g: Graph, h: Graph) -> Optional[Embedding]:
 
     if rec(0):
         emb = Embedding(pattern=h, mapping=tuple(image))
-        assert emb.check(g)
+        require(emb.check(g), "contains_subgraph: invalid embedding")
         return emb
     return None
 
@@ -267,23 +274,13 @@ def contains_family_member(
 # ---------------------------------------------------------------------------
 
 
-def _mask_has_independent_tset(adj: Sequence[int], universe: int, t: int) -> bool:
-    if t == 1:
-        return universe != 0
-    cand = universe
-    while cand:
-        if cand.bit_count() < t:
-            return False
-        low = cand & -cand
-        v = low.bit_length() - 1
-        cand ^= low
-        if _mask_has_independent_tset(adj, cand & ~adj[v], t - 1):
-            return True
-    return False
-
-
-def mask_has_induced_k2t(adj: Sequence[int], n: int, t: int) -> bool:
-    """Induced-K_{2,t} test on a raw adjacency list."""
+def mask_has_induced_k2t(
+    adj: Sequence[int], n: int, t: int
+) -> Optional[tuple[int, int, int]]:
+    """The only induced-K_{2,t} scan, on a raw adjacency list: the first
+    non-adjacent pair (a, b), a < b in lexicographic order, whose common
+    neighbourhood holds an independent t-set, as (a, b, lex-least t-side
+    mask); None when the graph has no induced K_{2,t}."""
     full = (1 << n) - 1
     for a in range(n - 1):
         na = adj[a]
@@ -293,11 +290,11 @@ def mask_has_induced_k2t(adj: Sequence[int], n: int, t: int) -> bool:
             non ^= low
             b = low.bit_length() - 1
             common = na & adj[b]
-            if common.bit_count() >= t and _mask_has_independent_tset(
-                adj, common, t
-            ):
-                return True
-    return False
+            if common.bit_count() >= t:
+                side = _lex_set(adj, common, t, -1)
+                if side is not None:
+                    return a, b, side
+    return None
 
 
 def _mask_lex_independent_tset(
@@ -305,39 +302,9 @@ def _mask_lex_independent_tset(
 ) -> Optional[int]:
     """Lex-least independent t-set inside ``universe`` as a mask, on a raw
     adjacency list; None when no such set exists."""
-    if t == 0:
-        return 0
-
-    def rec(cand: int, remaining: int) -> Optional[int]:
-        while cand:
-            if cand.bit_count() < remaining:
-                return None
-            low = cand & -cand
-            if remaining == 1:
-                return low
-            v = low.bit_length() - 1
-            sub = rec(cand & ~adj[v] & ~low, remaining - 1)
-            if sub is not None:
-                return low | sub
-            cand ^= low
-        return None
-
-    return rec(universe, t)
+    return _lex_set(adj, universe, t, -1)
 
 
 def mask_has_clique(adj: Sequence[int], universe: int, size: int) -> bool:
     """True iff a clique of ``size`` vertices exists inside ``universe``."""
-    if size <= 0:
-        return True
-    if size == 1:
-        return universe != 0
-    cand = universe
-    while cand:
-        if cand.bit_count() < size:
-            return False
-        low = cand & -cand
-        v = low.bit_length() - 1
-        cand ^= low
-        if mask_has_clique(adj, cand & adj[v], size - 1):
-            return True
-    return False
+    return _lex_set(adj, universe, size, 0) is not None

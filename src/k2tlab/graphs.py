@@ -318,6 +318,12 @@ def graph6_decode(text: str) -> Graph:
 # (otherwise n = max endpoint + 1).
 # ---------------------------------------------------------------------------
 
+MAX_EDGE_TEXT_VERTICES = 1 << 16
+"""Largest vertex count edge text may declare or imply, far above the
+graphs the exact searches handle (ER_13 has 183 vertices). It is checked
+before anything of that size is allocated, so one short line cannot
+exhaust memory."""
+
 
 def parse_edge_text(text: str) -> Graph:
     n = None
@@ -335,6 +341,10 @@ def parse_edge_text(text: str) -> Graph:
         edges.append((int(parts[0]), int(parts[1])))
     if n is None:
         n = 1 + max((max(u, v) for u, v in edges), default=-1)
+    if n > MAX_EDGE_TEXT_VERTICES:
+        raise GraphError(
+            f"edge text has {n} vertices; the cap is {MAX_EDGE_TEXT_VERTICES}"
+        )
     return build(n, edges)
 
 

@@ -15,9 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
-from .detect import contains_family_member, contains_subgraph, find_independent_set
+from .detect import (
+    contains_family_member,
+    contains_subgraph,
+    find_independent_set,
+    require,
+)
 from .graphs import Graph, GraphError, bits, build, graph6_encode, induced_subgraph
 
 MAX_RAMSEY_CAP = 10
@@ -132,12 +138,13 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
     return rec(0)
 
 
-def _dedupe(graphs_with_prov: list) -> list:
-    """Keep the first representative of each isomorphism class."""
+def _dedupe(items, graph=lambda item: item) -> list:
+    """The items, in order, whose ``graph(item)`` is the first of its
+    isomorphism class: exact tests inside cheap-invariant buckets."""
     buckets: dict = {}
     out = []
-    for item in graphs_with_prov:
-        g = item[0]
+    for item in items:
+        g = graph(item)
         bucket = buckets.setdefault(invariant_key(g), [])
         if not any(is_isomorphic(g, seen) for seen in bucket):
             bucket.append(g)
@@ -158,7 +165,7 @@ def family_minus_vertex(h: Graph) -> GraphFamily:
     for v in range(h.n):
         sub = induced_subgraph(h, (u for u in range(h.n) if u != v))
         items.append((sub.graph, FamilyProvenance(removed=(v,), kept=sub.vertices)))
-    items = _dedupe(items)
+    items = _dedupe(items, itemgetter(0))
     return GraphFamily(
         members=tuple(g for g, _ in items),
         origin=ORIGIN_MINUS_VERTEX,
@@ -183,7 +190,7 @@ def family_minus_ebar(h: Graph) -> GraphFamily:
                 items.append(
                     (sub.graph, FamilyProvenance(removed=(u, v), kept=sub.vertices))
                 )
-    items = _dedupe(items)
+    items = _dedupe(items, itemgetter(0))
     return GraphFamily(
         members=tuple(g for g, _ in items),
         origin=ORIGIN_MINUS_EBAR,
@@ -195,7 +202,9 @@ def explicit_family(members) -> GraphFamily:
     ms = tuple(members)
     if not ms:
         raise GraphError("explicit family must be non-empty")
-    items = _dedupe([(g, FamilyProvenance(removed=(), kept=())) for g in ms])
+    items = _dedupe(
+        [(g, FamilyProvenance(removed=(), kept=())) for g in ms], itemgetter(0)
+    )
     return GraphFamily(
         members=tuple(g for g, _ in items),
         origin=ORIGIN_EXPLICIT,
@@ -252,29 +261,27 @@ def ramsey_exact(query: RamseyQuery, n_cap: int = DEFAULT_RAMSEY_CAP) -> RamseyR
 
     survivors = [build(0, [])]
     for n in range(1, n_cap + 1):
-        level: list[Graph] = []
-        buckets: dict = {}
-        for parent in survivors:
-            for cand in _extensions(parent):
-                if not _is_good(cand, t, members):
-                    continue
-                bucket = buckets.setdefault(invariant_key(cand), [])
-                if any(is_isomorphic(cand, seen) for seen in bucket):
-                    continue
-                bucket.append(cand)
-                level.append(cand)
+        level = _dedupe(
+            cand
+            for parent in survivors
+            for cand in _extensions(parent)
+            if _is_good(cand, t, members)
+        )
         if not level:
             witness = min(survivors, key=graph6_encode)
-            _assert_witness(witness, t, members)
+            _check_witness(witness, t, members)
             return RamseyResult(lower=n, upper=n, exact=n, lower_witness=witness)
         survivors = level
 
     lower = n_cap + 1
     vmin = min(m.n for m in members)
     upper = math.comb(vmin + t - 2, t - 1)
-    assert upper >= lower, "Erdos-Szekeres bound below a certified lower bound"
+    require(
+        upper >= lower,
+        f"Erdos-Szekeres bound {upper} below the certified lower bound {lower}",
+    )
     witness = min(survivors, key=graph6_encode)
-    _assert_witness(witness, t, members)
+    _check_witness(witness, t, members)
     return RamseyResult(
         lower=lower,
         upper=upper,
@@ -283,9 +290,15 @@ def ramsey_exact(query: RamseyQuery, n_cap: int = DEFAULT_RAMSEY_CAP) -> RamseyR
     )
 
 
-def _assert_witness(w: Graph, t: int, members: tuple[Graph, ...]) -> None:
-    assert find_independent_set(w, t) is None
-    assert w.n == 0 or contains_family_member(w, members) is None
+def _check_witness(w: Graph, t: int, members: tuple[Graph, ...]) -> None:
+    require(
+        find_independent_set(w, t) is None,
+        "the Ramsey witness has an independent t-set",
+    )
+    require(
+        w.n == 0 or contains_family_member(w, members) is None,
+        "the Ramsey witness contains a family member",
+    )
 
 
 _VERIFIED_CLASSICAL = {(3, 3): 6, (3, 4): 9}

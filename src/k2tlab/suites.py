@@ -52,6 +52,7 @@ from .witness import (
     OUTCOME_H_EMBEDDED,
     OUTCOME_INDUCED_K2T,
     extract,
+    pair_counts,
     verify_trace,
 )
 
@@ -96,13 +97,27 @@ class SuiteResult:
                 }
             )
 
+    def as_shard(self) -> dict:
+        """This result as the plain dict a shard body returns."""
+        return {
+            "checked": self.checked,
+            "boundary": self.boundary_cases,
+            "violations": self.violations,
+            "violation_count": self.violation_count,
+            "details": self.details,
+        }
+
     def merge_shard(self, shard: dict):
+        """Fold in a shard body's result; its ``details`` are counters and
+        add up."""
         self.checked += shard["checked"]
         self.boundary_cases += shard.get("boundary", 0)
-        self.violation_count += shard["violation_count"]
         for v in shard["violations"]:
-            if len(self.violations) < VIOLATION_LIMIT:
-                self.violations.append(v)
+            self.add_violation(**v)
+        # Violations beyond the shard's own limit were counted, not kept.
+        self.violation_count += shard["violation_count"] - len(shard["violations"])
+        for key, value in shard.get("details", {}).items():
+            self.details[key] = self.details.get(key, 0) + value
 
 
 def default_workers() -> int:
@@ -112,18 +127,18 @@ def default_workers() -> int:
     return 1
 
 
+def _pool_size(requested: int, shards: int) -> int:
+    """Worker processes to start for ``shards`` tasks: the requested count,
+    but never more than the CPUs or the shards, and at least one."""
+    return max(1, min(requested, os.cpu_count() or 1, shards))
+
+
 def _run_shards(fn, args_list, workers: int) -> list[dict]:
-    if workers <= 1 or len(args_list) <= 1:
+    size = _pool_size(workers, len(args_list))
+    if size == 1:
         return [fn(args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(fn, args_list))
-
-
-def _intervals(total: int, pieces: int) -> list[tuple[int, int]]:
-    pieces = max(1, min(pieces, total))
-    return [
-        (total * i // pieces, total * (i + 1) // pieces) for i in range(pieces)
-    ]
 
 
 def _apply_shard(
@@ -135,6 +150,39 @@ def _apply_shard(
     if not (k >= 1 and 0 <= i < k):
         raise ValueError(f"shard must be (i, k) with 0 <= i < k, got {shard}")
     return total * i // k, total * (i + 1) // k
+
+
+def _run_exhaustive(
+    result: SuiteResult,
+    body,
+    n_max: int,
+    t_values: tuple[int, ...],
+    workers: Optional[int],
+    shard: Optional[tuple[int, int]],
+) -> SuiteResult:
+    """The one shard loop of the exhaustive suites: stream the ``shard`` slice
+    of every labelled graph on 2..n_max vertices through the shard
+    ``body`` and merge its results into ``result``. The n_max slice is
+    split over up to ``workers`` processes (default K2TLAB_THREADS)."""
+    workers = default_workers() if workers is None else workers
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    result.params.update(
+        n_max=n_max,
+        t_values=list(t_values),
+        workers=workers,
+        shard=list(shard) if shard else None,
+    )
+    for n in range(2, n_max + 1):
+        lo, hi = _apply_shard(1 << math.comb(n, 2), shard)
+        pieces = _pool_size(workers, hi - lo) if n == n_max else 1
+        args = []
+        for i in range(pieces):
+            a, b = _apply_shard(hi - lo, (i, pieces))
+            args.append((n, tuple(t_values), lo + a, lo + b))
+        for shard_result in _run_shards(body, args, workers):
+            result.merge_shard(shard_result)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +256,16 @@ def _clique_shard(args: tuple) -> dict:
     n, t_values, lo, hi = args
     tables = {t: _guarantee_table(n, t) for t in t_values}
     full = (1 << n) - 1
-    checked = 0
-    boundary = 0
-    violations: list[dict] = []
-    violation_count = 0
+    out = SuiteResult(suite="clique-exhaustive", params={})
     for _, edge_count, adj in iter_masks(n, lo, hi):
         for t in t_values:
             if detect.mask_has_induced_k2t(adj, n, t):
                 continue
             entry = tables[t][edge_count]
             if entry is None:
-                boundary += 1
+                out.boundary_cases += 1
                 continue
-            checked += 1
+            out.checked += 1
             entries, need = entry
             if need <= 1 or detect.mask_has_clique(adj, full, need):
                 continue
@@ -228,22 +273,13 @@ def _clique_shard(args: tuple) -> dict:
             omega = len(detect.max_clique(g))
             for formula_id, guar in entries:
                 if omega < guar:
-                    violation_count += 1
-                    if len(violations) < VIOLATION_LIMIT:
-                        violations.append(
-                            {
-                                "claim": f"clique-lower {formula_id} n={n} t={t}",
-                                "graph6": graph6_encode(g),
-                                "observed": f"omega={omega}",
-                                "required": f"omega>={guar}",
-                            }
-                        )
-    return {
-        "checked": checked,
-        "boundary": boundary,
-        "violations": violations,
-        "violation_count": violation_count,
-    }
+                    out.add_violation(
+                        f"clique-lower {formula_id} n={n} t={t}",
+                        f"omega={omega}",
+                        f"omega>={guar}",
+                        graph6=graph6_encode(g),
+                    )
+    return out.as_shard()
 
 
 def run_clique_exhaustive(
@@ -255,27 +291,10 @@ def run_clique_exhaustive(
     """Criterion: every labelled graph (n <= n_max) with no induced
     K_{2,t} and alpha < 1 meets every applicable integer clique guarantee;
     alpha = 1 boundary cases are recorded, never checked."""
-    workers = default_workers() if workers is None else workers
-    result = SuiteResult(
-        suite="clique-exhaustive",
-        params={
-            "n_max": n_max,
-            "t_values": list(t_values),
-            "workers": workers,
-            "shard": list(shard) if shard else None,
-        },
+    return _run_exhaustive(
+        SuiteResult(suite="clique-exhaustive", params={}),
+        _clique_shard, n_max, t_values, workers, shard,
     )
-    for n in range(2, n_max + 1):
-        total = 1 << math.comb(n, 2)
-        lo, hi = _apply_shard(total, shard)
-        pieces = workers if n == n_max else 1
-        args = [
-            (n, tuple(t_values), lo + a, lo + b)
-            for a, b in _intervals(hi - lo, pieces)
-        ]
-        for shard_result in _run_shards(_clique_shard, args, workers):
-            result.merge_shard(shard_result)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -300,52 +319,24 @@ def _proof_shard(args: tuple) -> dict:
     tables = {t: _proof_tables(n, t) for t in t_values}
     pairs = math.comb(n, 2)
     full = (1 << n) - 1
-    checked = 0
-    averaging_checked = 0
-    violations: list[dict] = []
-    violation_count = 0
-
-    def report(claim, g6, observed, required):
-        nonlocal violation_count
-        violation_count += 1
-        if len(violations) < VIOLATION_LIMIT:
-            violations.append(
-                {
-                    "claim": claim,
-                    "graph6": g6,
-                    "observed": str(observed),
-                    "required": str(required),
-                }
-            )
-
+    out = SuiteResult(suite="proof-ineq", params={}, details={"averaging_checked": 0})
     for _, edge_count, adj in iter_masks(n, lo, hi):
-        checked += 1
+        out.checked += 1
         m_values = []
-        sum_m = 0
         identity_bad = None
         for v in range(n):
-            row = adj[v]
-            d = row.bit_count()
-            e_inside = 0
-            m_inside = 0
-            rest = row
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                u = low.bit_length() - 1
-                e_inside += (adj[u] & rest).bit_count()
-                m_inside += (~adj[u] & rest).bit_count()
+            d = adj[v].bit_count()
+            e_inside, m_inside = pair_counts(adj, adj[v])
             if e_inside + m_inside != d * (d - 1) // 2:
                 identity_bad = (v, e_inside, m_inside, d)
             m_values.append(m_inside)
-            sum_m += m_inside
         if identity_bad is not None:
             v, e_inside, m_inside, d = identity_bad
-            report(
+            out.add_violation(
                 f"ledger-identity n={n} v={v}",
-                graph6_encode(Graph(n, adj)),
                 f"e_v={e_inside} m_v={m_inside}",
                 f"e_v+m_v={d * (d - 1) // 2}",
+                graph6=graph6_encode(Graph(n, adj)),
             )
         for t in t_values:
             if detect.mask_has_induced_k2t(adj, n, t):
@@ -361,11 +352,11 @@ def _proof_shard(args: tuple) -> dict:
                     residual &= ~chosen
                 q_val = (t - 1) * gamma * (gamma + t - 1) // 2
                 if m_values[v] < q_val:
-                    report(
+                    out.add_violation(
                         f"packing-debt n={n} t={t} v={v}",
-                        graph6_encode(Graph(n, adj)),
                         f"m_v={m_values[v]} gamma={gamma}",
                         f"m_v>=q(gamma)={q_val}",
+                        graph6=graph6_encode(Graph(n, adj)),
                     )
             r_max, rhs = tables[t][edge_count]
             if (
@@ -377,20 +368,16 @@ def _proof_shard(args: tuple) -> dict:
                 # inputs (omega >= r_max + 1 is exactly what it promises);
                 # the count below documents that, and any entry would be
                 # cross-examined against the averaging bound.
-                averaging_checked += 1
+                out.details["averaging_checked"] += 1
+                sum_m = sum(m_values)
                 if sum_m < rhs - 1e-9:
-                    report(
+                    out.add_violation(
                         f"averaging n={n} t={t} r={r_max}",
-                        graph6_encode(Graph(n, adj)),
                         f"sum_m={sum_m}",
                         f">={rhs}",
+                        graph6=graph6_encode(Graph(n, adj)),
                     )
-    return {
-        "checked": checked,
-        "averaging_checked": averaging_checked,
-        "violations": violations,
-        "violation_count": violation_count,
-    }
+    return out.as_shard()
 
 
 def run_proof_inequalities(
@@ -402,30 +389,10 @@ def run_proof_inequalities(
     """Criterion: the ledger identity on every graph, the packing debt
     m_v >= q(gamma_v) on every induced-K_{2,t}-free graph, and the
     averaged missing-edge inequality on the theorem's own instances."""
-    workers = default_workers() if workers is None else workers
-    result = SuiteResult(
-        suite="proof-ineq",
-        params={
-            "n_max": n_max,
-            "t_values": list(t_values),
-            "workers": workers,
-            "shard": list(shard) if shard else None,
-        },
+    return _run_exhaustive(
+        SuiteResult(suite="proof-ineq", params={}, details={"averaging_checked": 0}),
+        _proof_shard, n_max, t_values, workers, shard,
     )
-    averaging_checked = 0
-    for n in range(2, n_max + 1):
-        total = 1 << math.comb(n, 2)
-        lo, hi = _apply_shard(total, shard)
-        pieces = workers if n == n_max else 1
-        args = [
-            (n, tuple(t_values), lo + a, lo + b)
-            for a, b in _intervals(hi - lo, pieces)
-        ]
-        for shard_result in _run_shards(_proof_shard, args, workers):
-            result.merge_shard(shard_result)
-            averaging_checked += shard_result["averaging_checked"]
-    result.details["averaging_checked"] = averaging_checked
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +570,9 @@ def run_triangle_theorem(
 def _turan_shard(args: tuple) -> dict:
     n, t_values, lo, hi = args
     full = (1 << n) - 1
-    checked = 0
-    violations: list[dict] = []
-    violation_count = 0
-    skipped = 0
+    out = SuiteResult(
+        suite="turan-upper", params={}, details={"skipped_no_exact_ramsey": 0}
+    )
     # bounds depend on (t, omega); cache them.
     cache: dict = {}
 
@@ -633,31 +599,18 @@ def _turan_shard(args: tuple) -> dict:
             omega = detect._max_clique_size(adj, full)
             entries = bounds_for(t, omega)
             if entries is None:
-                skipped += 1
+                out.details["skipped_no_exact_ramsey"] += 1
                 continue
-            checked += 1
+            out.checked += 1
             for entry in entries:
-                if edge_count < entry.bound:
-                    continue
-                violation_count += 1
-                if len(violations) < VIOLATION_LIMIT:
-                    violations.append(
-                        {
-                            "claim": (
-                                f"turan-upper {entry.formula_id} n={n} t={t} "
-                                f"omega={omega}"
-                            ),
-                            "graph6": graph6_encode(Graph(n, adj)),
-                            "observed": f"e={edge_count}",
-                            "required": f"e<{entry.bound}",
-                        }
+                if edge_count >= entry.bound:
+                    out.add_violation(
+                        f"turan-upper {entry.formula_id} n={n} t={t} omega={omega}",
+                        f"e={edge_count}",
+                        f"e<{entry.bound}",
+                        graph6=graph6_encode(Graph(n, adj)),
                     )
-    return {
-        "checked": checked,
-        "violations": violations,
-        "violation_count": violation_count,
-        "skipped": skipped,
-    }
+    return out.as_shard()
 
 
 def run_turan_upper(
@@ -672,30 +625,14 @@ def run_turan_upper(
     (H = the smallest clique it misses) and every random-sweep graph with
     no induced K_{2,2} and no K4 sits strictly below each applicable
     induced-Turan upper bound with repo-exact Ramsey values."""
-    workers = default_workers() if workers is None else workers
-    result = SuiteResult(
-        suite="turan-upper",
-        params={
-            "n_max": n_max,
-            "t_values": list(t_values),
-            "include_random": include_random,
-            "workers": workers,
-            "shard": list(shard) if shard else None,
-        },
+    result = _run_exhaustive(
+        SuiteResult(
+            suite="turan-upper",
+            params={"include_random": include_random},
+            details={"skipped_no_exact_ramsey": 0},
+        ),
+        _turan_shard, n_max, t_values, workers, shard,
     )
-    skipped = 0
-    for n in range(2, n_max + 1):
-        total = 1 << math.comb(n, 2)
-        lo, hi = _apply_shard(total, shard)
-        pieces = workers if n == n_max else 1
-        args = [
-            (n, tuple(t_values), lo + a, lo + b)
-            for a, b in _intervals(hi - lo, pieces)
-        ]
-        for shard_result in _run_shards(_turan_shard, args, workers):
-            result.merge_shard(shard_result)
-            skipped += shard_result.get("skipped", 0)
-    result.details["skipped_no_exact_ramsey"] = skipped
 
     if include_random:
         h = complete(4)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from . import detect
 from .bounds import beta
@@ -105,16 +105,19 @@ def greedy_packing(g: Graph, v: int, t: int) -> Packing:
     return Packing(v=v, parts=tuple(parts))
 
 
-def _missing_inside(g: Graph, subset: int) -> int:
-    """Number of non-adjacent pairs inside the vertex subset ``subset``."""
-    count = 0
+def pair_counts(adj: Sequence[int], subset: int) -> tuple[int, int]:
+    """(edges, non-edges) among the vertices of ``subset``: (e_v, m_v) of
+    the ledger when ``subset`` is the neighbourhood of v."""
+    e_inside = 0
+    m_inside = 0
     rest = subset
     while rest:
         low = rest & -rest
         rest ^= low
-        u = low.bit_length() - 1
-        count += (~g.adj[u] & rest).bit_count()
-    return count
+        row = adj[low.bit_length() - 1]
+        e_inside += (row & rest).bit_count()
+        m_inside += (~row & rest).bit_count()
+    return e_inside, m_inside
 
 
 def ledger(g: Graph, t: int) -> list[VertexLedger]:
@@ -123,7 +126,7 @@ def ledger(g: Graph, t: int) -> list[VertexLedger]:
     out = []
     for v in range(g.n):
         gamma = greedy_packing(g, v, t).gamma
-        m_v = _missing_inside(g, g.adj[v])
+        _, m_v = pair_counts(g.adj, g.adj[v])
         out.append(
             VertexLedger(
                 v=v,
@@ -141,7 +144,7 @@ def pigeonhole_edge(
 ) -> tuple[tuple[int, int], frozenset[int]]:
     """The missing edge whose common neighbourhood S is largest (ties:
     lexicographically least edge). Averaging guarantees
-    |S| * |M| >= sum m_v, which is asserted exactly."""
+    |S| * |M| >= sum m_v, which is checked exactly."""
     full = g.full_mask
     best_edge = None
     best_common = 0
@@ -161,7 +164,10 @@ def pigeonhole_edge(
         raise BoundaryDegenerateError(
             "complete graph: the averaging step needs a missing edge"
         )
-    assert best_size * missing_total >= sum(entry.m_v for entry in ledgers)
+    detect.require(
+        best_size * missing_total >= sum(entry.m_v for entry in ledgers),
+        "averaging: |S| * |M| < sum m_v",
+    )
     return best_edge, frozenset(bits(best_common))
 
 
@@ -212,7 +218,7 @@ def extract(
         cert = InducedK2tCertificate(
             a=a, b=b, t_side=frozenset(sub.to_parent(i) for i in t_set)
         )
-        assert cert.check(g)
+        detect.require(cert.check(g), "extract: invalid induced-K_(2,t) certificate")
         return ProofTrace(
             t=t,
             ledgers=ledgers,
@@ -234,7 +240,7 @@ def extract(
         # Both endpoints of the missing edge see all of S; use the lesser.
         mapping[prov.removed[0]] = a
         full_emb = Embedding(pattern=h, mapping=tuple(mapping))
-        assert full_emb.check(g)
+        detect.require(full_emb.check(g), "extract: invalid embedding of H")
         return ProofTrace(
             t=t,
             ledgers=ledgers,
@@ -275,15 +281,7 @@ def verify_trace(g: Graph, trace: ProofTrace, h: Graph, t: int) -> bool:
         deg = row.bit_count()
         if entry.degree != deg:
             return False
-        e_inside = 0
-        m_inside = 0
-        rest = row
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            e_inside += (g.adj[u] & rest).bit_count()
-            m_inside += (~g.adj[u] & rest).bit_count()
+        e_inside, m_inside = pair_counts(g.adj, row)
         if entry.m_v != m_inside:
             return False
         if e_inside + m_inside != deg * (deg - 1) // 2:

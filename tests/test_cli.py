@@ -33,6 +33,17 @@ class TestLoadGraph:
         p.write_text("4\n0 1\n1 2\n2 3\n3 0\n")
         assert load_graph(str(p)) == cycle(4)
 
+    def test_oversized_edge_text_exits_two(self, runner, tmp_path):
+        from k2tlab.graphs import MAX_EDGE_TEXT_VERTICES
+
+        p = tmp_path / "huge.txt"
+        p.write_text(f"{MAX_EDGE_TEXT_VERTICES + 1}\n0 1\n")
+        result = runner.invoke(
+            main, ["detect", "--graph", str(p), "--format", "edges"]
+        )
+        assert result.exit_code == 2
+        assert "cap" in result.output
+
     def test_explicit_format(self, tmp_path):
         p = write_graph6(tmp_path, "k3.g6", complete(3))
         assert load_graph(p, "graph6") == complete(3)
@@ -221,6 +232,15 @@ class TestVerifyCommand:
              "--workers", "2"],
         )
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_two(self, runner, workers):
+        result = runner.invoke(
+            main,
+            ["verify", "--suite", "clique-exhaustive", "--nmax", "3",
+             "--workers", workers],
+        )
+        assert result.exit_code == 2
 
     def test_threads_env_sets_default_workers(self, monkeypatch):
         from k2tlab.suites import default_workers

@@ -1,5 +1,8 @@
 import itertools
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +20,16 @@ from k2tlab.constructions import complete, complete_bipartite, cycle, empty, pat
 from k2tlab.detect import (
     Embedding,
     InducedK2tCertificate,
+    _mask_lex_independent_tset,
     contains_family_member,
     contains_subgraph,
     find_independent_set,
     find_induced_k2t,
+    mask_has_clique,
+    mask_has_induced_k2t,
     max_clique,
 )
-from k2tlab.graphs import GraphError, build
+from k2tlab.graphs import GraphError, bits, build, graph6_encode, mask_of
 
 
 @st.composite
@@ -219,3 +225,96 @@ class TestCertificateCheckers:
         g = build(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
         cert = InducedK2tCertificate(a=0, b=1, t_side=frozenset({2, 3}))
         assert not cert.check(g)
+
+
+def first_independent_subset(g, universe, t):
+    """The first independent t-subset of ``universe`` in combinations order."""
+    for sub in itertools.combinations(sorted(universe), t):
+        if all(not g.has_edge(u, v) for u, v in itertools.combinations(sub, 2)):
+            return sub
+    return None
+
+
+def first_induced_k2t(g, t):
+    """The first (a, b, t-side) in lexicographic pair order, naively."""
+    for a, b in itertools.combinations(range(g.n), 2):
+        if g.has_edge(a, b):
+            continue
+        common = [v for v in range(g.n) if g.has_edge(a, v) and g.has_edge(b, v)]
+        side = first_independent_subset(g, common, t)
+        if side is not None:
+            return a, b, mask_of(side)
+    return None
+
+
+def check_mask_kernels(g):
+    for t in range(2, 5):
+        found = mask_has_induced_k2t(g.adj, g.n, t)
+        assert (found is not None) == naive_has_induced_k2t(g, t)
+        assert found == first_induced_k2t(g, t)
+        if found is not None:
+            a, b, side = found
+            cert = InducedK2tCertificate(a=a, b=b, t_side=frozenset(bits(side)))
+            assert cert.check(g)
+            assert find_induced_k2t(g, t) == cert
+    omega = naive_max_clique_size(g)
+    for size in range(g.n + 2):
+        assert mask_has_clique(g.adj, g.full_mask, size) == (size <= omega)
+    for t in range(1, 5):
+        expected = first_independent_subset(g, range(g.n), t)
+        mask = _mask_lex_independent_tset(g.adj, g.full_mask, t)
+        assert mask == (None if expected is None else mask_of(expected))
+        found = find_independent_set(g, t)
+        assert found == (None if expected is None else frozenset(expected))
+
+
+class TestMaskKernels:
+    """The mask-level kernels against the itertools oracles."""
+
+    def test_every_graph_up_to_five_vertices(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                check_mask_kernels(g)
+
+    @given(graph_masks(max_n=7))
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_graphs_up_to_seven_vertices(self, nm):
+        check_mask_kernels(graph_from_mask(*nm))
+
+
+SELF_CHECK_SCRIPT = """
+import sys
+from click.testing import CliRunner
+from k2tlab import cli, detect
+from k2tlab.constructions import cycle
+
+if __debug__:
+    sys.exit("run under python -O")
+# A kernel that returns an adjacent pair where an independent set is asked.
+detect._lex_set = lambda adj, universe, size, flip: 0b11
+try:
+    detect.find_independent_set(cycle(5), 2)
+except detect.SelfCheckError:
+    pass
+else:
+    sys.exit("find_independent_set returned a wrong set unchecked")
+result = CliRunner().invoke(cli.main, ["detect", "--graph", sys.argv[1]])
+if result.exit_code != 2 or "self-check failed" not in result.output:
+    sys.exit(f"detect exited {result.exit_code}: {result.output}")
+print("ok")
+"""
+
+
+def test_self_checks_survive_python_O(tmp_path):
+    graph = tmp_path / "c4.g6"
+    graph.write_text(graph6_encode(cycle(4)) + "\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SELF_CHECK_SCRIPT, str(graph)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "ok"

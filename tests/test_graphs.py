@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import all_graphs, graph_from_mask, naive_triangles
 from k2tlab.constructions import complete, complete_bipartite, cycle, random_gnp
 from k2tlab.graphs import (
+    MAX_EDGE_TEXT_VERTICES,
     Graph,
     GraphError,
     build,
@@ -287,3 +288,12 @@ class TestEdgeText:
     def test_rejects_malformed(self):
         with pytest.raises(GraphError):
             parse_edge_text("0 1 2\n")
+
+    def test_rejects_vertex_count_over_cap(self):
+        # One past the cap: a missing check allocates only that much.
+        n = MAX_EDGE_TEXT_VERTICES + 1
+        with pytest.raises(GraphError, match="cap"):
+            parse_edge_text(f"{n}\n")
+        with pytest.raises(GraphError, match="cap"):
+            parse_edge_text(f"0 {n - 1}\n")
+        assert parse_edge_text(f"{MAX_EDGE_TEXT_VERTICES}\n").n == n - 1

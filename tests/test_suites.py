@@ -1,9 +1,12 @@
+import os
+
 import pytest
 
 from k2tlab.suites import (
     SUITE_IDS,
     VIOLATION_LIMIT,
     SuiteResult,
+    _pool_size,
     run_beta,
     run_clique_exhaustive,
     run_polarity,
@@ -53,6 +56,7 @@ class TestProofInequalities:
         result = run_proof_inequalities(n_max=5)
         assert result.passed
         assert result.checked == 2 + 8 + 64 + 1024
+        assert result.details == {"averaging_checked": 0}
 
 
 class TestRamseySmall:
@@ -84,6 +88,18 @@ class TestTuranUpper:
         assert result.passed
         assert result.checked > 0
 
+    def test_shard_counters_merge(self):
+        whole = run_turan_upper(n_max=5, include_random=False)
+        skipped = whole.details["skipped_no_exact_ramsey"]
+        assert skipped > 0
+        pieces = [
+            run_turan_upper(n_max=5, include_random=False, shard=(i, 3))
+            for i in range(3)
+        ]
+        assert sum(p.details["skipped_no_exact_ramsey"] for p in pieces) == skipped
+        parallel = run_turan_upper(n_max=5, include_random=False, workers=2)
+        assert parallel.details == whole.details
+
     def test_random_part_runs(self):
         result = run_turan_upper(
             n_max=2, include_random=True, random_count=60
@@ -105,6 +121,24 @@ class TestTriangleFormula:
         result = run_triangle_formula()
         assert result.passed
         assert result.checked == 25 * 19
+
+
+class TestPoolSize:
+    def test_clamped_to_cpus_and_shards(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _pool_size(10**9, 10**9) == 4
+        assert _pool_size(3, 10**9) == 3
+        assert _pool_size(8, 2) == 2
+        assert _pool_size(1, 5) == 1
+        assert _pool_size(5, 0) == 1
+
+    def test_unknown_cpu_count_runs_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _pool_size(8, 8) == 1
+
+    def test_library_rejects_workers_below_one(self):
+        with pytest.raises(ValueError, match="workers"):
+            run_clique_exhaustive(n_max=3, workers=0)
 
 
 class TestViolationPlumbing:
