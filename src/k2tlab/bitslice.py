@@ -1,0 +1,214 @@
+"""Bitsliced evaluation of graph properties over a window of the labelled
+enumeration (Biham, "A fast new DES implementation in software", FSE 1997).
+
+A window is a run of consecutive indices [lo, hi) of the Gray-code order of
+``constructions.iter_masks`` inside one aligned block of ``BLOCK`` indices.
+The engine keeps one Python int per edge variable: bit p is set when the
+graph at index lo + p has that edge. A property of every graph of the
+window is then one int, its *indicator*, built from the edge variables with
+AND, OR and XOR, so one big-int operation evaluates the whole window.
+
+The graph at index i has edge k when bit k of its Gray mask i ^ (i >> 1)
+is set, that is when X_k ^ X_{k+1} is set, X_k being bit k of the index.
+Inside an aligned block the index bits below ``BLOCK_BITS`` run through 16
+fixed patterns and the bits above are constant.
+"""
+
+from __future__ import annotations
+
+import functools
+from itertools import combinations, permutations
+from typing import Iterator, Optional
+
+from .constructions import pair_order
+from .graphs import Graph
+
+BLOCK_BITS = 16
+BLOCK = 1 << BLOCK_BITS
+
+
+@functools.cache
+def _index_bits() -> tuple[int, ...]:
+    """X_k for k < BLOCK_BITS over a whole block: bit p set iff bit k of p."""
+    out = []
+    for k in range(BLOCK_BITS):
+        period = 2 << k
+        pattern = ((1 << (1 << k)) - 1) << (1 << k)
+        while period < BLOCK:
+            pattern |= pattern << period
+            period *= 2
+        out.append(pattern)
+    return tuple(out)
+
+
+def windows(n: int, lo: int, hi: int) -> Iterator["Window"]:
+    """The windows that tile [lo, hi) of the n-vertex enumeration, cut at
+    the multiples of ``BLOCK``, in increasing order."""
+    while lo < hi:
+        cut = min(hi, (lo // BLOCK + 1) * BLOCK)
+        yield Window(n, lo, cut)
+        lo = cut
+
+
+@functools.lru_cache(maxsize=64)
+def _copies(n: int, h: Graph) -> list[tuple[int, ...]]:
+    """The distinct edge sets (as pair indices) of the copies of h in K_n."""
+    index = {}
+    for k, (u, v) in enumerate(pair_order(n)):
+        index[u, v] = index[v, u] = k
+    found = set()
+    for image in permutations(range(n), h.n):
+        found.add(tuple(sorted(index[image[u], image[v]] for u, v in h.edges())))
+    return sorted(found)
+
+
+def _any_set(acc: int, cands: list, size: int, rel: list) -> int:
+    """OR over the ``size``-subsets S of ``cands``, a list of
+    (vertex, indicator), of: acc AND the indicators of S AND rel[u][v]
+    for every pair u, v of S. Sets share their prefixes, and positions
+    already found are not searched again."""
+    if size == 0:
+        return acc
+    out = 0
+    if size == 1:
+        for _, ind in cands:
+            out |= ind
+        return acc & out
+    for i in range(len(cands) - size + 1):
+        u, ind = cands[i]
+        nxt = (acc ^ out) & ind
+        if nxt:
+            row = rel[u]
+            rest = [(v, y) for v, x in cands[i + 1:] if (y := x & row[v])]
+            out |= _any_set(nxt, rest, size - 1, rel)
+            if out == acc:
+                break
+    return out
+
+
+class Window:
+    """The edge variables of the graphs at indices [lo, hi) on n vertices,
+    and the indicators built from them. ``all`` is the indicator of every
+    graph of the window."""
+
+    def __init__(self, n: int, lo: int, hi: int):
+        if not (0 <= lo < hi and (hi - 1) // BLOCK == lo // BLOCK):
+            raise ValueError(f"window [{lo}, {hi}) is empty or crosses a block")
+        self.n, self.lo, self.hi = n, lo, hi
+        self.all = (1 << (hi - lo)) - 1
+        low = _index_bits()
+        offset = lo % BLOCK
+        pairs = pair_order(n)
+        x = [
+            (low[k] >> offset) & self.all if k < BLOCK_BITS
+            else self.all if (lo >> k) & 1 else 0
+            for k in range(len(pairs))
+        ]
+        x.append(0)
+        self.edge = [[0] * n for _ in range(n)]
+        self.non_edge = [[self.all] * n for _ in range(n)]
+        for k, (u, v) in enumerate(pairs):
+            e = x[k] ^ x[k + 1]
+            self.edge[u][v] = self.edge[v][u] = e
+            self.non_edge[u][v] = self.non_edge[v][u] = self.all ^ e
+
+    def has_induced_k2t(self, t: int) -> int:
+        """Graphs with a non-adjacent pair (a, b) whose common neighbourhood
+        holds an independent t-set."""
+        n, e = self.n, self.edge
+        found = 0
+        for a, b in combinations(range(n), 2):
+            common = [
+                (s, e[a][s] & e[b][s]) for s in range(n) if s != a and s != b
+            ]
+            acc = self.non_edge[a][b] & ~found
+            if acc:
+                found |= _any_set(acc, common, t, self.non_edge)
+        return found
+
+    def clique_at_least(self, k: int) -> int:
+        """Graphs with a clique of k vertices (omega >= k)."""
+        cands = [(v, self.all) for v in range(self.n)]
+        return _any_set(self.all, cands, k, self.edge)
+
+    def contains_pattern(self, h: Graph) -> int:
+        """Graphs with a (not necessarily induced) copy of h."""
+        if h.n > self.n:
+            return 0
+        edge = [self.edge[u][v] for u, v in pair_order(self.n)]
+        out = 0
+        for copy in _copies(self.n, h):
+            ind = self.all
+            for k in copy:
+                ind &= edge[k]
+            out |= ind
+        return out
+
+    def edge_classes(self) -> list[int]:
+        """The indicators of edge count 0, 1, ..., C(n, 2)."""
+        pairs = pair_order(self.n)
+        digits = count_digits([self.edge[u][v] for u, v in pairs])
+        return [self.count_equals(digits, e) for e in range(len(pairs) + 1)]
+
+    def triangle_digits(self) -> list[int]:
+        """Bitsliced binary digits of each graph's triangle count."""
+        e = self.edge
+        return count_digits(
+            [e[u][v] & e[u][w] & e[v][w] for u, v, w in combinations(range(self.n), 3)]
+        )
+
+    def count_equals(self, digits: list[int], value: int) -> int:
+        """Graphs whose count, given by its ``digits``, equals ``value``."""
+        if value < 0 or value >> len(digits):
+            return 0
+        out = self.all
+        for j, d in enumerate(digits):
+            out &= d if (value >> j) & 1 else self.all ^ d
+        return out
+
+    def masks(self, indicator: int) -> Iterator[tuple[int, int]]:
+        """(position, Gray mask) of each graph in ``indicator``, in
+        increasing index order; ``GraphStream.graph_at(mask)`` builds it."""
+        while indicator:
+            low = indicator & -indicator
+            indicator ^= low
+            p = low.bit_length() - 1
+            i = self.lo + p
+            yield p, i ^ (i >> 1)
+
+
+def count_digits(indicators: list[int]) -> list[int]:
+    """An adder tree over bitsliced 0/1 values: the binary digits, least
+    significant first, of how many ``indicators`` hold each position."""
+    if len(indicators) <= 1:
+        return list(indicators)
+    mid = len(indicators) // 2
+    x, y = count_digits(indicators[:mid]), count_digits(indicators[mid:])
+    out, carry = [], 0
+    for j in range(max(len(x), len(y))):
+        a = x[j] if j < len(x) else 0
+        b = y[j] if j < len(y) else 0
+        out.append(a ^ b ^ carry)
+        carry = (a & b) | (carry & (a ^ b))
+    if carry:
+        out.append(carry)
+    return out
+
+
+def count_max(digits: list[int], among: int) -> Optional[int]:
+    """The largest count, given by its ``digits``, over the graphs of
+    ``among``; None when ``among`` is empty."""
+    if not among:
+        return None
+    best = 0
+    for j in reversed(range(len(digits))):
+        high = among & digits[j]
+        if high:
+            among = high
+            best |= 1 << j
+    return best
+
+
+def block_count(lo: int, hi: int) -> int:
+    """How many aligned blocks of ``BLOCK`` indices [lo, hi) meets."""
+    return (hi - 1) // BLOCK - lo // BLOCK + 1 if lo < hi else 0

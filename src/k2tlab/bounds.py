@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
+from . import detect
+
 Real = Union[int, float, Fraction]
 
 ES = "erdos-szekeres"
@@ -430,7 +432,7 @@ def triangle_upper(c: float, n: int) -> tuple[float, float]:
         2.0 * c**2 * float(n) ** 1.5 * math.sqrt(f_opt)
     )
     envelope = 3.0 * c ** (15.0 / 7.0) * float(n) ** (27.0 / 14.0)
-    assert bound < envelope
+    detect.require(bound < envelope, "triangle_upper: bound below its envelope")
     return f_opt, bound
 
 

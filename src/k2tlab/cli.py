@@ -263,7 +263,7 @@ def cmd_witness(graph_path, h_path, t, json_path):
 @click.option("--nmax", type=int, default=None, help="largest n for exhaustive suites")
 @click.option("--t", type=int, default=None, help="restrict to one t")
 @click.option("--shard", default=None, help="I/K interval of the search space")
-@click.option("--workers", type=click.IntRange(min=1), default=None, help="worker processes, at most one per CPU and shard (default: K2TLAB_THREADS or 1)")
+@click.option("--workers", type=click.IntRange(min=1), default=None, help="worker processes, at most one per CPU and 2^16-graph block (default: K2TLAB_THREADS or 1)")
 @click.option("--json", "json_path", type=click.Path())
 def cmd_verify(suite_id, nmax, t, shard, workers, json_path):
     """Run a verification suite; exit 1 iff it reports violations."""

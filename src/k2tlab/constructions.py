@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from . import detect
-from .graphs import Graph, GraphError, build, triangle_count
+from .graphs import Graph, GraphError, build
 
 ENUMERATION_CAP = 7
 PRNG_NAME = "xorshift64star-v1"
@@ -53,7 +53,6 @@ def polarity_graph(q: int) -> Graph:
     for z in range(q):
         points.append((0, 1, z))
     points.append((0, 0, 1))
-    assert len(points) == q * q + q + 1
     n = len(points)
     adj = [0] * n
     for i in range(n):
@@ -63,6 +62,10 @@ def polarity_graph(q: int) -> Graph:
             if (xi * xj + yi * yj + zi * zj) % q == 0:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
+    detect.require(
+        n == q * q + q + 1 and sum(row.bit_count() for row in adj) == q * (q + 1) ** 2,
+        "polarity_graph: q^2 + q + 1 points and q (q + 1)^2 / 2 edges",
+    )
     return Graph(n, adj)
 
 
@@ -250,10 +253,13 @@ def enumerate_labelled(
 def iter_masks(n: int, lo: int = 0, hi: Optional[int] = None):
     """Fast internal cursor for the verification suites.
 
-    Yields (index, edge_count, adj) over the index interval [lo, hi) of
-    the same edge-mask order as GraphStream, visiting indices in Gray-code
-    sequence so each step toggles a single edge. ``adj`` is a list reused
-    in place -- consume, never store.
+    Yields (mask, edge_count, adj) for the indices i in [lo, hi), in
+    increasing order: the graph at position i is the one whose edge mask
+    (bits in ``pair_order`` position, as in ``GraphStream.graph_at``) is
+    the Gray code i ^ (i >> 1), so each step toggles a single edge and
+    ``GraphStream(n).graph_at(mask)`` rebuilds the graph. ``bitslice``
+    relies on this position-to-mask rule. ``adj`` is a list reused in
+    place -- consume, never store.
     """
     pairs = pair_order(n)
     npairs = len(pairs)
@@ -302,14 +308,13 @@ def delta_max(n: int, h: Graph, t: int) -> int:
         )
     if t < 2:
         raise GraphError(f"need t >= 2, got t={t}")
+    # bitslice builds on this module's enumeration order and imports it.
+    from . import bitslice
+
     best = 0
-    for _, _, adj in iter_masks(n):
-        if detect.mask_has_induced_k2t(adj, n, t):
-            continue
-        g = Graph(n, adj)
-        if detect.contains_subgraph(g, h) is not None:
-            continue
-        tri = triangle_count(g)
-        if tri > best:
-            best = tri
+    for w in bitslice.windows(n, 0, 1 << math.comb(n, 2)):
+        allowed = w.all & ~w.has_induced_k2t(t) & ~w.contains_pattern(h)
+        top = bitslice.count_max(w.triangle_digits(), allowed)
+        if top is not None and top > best:
+            best = top
     return best

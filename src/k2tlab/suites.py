@@ -2,12 +2,17 @@
 and proof-internal inequality, with violation payloads that are
 independently re-checkable from their graph6 strings.
 
-The exhaustive suites stream raw adjacency masks (see
-``constructions.iter_masks``) and precompute everything that depends only
-on (n, t, edge count), so the per-graph work is a few bitset operations.
-Heavy suites fan out over mask-interval shards; results merge
-order-independently. Worker count comes from the K2TLAB_THREADS
-environment variable unless given explicitly.
+The exhaustive suites evaluate whole windows of the labelled enumeration
+at once with the bitsliced engine (``bitslice``): the induced-K_{2,t}
+filter, the clique and pattern tests and the edge and triangle counts are
+big-int indicators over up to 2^16 graphs, and everything that depends only
+on (n, t, edge count) or (t, omega) is precomputed, so counts are popcounts.
+Only the graphs an indicator flags as violations are built one by one, for
+their graph6 payloads. proof-ineq still streams raw adjacency masks (see
+``constructions.iter_masks``) for its per-vertex ledger and packing checks,
+with the engine's filter. Heavy suites fan out over mask-interval shards;
+results merge order-independently. Worker count comes from the
+K2TLAB_THREADS environment variable unless given explicitly.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from . import detect
+from . import bitslice, detect
 from .bounds import (
     beta,
     beta_identity_residual,
@@ -32,6 +37,7 @@ from .bounds import (
 )
 from .constructions import (
     PRNG_NAME,
+    GraphStream,
     complete,
     cycle,
     delta_max,
@@ -121,10 +127,18 @@ class SuiteResult:
 
 
 def default_workers() -> int:
+    """The worker count K2TLAB_THREADS asks for, 1 when it is unset; a
+    value that is not an integer of at least 1 raises ValueError."""
     env = os.environ.get("K2TLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"K2TLAB_THREADS must be an integer >= 1, got {env!r}")
+    return workers
 
 
 def _pool_size(requested: int, shards: int) -> int:
@@ -163,7 +177,9 @@ def _run_exhaustive(
     """The one shard loop of the exhaustive suites: stream the ``shard`` slice
     of every labelled graph on 2..n_max vertices through the shard
     ``body`` and merge its results into ``result``. The n_max slice is
-    split over up to ``workers`` processes (default K2TLAB_THREADS)."""
+    split over up to ``workers`` processes (default K2TLAB_THREADS), at
+    most one per ``bitslice.BLOCK`` block of it, so a slice of one block
+    starts no pool."""
     workers = default_workers() if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -175,7 +191,8 @@ def _run_exhaustive(
     )
     for n in range(2, n_max + 1):
         lo, hi = _apply_shard(1 << math.comb(n, 2), shard)
-        pieces = _pool_size(workers, hi - lo) if n == n_max else 1
+        blocks = bitslice.block_count(lo, hi)
+        pieces = _pool_size(workers, blocks) if n == n_max else 1
         args = []
         for i in range(pieces):
             a, b = _apply_shard(hi - lo, (i, pieces))
@@ -252,26 +269,44 @@ def _guarantee_table(n: int, t: int) -> list:
     return table
 
 
+def _failures(w, bad: dict):
+    """(graph, t) for each graph of window ``w`` in the ``bad`` indicators,
+    which are keyed by t: graph by graph in index order, t by t within a
+    graph."""
+    stream = GraphStream(w.n)
+    union = 0
+    for indicator in bad.values():
+        union |= indicator
+    for p, mask in w.masks(union):
+        g = stream.graph_at(mask)
+        for t, indicator in bad.items():
+            if (indicator >> p) & 1:
+                yield g, t
+
+
 def _clique_shard(args: tuple) -> dict:
     n, t_values, lo, hi = args
     tables = {t: _guarantee_table(n, t) for t in t_values}
-    full = (1 << n) - 1
+    pairs = math.comb(n, 2)
     out = SuiteResult(suite="clique-exhaustive", params={})
-    for _, edge_count, adj in iter_masks(n, lo, hi):
+    for w in bitslice.windows(n, lo, hi):
+        edges = w.edge_classes()
+        cliques = {}
+        bad = {}
         for t in t_values:
-            if detect.mask_has_induced_k2t(adj, n, t):
-                continue
-            entry = tables[t][edge_count]
-            if entry is None:
-                out.boundary_cases += 1
-                continue
-            out.checked += 1
-            entries, need = entry
-            if need <= 1 or detect.mask_has_clique(adj, full, need):
-                continue
-            g = Graph(n, adj)
+            free = w.all ^ w.has_induced_k2t(t)
+            out.boundary_cases += (free & edges[pairs]).bit_count()
+            out.checked += (free & ~edges[pairs]).bit_count()
+            bad[t] = 0
+            for e in range(pairs):
+                need = tables[t][e][1]
+                if need > 1:
+                    if need not in cliques:
+                        cliques[need] = w.clique_at_least(need)
+                    bad[t] |= free & edges[e] & ~cliques[need]
+        for g, t in _failures(w, bad):
             omega = len(detect.max_clique(g))
-            for formula_id, guar in entries:
+            for formula_id, guar in tables[t][g.edge_count][0]:
                 if omega < guar:
                     out.add_violation(
                         f"clique-lower {formula_id} n={n} t={t}",
@@ -314,13 +349,22 @@ def _proof_tables(n: int, t: int) -> list:
     return table
 
 
+def _k2t_free_masks(n: int, t_values: tuple[int, ...], lo: int, hi: int):
+    """(edge_count, adj, the t of ``t_values`` without an induced K_{2,t})
+    for each graph of [lo, hi) in index order; ``adj`` is reused in place."""
+    for w in bitslice.windows(n, lo, hi):
+        found = [(t, w.has_induced_k2t(t)) for t in t_values]
+        for p, (_, edge_count, adj) in enumerate(iter_masks(n, w.lo, w.hi)):
+            yield edge_count, adj, [t for t, ind in found if not (ind >> p) & 1]
+
+
 def _proof_shard(args: tuple) -> dict:
     n, t_values, lo, hi = args
     tables = {t: _proof_tables(n, t) for t in t_values}
     pairs = math.comb(n, 2)
     full = (1 << n) - 1
     out = SuiteResult(suite="proof-ineq", params={}, details={"averaging_checked": 0})
-    for _, edge_count, adj in iter_masks(n, lo, hi):
+    for edge_count, adj, free in _k2t_free_masks(n, t_values, lo, hi):
         out.checked += 1
         m_values = []
         identity_bad = None
@@ -338,9 +382,7 @@ def _proof_shard(args: tuple) -> dict:
                 f"e_v+m_v={d * (d - 1) // 2}",
                 graph6=graph6_encode(Graph(n, adj)),
             )
-        for t in t_values:
-            if detect.mask_has_induced_k2t(adj, n, t):
-                continue
+        for t in free:
             for v in range(n):
                 gamma = 0
                 residual = adj[v]
@@ -538,25 +580,25 @@ def run_triangle_theorem(
         deltas[n] = delta_max(n, h, t)
     result.details["ramsey_ebar"] = r_value
     result.details["delta"] = deltas
-    h_size = h.n
     for n in range(2, n_max + 1):
         pairs = math.comb(n, 2)
         condition = [
             triangle_theorem_condition(n, Fraction(e, pairs), t, r_value, deltas[n])
             for e in range(pairs + 1)
         ]
-        for _, edge_count, adj in iter_masks(n):
-            if not condition[edge_count]:
-                continue
-            if detect.mask_has_induced_k2t(adj, n, t):
-                continue
-            result.checked += 1
-            g = Graph(n, adj)
-            if detect.contains_subgraph(g, h) is None:
+        for w in bitslice.windows(n, 0, 1 << pairs):
+            edges = w.edge_classes()
+            meets = 0
+            for e in range(pairs + 1):
+                if condition[e]:
+                    meets |= edges[e]
+            free = meets & ~w.has_induced_k2t(t)
+            result.checked += free.bit_count()
+            for g, _ in _failures(w, {t: free & ~w.contains_pattern(h)}):
                 result.add_violation(
                     f"triangle-thm n={n}",
                     "H not found",
-                    f"H on {h_size} vertices must embed",
+                    f"H on {h.n} vertices must embed",
                     graph6=graph6_encode(g),
                 )
     return result
@@ -569,7 +611,7 @@ def run_triangle_theorem(
 
 def _turan_shard(args: tuple) -> dict:
     n, t_values, lo, hi = args
-    full = (1 << n) - 1
+    pairs = math.comb(n, 2)
     out = SuiteResult(
         suite="turan-upper", params={}, details={"skipped_no_exact_ramsey": 0}
     )
@@ -592,23 +634,38 @@ def _turan_shard(args: tuple) -> dict:
                 cache[key] = merged
         return cache[key]
 
-    for _, edge_count, adj in iter_masks(n, lo, hi):
+    for w in bitslice.windows(n, lo, hi):
+        edges = w.edge_classes()
+        # at_least[k]: omega >= k; omega is at least 1 on n >= 1 vertices.
+        at_least = [w.all, w.all]
+        while at_least[-1]:
+            at_least.append(w.clique_at_least(len(at_least)))
+        bad = {}
         for t in t_values:
-            if detect.mask_has_induced_k2t(adj, n, t):
-                continue
-            omega = detect._max_clique_size(adj, full)
-            entries = bounds_for(t, omega)
-            if entries is None:
-                out.details["skipped_no_exact_ramsey"] += 1
-                continue
-            out.checked += 1
-            for entry in entries:
-                if edge_count >= entry.bound:
+            free = w.all ^ w.has_induced_k2t(t)
+            bad[t] = 0
+            for omega in range(1, len(at_least) - 1):
+                graphs = free & at_least[omega] & ~at_least[omega + 1]
+                if not graphs:
+                    continue
+                entries = bounds_for(t, omega)
+                if entries is None:
+                    out.details["skipped_no_exact_ramsey"] += graphs.bit_count()
+                    continue
+                out.checked += graphs.bit_count()
+                for entry in entries:
+                    for e in range(pairs + 1):
+                        if e >= entry.bound:
+                            bad[t] |= graphs & edges[e]
+        for g, t in _failures(w, bad):
+            omega = len(detect.max_clique(g))
+            for entry in bounds_for(t, omega):
+                if g.edge_count >= entry.bound:
                     out.add_violation(
                         f"turan-upper {entry.formula_id} n={n} t={t} omega={omega}",
-                        f"e={edge_count}",
+                        f"e={g.edge_count}",
                         f"e<{entry.bound}",
-                        graph6=graph6_encode(Graph(n, adj)),
+                        graph6=graph6_encode(g),
                     )
     return out.as_shard()
 
@@ -638,7 +695,7 @@ def run_turan_upper(
         h = complete(4)
         qualifying = 0
         ps = (0.3, 0.5, 0.7)
-        for seed in range(random_count):
+        for seed in range(*_apply_shard(random_count, shard)):
             p = ps[seed % len(ps)]
             g = random_gnp(20, p, seed)
             if detect.find_induced_k2t(g, 2) is not None:

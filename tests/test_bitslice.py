@@ -1,0 +1,337 @@
+"""Differential tests of the bitsliced engine.
+
+The per-graph kernels in ``detect`` and the per-graph shard loops the
+suites used before the engine (kept below as references) are the oracles:
+every indicator bit and every suite result must agree with them.
+"""
+
+import dataclasses
+import math
+from fractions import Fraction
+
+import pytest
+
+from k2tlab import bitslice, suites
+from k2tlab.bounds import induced_turan_upper
+from k2tlab.constructions import complete, cycle, delta_max, iter_masks, path
+from k2tlab.detect import (
+    _max_clique_size,
+    contains_subgraph,
+    mask_has_clique,
+    mask_has_induced_k2t,
+    max_clique,
+)
+from k2tlab.graphs import Graph, graph6_encode, triangle_count
+from k2tlab.ramsey import known_ramsey
+
+PATTERNS = (complete(3), cycle(4), path(4))
+
+
+def space(n):
+    return 1 << math.comb(n, 2)
+
+
+def shard_bounds(n, i, k):
+    return space(n) * i // k, space(n) * (i + 1) // k
+
+
+def check_window(n, lo, hi):
+    for w in bitslice.windows(n, lo, hi):
+        k2t = {t: w.has_induced_k2t(t) for t in (2, 3, 4)}
+        cliques = {k: w.clique_at_least(k) for k in range(n + 2)}
+        copies = [w.contains_pattern(h) for h in PATTERNS]
+        edges, tri_digits = w.edge_classes(), w.triangle_digits()
+        for p, (mask, edge_count, adj) in enumerate(iter_masks(n, w.lo, w.hi)):
+            assert list(w.masks(1 << p)) == [(p, mask)]
+            for t, indicator in k2t.items():
+                want = mask_has_induced_k2t(adj, n, t) is not None
+                assert (indicator >> p) & 1 == want, (n, mask, t)
+            omega = _max_clique_size(adj, (1 << n) - 1)
+            for k, indicator in cliques.items():
+                assert (indicator >> p) & 1 == (omega >= k), (n, mask, k)
+            g = Graph(n, list(adj))
+            for h, indicator in zip(PATTERNS, copies):
+                want = contains_subgraph(g, h) is not None
+                assert (indicator >> p) & 1 == want, (n, mask, h)
+            assert (edges[edge_count] >> p) & 1
+            assert (w.count_equals(tri_digits, triangle_count(g)) >> p) & 1
+
+
+class TestIndicators:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_graph_up_to_five_vertices(self, n):
+        check_window(n, 0, space(n))
+
+    @pytest.mark.parametrize(
+        "n, lo, hi",
+        [
+            (6, 0, 600),
+            (6, shard_bounds(6, 1, 3)[0], shard_bounds(6, 1, 3)[0] + 700),
+            (6, space(6) - 500, space(6)),
+            (7, *shard_bounds(7, 5, 512)),
+            (7, shard_bounds(7, 1, 3)[0] - 300, shard_bounds(7, 1, 3)[0] + 300),
+            (7, 3 * bitslice.BLOCK - 250, 3 * bitslice.BLOCK + 250),
+            (7, space(7) - 400, space(7)),
+        ],
+    )
+    def test_sampled_windows(self, n, lo, hi):
+        check_window(n, lo, hi)
+
+    def test_windows_tile_the_interval_at_block_bounds(self):
+        got = [(w.lo, w.hi) for w in bitslice.windows(7, 100, 3 * bitslice.BLOCK + 5)]
+        assert got == [
+            (100, bitslice.BLOCK),
+            (bitslice.BLOCK, 2 * bitslice.BLOCK),
+            (2 * bitslice.BLOCK, 3 * bitslice.BLOCK),
+            (3 * bitslice.BLOCK, 3 * bitslice.BLOCK + 5),
+        ]
+        assert bitslice.block_count(100, 3 * bitslice.BLOCK + 5) == 4
+        assert bitslice.block_count(0, space(7)) == 32
+        assert bitslice.block_count(5, 5) == 0
+        with pytest.raises(ValueError):
+            bitslice.Window(7, bitslice.BLOCK - 1, bitslice.BLOCK + 1)
+
+    def test_count_max(self):
+        w = bitslice.Window(5, 0, space(5))
+        digits = w.triangle_digits()
+        assert bitslice.count_max(digits, w.all) == 10
+        assert bitslice.count_max(digits, 0) is None
+        no_triangle = w.all & ~w.contains_pattern(complete(3))
+        assert bitslice.count_max(digits, no_triangle) == 0
+
+
+# ---------------------------------------------------------------------------
+# The per-graph shard loops the engine replaced, as references.
+# ---------------------------------------------------------------------------
+
+
+# The references look up tables and bound formulas through the ``suites``
+# module, so that a test which patches one there sabotages both sides.
+
+
+def reference_clique_shard(args):
+    n, t_values, lo, hi = args
+    tables = {t: suites._guarantee_table(n, t) for t in t_values}
+    full = (1 << n) - 1
+    out = suites.SuiteResult(suite="clique-exhaustive", params={})
+    for _, edge_count, adj in iter_masks(n, lo, hi):
+        for t in t_values:
+            if mask_has_induced_k2t(adj, n, t):
+                continue
+            entry = tables[t][edge_count]
+            if entry is None:
+                out.boundary_cases += 1
+                continue
+            out.checked += 1
+            entries, need = entry
+            if need <= 1 or mask_has_clique(adj, full, need):
+                continue
+            g = Graph(n, adj)
+            omega = len(max_clique(g))
+            for formula_id, guar in entries:
+                if omega < guar:
+                    out.add_violation(
+                        f"clique-lower {formula_id} n={n} t={t}",
+                        f"omega={omega}",
+                        f"omega>={guar}",
+                        graph6=graph6_encode(g),
+                    )
+    return out.as_shard()
+
+
+def reference_turan_shard(args):
+    n, t_values, lo, hi = args
+    full = (1 << n) - 1
+    out = suites.SuiteResult(
+        suite="turan-upper", params={}, details={"skipped_no_exact_ramsey": 0}
+    )
+    for _, edge_count, adj in iter_masks(n, lo, hi):
+        for t in t_values:
+            if mask_has_induced_k2t(adj, n, t):
+                continue
+            omega = _max_clique_size(adj, full)
+            r_value = known_ramsey(t, omega)
+            if r_value is None:
+                out.details["skipped_no_exact_ramsey"] += 1
+                continue
+            out.checked += 1
+            entries = [
+                r
+                for r in suites.induced_turan_upper(
+                    n, t, v_h=omega + 1, ramsey_value=r_value
+                )
+                if r.formula_id == "ramsey-sqrt"
+            ]
+            entries.extend(suites.induced_turan_upper(n, t - 1, v_h=omega + 1))
+            for entry in entries:
+                if edge_count >= entry.bound:
+                    out.add_violation(
+                        f"turan-upper {entry.formula_id} n={n} t={t} omega={omega}",
+                        f"e={edge_count}",
+                        f"e<{entry.bound}",
+                        graph6=graph6_encode(Graph(n, adj)),
+                    )
+    return out.as_shard()
+
+
+def reference_k2t_free_masks(n, t_values, lo, hi):
+    """The proof-ineq shard's stream with the per-graph filter it had."""
+    for _, edge_count, adj in iter_masks(n, lo, hi):
+        yield edge_count, adj, [
+            t for t in t_values if mask_has_induced_k2t(adj, n, t) is None
+        ]
+
+
+def reference_delta_max(n, h, t):
+    best = 0
+    for _, _, adj in iter_masks(n):
+        if mask_has_induced_k2t(adj, n, t):
+            continue
+        g = Graph(n, adj)
+        if contains_subgraph(g, h) is None:
+            best = max(best, triangle_count(g))
+    return best
+
+
+def reference_triangle_violations(n_max, t, h, r_value):
+    out = suites.SuiteResult(suite="triangle-thm", params={})
+    for n in range(2, n_max + 1):
+        pairs = math.comb(n, 2)
+        delta = reference_delta_max(n, h, t)
+        for _, edge_count, adj in iter_masks(n):
+            alpha = Fraction(edge_count, pairs)
+            if not suites.triangle_theorem_condition(n, alpha, t, r_value, delta):
+                continue
+            if mask_has_induced_k2t(adj, n, t):
+                continue
+            out.checked += 1
+            g = Graph(n, adj)
+            if contains_subgraph(g, h) is None:
+                out.add_violation(
+                    f"triangle-thm n={n}",
+                    "H not found",
+                    f"H on {h.n} vertices must embed",
+                    graph6=graph6_encode(g),
+                )
+    return out
+
+
+def run_both(body, reference, n_max, shard, result):
+    got = suites._run_exhaustive(result(), body, n_max, (2, 3), 1, shard)
+    want = suites._run_exhaustive(result(), reference, n_max, (2, 3), 1, shard)
+    return got, want
+
+
+def run_proof_both(monkeypatch, shard):
+    got = suites.run_proof_inequalities(n_max=5, workers=1, shard=shard)
+    with monkeypatch.context() as m:
+        m.setattr(suites, "_k2t_free_masks", reference_k2t_free_masks)
+        want = suites.run_proof_inequalities(n_max=5, workers=1, shard=shard)
+    return got, want
+
+
+def same(got, want):
+    assert got.checked == want.checked
+    assert got.boundary_cases == want.boundary_cases
+    assert got.details == want.details
+    assert got.violation_count == want.violation_count
+    assert got.violations == want.violations
+
+
+def clique_result():
+    return suites.SuiteResult(suite="clique-exhaustive", params={})
+
+
+def turan_result():
+    return suites.SuiteResult(
+        suite="turan-upper", params={}, details={"skipped_no_exact_ramsey": 0}
+    )
+
+
+class TestSuitesMatchReference:
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_clique_shards(self, i):
+        got, want = run_both(
+            suites._clique_shard, reference_clique_shard, 5, (i, 3), clique_result
+        )
+        same(got, want)
+        assert got.checked > 0 and got.violation_count == 0
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_turan_shards(self, i):
+        got, want = run_both(
+            suites._turan_shard, reference_turan_shard, 5, (i, 3), turan_result
+        )
+        same(got, want)
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_proof_shards(self, monkeypatch, i):
+        got, want = run_proof_both(monkeypatch, (i, 3))
+        same(got, want)
+
+    def test_delta_max(self):
+        cases = [(5, complete(4), 2), (5, cycle(5), 2), (5, path(4), 3), (6, complete(4), 2)]
+        for n, h, t in cases:
+            assert delta_max(n, h, t) == reference_delta_max(n, h, t)
+
+
+class TestForcedViolations:
+    """Sabotaged tables make violations appear; the payloads must match the
+    per-graph references exactly, in order and in graph6."""
+
+    def test_clique_guarantees_raised(self, monkeypatch):
+        table = suites._guarantee_table
+
+        def raised(n, t):
+            return [
+                None if entry is None
+                else ([(f, g + 2) for f, g in entry[0]], entry[1] + 2)
+                for entry in table(n, t)
+            ]
+
+        monkeypatch.setattr(suites, "_guarantee_table", raised)
+        for i in range(3):
+            got, want = run_both(
+                suites._clique_shard, reference_clique_shard, 5, (i, 3), clique_result
+            )
+            assert got.violation_count > suites.VIOLATION_LIMIT
+            same(got, want)
+
+    def test_turan_bounds_lowered(self, monkeypatch):
+        def lowered(n, t, **kwargs):
+            return [
+                dataclasses.replace(r, bound=r.bound / 4)
+                for r in induced_turan_upper(n, t, **kwargs)
+            ]
+
+        monkeypatch.setattr(suites, "induced_turan_upper", lowered)
+        for i in range(3):
+            got, want = run_both(
+                suites._turan_shard, reference_turan_shard, 5, (i, 3), turan_result
+            )
+            assert got.violation_count > 0
+            same(got, want)
+
+    def test_proof_averaging_forced(self, monkeypatch):
+        # r_max = n makes the clique filter pass and the huge right-hand
+        # side fails the averaging inequality on every K_{2,t}-free graph.
+        table = suites._proof_tables
+        monkeypatch.setattr(
+            suites, "_proof_tables", lambda n, t: [(n, 10**6) for _ in table(n, t)]
+        )
+        for i in range(3):
+            got, want = run_proof_both(monkeypatch, (i, 3))
+            assert got.details["averaging_checked"] > 0
+            assert got.violation_count > 0
+            same(got, want)
+
+    def test_triangle_condition_forced(self, monkeypatch):
+        monkeypatch.setattr(suites, "triangle_theorem_condition", lambda *args: True)
+        got = suites.run_triangle_theorem(n_max=5, t=2, h=complete(4))
+        r_value = got.details["ramsey_ebar"]
+        want = reference_triangle_violations(5, 2, complete(4), r_value)
+        assert got.violation_count > 0
+        assert got.checked == want.checked
+        assert got.violation_count == want.violation_count
+        assert got.violations == want.violations
+

@@ -17,6 +17,7 @@ from k2tlab.bounds import (
     triangle_theorem_condition,
     triangle_upper,
 )
+from k2tlab.detect import SelfCheckError
 from k2tlab.ramsey import known_ramsey
 
 mpmath.mp.dps = 50
@@ -314,6 +315,12 @@ class TestTriangleUpper:
     def test_rejects_nonpositive_c(self):
         with pytest.raises(BoundError):
             triangle_upper(0.0, 5)
+
+    def test_self_check_catches_a_broken_bound(self, monkeypatch):
+        # A sabotaged square root pushes the bound past its envelope.
+        monkeypatch.setattr(math, "sqrt", lambda x: 1e300)
+        with pytest.raises(SelfCheckError, match="triangle_upper"):
+            triangle_upper(1.0, 10)
 
 
 class TestTriangleTheoremCondition:

@@ -242,6 +242,15 @@ class TestVerifyCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("threads", ["-3", "0", "abc"])
+    def test_bad_threads_env_exits_two(self, runner, monkeypatch, threads):
+        monkeypatch.setenv("K2TLAB_THREADS", threads)
+        result = runner.invoke(
+            main, ["verify", "--suite", "clique-exhaustive", "--nmax", "3"]
+        )
+        assert result.exit_code == 2
+        assert "K2TLAB_THREADS" in result.output
+
     def test_threads_env_sets_default_workers(self, monkeypatch):
         from k2tlab.suites import default_workers
 

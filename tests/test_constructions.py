@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from conftest import naive_has_induced_k2t, naive_has_subgraph, naive_triangles
+from k2tlab import constructions
 from k2tlab.constructions import (
     GraphStream,
     XorShift64Star,
@@ -20,7 +21,7 @@ from k2tlab.constructions import (
     standard,
     turan,
 )
-from k2tlab.detect import contains_subgraph, find_induced_k2t
+from k2tlab.detect import SelfCheckError, contains_subgraph, find_induced_k2t
 from k2tlab.graphs import Graph, GraphError, graph6_encode, triangle_count
 
 
@@ -52,6 +53,13 @@ class TestPolarityGraph:
             polarity_graph(4)
         with pytest.raises(GraphError):
             polarity_graph(9)
+
+    def test_self_check_catches_a_non_field(self, monkeypatch):
+        # Over Z/4, which is no field, orthogonality gives the wrong edge
+        # count; the self-check raises even under python -O.
+        monkeypatch.setattr(constructions, "_is_prime", lambda q: True)
+        with pytest.raises(SelfCheckError, match="polarity_graph"):
+            polarity_graph(4)
 
 
 class TestStandard:

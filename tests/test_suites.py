@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from k2tlab import suites
 from k2tlab.suites import (
     SUITE_IDS,
     VIOLATION_LIMIT,
@@ -99,6 +100,22 @@ class TestTuranUpper:
         assert sum(p.details["skipped_no_exact_ramsey"] for p in pieces) == skipped
         parallel = run_turan_upper(n_max=5, include_random=False, workers=2)
         assert parallel.details == whole.details
+
+    def test_shards_split_the_random_sweep(self, monkeypatch):
+        whole = run_turan_upper(n_max=2, random_count=60)
+        seeds = []
+        gnp = suites.random_gnp
+        monkeypatch.setattr(
+            suites, "random_gnp", lambda n, p, seed: seeds.append(seed) or gnp(n, p, seed)
+        )
+        pieces = [
+            run_turan_upper(n_max=2, random_count=60, shard=(i, 3)) for i in range(3)
+        ]
+        assert seeds == list(range(60))
+        assert sum(p.checked for p in pieces) == whole.checked
+        assert sum(p.details["random_qualifying"] for p in pieces) == (
+            whole.details["random_qualifying"]
+        )
 
     def test_random_part_runs(self):
         result = run_turan_upper(
