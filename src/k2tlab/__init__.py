@@ -19,12 +19,11 @@ from .bounds import (
     triangle_theorem_condition,
     triangle_upper,
 )
+from .bitslice import delta_max
 from .constructions import (
-    GraphStream,
     complete,
     complete_bipartite,
     cycle,
-    delta_max,
     empty,
     enumerate_labelled,
     path,

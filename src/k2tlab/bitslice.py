@@ -17,11 +17,12 @@ fixed patterns and the bits above are constant.
 from __future__ import annotations
 
 import functools
+import math
 from itertools import combinations, permutations
 from typing import Iterator, Optional
 
-from .constructions import pair_order
-from .graphs import Graph
+from .constructions import ENUMERATION_CAP, pair_order
+from .graphs import Graph, GraphError, bits, build
 
 BLOCK_BITS = 16
 BLOCK = 1 << BLOCK_BITS
@@ -166,15 +167,60 @@ class Window:
             out &= d if (value >> j) & 1 else self.all ^ d
         return out
 
-    def masks(self, indicator: int) -> Iterator[tuple[int, int]]:
-        """(position, Gray mask) of each graph in ``indicator``, in
-        increasing index order; ``GraphStream.graph_at(mask)`` builds it."""
-        while indicator:
-            low = indicator & -indicator
-            indicator ^= low
-            p = low.bit_length() - 1
-            i = self.lo + p
-            yield p, i ^ (i >> 1)
+    def count_less(self, digits: list[int], value: int) -> int:
+        """Graphs whose count, given by its ``digits``, is below ``value``:
+        a comparator from the most significant digit down."""
+        if value <= 0:
+            return 0
+        if value >> len(digits):
+            return self.all
+        less, equal = 0, self.all
+        for j in reversed(range(len(digits))):
+            if (value >> j) & 1:
+                less |= equal & ~digits[j]
+                equal &= digits[j]
+            else:
+                equal &= ~digits[j]
+        return less
+
+    def pair_terms(self, v: int, rel: list[list[int]]) -> list[int]:
+        """One indicator per pair {a, b} of the other vertices: a and b lie
+        in N(v) and ``rel[a][b]`` holds. ``count_digits`` of them gives
+        m_v for ``rel`` = ``non_edge`` and e_v for ``rel`` = ``edge``."""
+        row = self.edge[v]
+        others = [u for u in range(self.n) if u != v]
+        return [row[a] & row[b] & rel[a][b] for a, b in combinations(others, 2)]
+
+    def packing_levels(self, v: int, t: int) -> list[int]:
+        """Entry j: the graphs whose greedy packing of N(v) has more than j
+        parts. ``witness.greedy_packing`` takes the lex-least independent
+        t-set of what is left of N(v) until none is left; the t-sets it
+        passes over never qualify later, so this is one pass over the
+        t-sets in ``combinations`` order taking each one that qualifies."""
+        left = list(self.edge[v])
+        levels = [0] * ((self.n - 1) // t)
+        for s in combinations([u for u in range(self.n) if u != v], t):
+            take = self.all
+            for u in s:
+                take &= left[u]
+            for a, b in combinations(s, 2):
+                take &= self.non_edge[a][b]
+            if take:
+                for u in s:
+                    left[u] &= ~take
+                for j in reversed(range(1, len(levels))):
+                    levels[j] |= levels[j - 1] & take
+                levels[0] |= take
+        return levels
+
+    def graphs(self, indicator: int) -> Iterator[tuple[int, Graph]]:
+        """(position, graph) of each graph in ``indicator``, in increasing
+        index order."""
+        pairs = pair_order(self.n)
+        for p in bits(indicator):
+            mask = (self.lo + p) ^ ((self.lo + p) >> 1)
+            edges = [uv for k, uv in enumerate(pairs) if (mask >> k) & 1]
+            yield p, build(self.n, edges)
 
 
 def count_digits(indicators: list[int]) -> list[int]:
@@ -212,3 +258,19 @@ def count_max(digits: list[int], among: int) -> Optional[int]:
 def block_count(lo: int, hi: int) -> int:
     """How many aligned blocks of ``BLOCK`` indices [lo, hi) meets."""
     return (hi - 1) // BLOCK - lo // BLOCK + 1 if lo < hi else 0
+
+
+def delta_max(n: int, h: Graph, t: int) -> int:
+    """Greatest triangle count over all labelled n-vertex graphs with no
+    copy of h and no induced K_{2,t} (exhaustive, n <= 7)."""
+    if n > ENUMERATION_CAP:
+        raise GraphError(
+            f"delta_max enumerates exhaustively and caps at n = {ENUMERATION_CAP}"
+        )
+    if t < 2:
+        raise GraphError(f"need t >= 2, got t={t}")
+    best = 0
+    for w in windows(n, 0, 1 << math.comb(n, 2)):
+        allowed = w.all & ~w.has_induced_k2t(t) & ~w.contains_pattern(h)
+        best = max(best, count_max(w.triangle_digits(), allowed) or 0)
+    return best

@@ -195,6 +195,19 @@ def _floor_sqrt_fraction(x: Fraction) -> int:
     return math.isqrt(x.numerator * x.denominator) // x.denominator
 
 
+def _ceil_holmsen(n: int, alpha: Fraction) -> int:
+    """ceil((1 - sqrt(1 - alpha))^2 n) exactly. With alpha = p/q the value
+    is (A - sqrt(D)) / q for A = n (2q - p) and D = 4 n^2 q (q - p); when D
+    is not a square, sqrt(D) lies strictly between r = isqrt(D) and r + 1."""
+    p, q = alpha.numerator, alpha.denominator
+    a_term = n * (2 * q - p)
+    d = 4 * n * n * q * (q - p)
+    r = math.isqrt(d)
+    if r * r == d:
+        return -((r - a_term) // q)
+    return (a_term - r - 1) // q + 1
+
+
 def _clamp_guarantee(raw: int) -> int:
     return max(1, raw)
 
@@ -236,7 +249,7 @@ def clique_lower_report(n: int, alpha: Real, t: int) -> list[BoundReport]:
             BoundReport(
                 formula_id="ghs",
                 value=value,
-                integer_guarantee=_clamp_guarantee(_ceil_real(value)),
+                integer_guarantee=_clamp_guarantee(math.ceil(frac * frac * n / 10)),
                 applicable=True,
             )
         )
@@ -245,7 +258,7 @@ def clique_lower_report(n: int, alpha: Real, t: int) -> list[BoundReport]:
             BoundReport(
                 formula_id="holmsen",
                 value=value,
-                integer_guarantee=_clamp_guarantee(_ceil_real(value)),
+                integer_guarantee=_clamp_guarantee(_ceil_holmsen(n, frac)),
                 applicable=True,
             )
         )

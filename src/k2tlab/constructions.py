@@ -11,8 +11,7 @@ seed and reproduce bit-identically on any platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import detect
 from .graphs import Graph, GraphError, build
@@ -188,78 +187,25 @@ def pair_order(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-@dataclass
-class GraphStream:
-    """Cursor over all 2^C(n,2) labelled graphs in edge-mask order.
-
-    Graph index i has edge k exactly when bit k of i is set, bits in
-    ``pair_order(n)`` position. ``offset``/``limit`` slice the index
-    range, so shards for parallel runs are just index intervals.
-    """
-
-    n: int
-    predicate: Optional[Callable[[Graph], bool]] = None
-    offset: int = 0
-    limit: Optional[int] = None
-    pairs: list[tuple[int, int]] = field(init=False)
-
-    def __post_init__(self):
-        if self.n > ENUMERATION_CAP:
-            raise GraphError(
-                f"labelled enumeration caps at n = {ENUMERATION_CAP}, got {self.n}"
-            )
-        if self.n < 0:
-            raise GraphError("n must be non-negative")
-        self.pairs = pair_order(self.n)
-        total = 1 << len(self.pairs)
-        if not 0 <= self.offset <= total:
-            raise GraphError(f"offset {self.offset} outside 0..{total}")
-
-    @property
-    def total(self) -> int:
-        return 1 << len(self.pairs)
-
-    def stop(self) -> int:
-        if self.limit is None:
-            return self.total
-        return min(self.total, self.offset + self.limit)
-
-    def graph_at(self, index: int) -> Graph:
-        adj = [0] * self.n
-        for k, (u, v) in enumerate(self.pairs):
-            if (index >> k) & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        return Graph(self.n, adj)
-
-    def __iter__(self) -> Iterator[Graph]:
-        for index in range(self.offset, self.stop()):
-            g = self.graph_at(index)
-            if self.predicate is None or self.predicate(g):
-                yield g
-
-
-def enumerate_labelled(
-    n: int,
-    predicate: Optional[Callable[[Graph], bool]] = None,
-    offset: int = 0,
-    limit: Optional[int] = None,
-) -> GraphStream:
-    """Stream every labelled graph on n vertices exactly once (n <= 7),
-    lazily applying the optional filter predicate."""
-    return GraphStream(n=n, predicate=predicate, offset=offset, limit=limit)
+def enumerate_labelled(n: int) -> Iterator[Graph]:
+    """Every labelled graph on n vertices exactly once (0 <= n <= 7), in
+    the order of ``iter_masks``."""
+    if not 0 <= n <= ENUMERATION_CAP:
+        raise GraphError(
+            f"labelled enumeration needs 0 <= n <= {ENUMERATION_CAP}, got {n}"
+        )
+    return (Graph(n, list(adj)) for _, _, adj in iter_masks(n))
 
 
 def iter_masks(n: int, lo: int = 0, hi: Optional[int] = None):
-    """Fast internal cursor for the verification suites.
+    """Fast cursor over the labelled graphs on n vertices.
 
     Yields (mask, edge_count, adj) for the indices i in [lo, hi), in
     increasing order: the graph at position i is the one whose edge mask
-    (bits in ``pair_order`` position, as in ``GraphStream.graph_at``) is
-    the Gray code i ^ (i >> 1), so each step toggles a single edge and
-    ``GraphStream(n).graph_at(mask)`` rebuilds the graph. ``bitslice``
-    relies on this position-to-mask rule. ``adj`` is a list reused in
-    place -- consume, never store.
+    is the Gray code i ^ (i >> 1), bit k standing for the pair
+    ``pair_order(n)[k]``, so each step toggles a single edge.
+    ``bitslice`` relies on this position-to-mask rule. ``adj`` is a list
+    reused in place -- consume, never store.
     """
     pairs = pair_order(n)
     npairs = len(pairs)
@@ -297,24 +243,3 @@ def iter_masks(n: int, lo: int = 0, hi: Optional[int] = None):
             adj[vidx[k]] &= ~ubit[k]
             edge_count -= 1
         yield mask, edge_count, adj
-
-
-def delta_max(n: int, h: Graph, t: int) -> int:
-    """Greatest triangle count over all labelled n-vertex graphs with no
-    copy of h and no induced K_{2,t} (exhaustive, n <= 7)."""
-    if n > ENUMERATION_CAP:
-        raise GraphError(
-            f"delta_max enumerates exhaustively and caps at n = {ENUMERATION_CAP}"
-        )
-    if t < 2:
-        raise GraphError(f"need t >= 2, got t={t}")
-    # bitslice builds on this module's enumeration order and imports it.
-    from . import bitslice
-
-    best = 0
-    for w in bitslice.windows(n, 0, 1 << math.comb(n, 2)):
-        allowed = w.all & ~w.has_induced_k2t(t) & ~w.contains_pattern(h)
-        top = bitslice.count_max(w.triangle_digits(), allowed)
-        if top is not None and top > best:
-            best = top
-    return best

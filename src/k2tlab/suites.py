@@ -4,19 +4,21 @@ independently re-checkable from their graph6 strings.
 
 The exhaustive suites evaluate whole windows of the labelled enumeration
 at once with the bitsliced engine (``bitslice``): the induced-K_{2,t}
-filter, the clique and pattern tests and the edge and triangle counts are
-big-int indicators over up to 2^16 graphs, and everything that depends only
-on (n, t, edge count) or (t, omega) is precomputed, so counts are popcounts.
-Only the graphs an indicator flags as violations are built one by one, for
-their graph6 payloads. proof-ineq still streams raw adjacency masks (see
-``constructions.iter_masks``) for its per-vertex ledger and packing checks,
-with the engine's filter. Heavy suites fan out over mask-interval shards;
-results merge order-independently. Worker count comes from the
-K2TLAB_THREADS environment variable unless given explicitly.
+filter, the clique and pattern tests, the greedy packings and the edge,
+triangle, degree and missing-edge counts are big-int indicators over up to
+2^16 graphs, and everything that depends only on (n, t, edge count) or
+(t, omega) is precomputed, so counts are popcounts. Only the graphs an
+indicator flags as violations are built one by one, rechecked with the
+per-graph kernels and reported with their graph6 payloads; a flag the
+recheck does not confirm raises ``detect.SelfCheckError``. Heavy suites
+fan out over index-interval shards; results merge order-independently.
+Worker count comes from the K2TLAB_THREADS environment variable unless
+given explicitly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -35,16 +37,8 @@ from .bounds import (
     triangle_theorem_condition,
     triangle_upper,
 )
-from .constructions import (
-    PRNG_NAME,
-    GraphStream,
-    complete,
-    cycle,
-    delta_max,
-    iter_masks,
-    polarity_graph,
-    random_gnp,
-)
+from .bitslice import delta_max
+from .constructions import PRNG_NAME, complete, cycle, polarity_graph, random_gnp
 from .graphs import Graph, graph6_encode
 from .ramsey import (
     RamseyQuery,
@@ -58,6 +52,8 @@ from .witness import (
     OUTCOME_H_EMBEDDED,
     OUTCOME_INDUCED_K2T,
     extract,
+    forced_missing_edges,
+    ledger,
     pair_counts,
     verify_trace,
 )
@@ -269,19 +265,20 @@ def _guarantee_table(n: int, t: int) -> list:
     return table
 
 
-def _failures(w, bad: dict):
-    """(graph, t) for each graph of window ``w`` in the ``bad`` indicators,
-    which are keyed by t: graph by graph in index order, t by t within a
-    graph."""
-    stream = GraphStream(w.n)
-    union = 0
-    for indicator in bad.values():
-        union |= indicator
-    for p, mask in w.masks(union):
-        g = stream.graph_at(mask)
-        for t, indicator in bad.items():
+def _recheck(out: SuiteResult, w, bad: dict, visit) -> None:
+    """Build each graph of window ``w`` that the ``bad`` indicators flag, in
+    index order, and let ``visit(g, key)`` record its violations, key by
+    key; a flag ``visit`` does not confirm raises ``SelfCheckError``."""
+    for p, g in w.graphs(functools.reduce(int.__or__, bad.values(), 0)):
+        for key, indicator in bad.items():
             if (indicator >> p) & 1:
-                yield g, t
+                before = out.violation_count
+                visit(g, key)
+                detect.require(
+                    out.violation_count > before,
+                    f"{out.suite}: the block engine flags {graph6_encode(g)} "
+                    f"({key}), the per-graph recheck finds no violation",
+                )
 
 
 def _clique_shard(args: tuple) -> dict:
@@ -289,9 +286,21 @@ def _clique_shard(args: tuple) -> dict:
     tables = {t: _guarantee_table(n, t) for t in t_values}
     pairs = math.comb(n, 2)
     out = SuiteResult(suite="clique-exhaustive", params={})
+
+    def visit(g: Graph, t: int):
+        omega = len(detect.max_clique(g))
+        for formula_id, guar in tables[t][g.edge_count][0]:
+            if omega < guar:
+                out.add_violation(
+                    f"clique-lower {formula_id} n={n} t={t}",
+                    f"omega={omega}",
+                    f"omega>={guar}",
+                    graph6=graph6_encode(g),
+                )
+
     for w in bitslice.windows(n, lo, hi):
         edges = w.edge_classes()
-        cliques = {}
+        clique_at_least = functools.cache(w.clique_at_least)
         bad = {}
         for t in t_values:
             free = w.all ^ w.has_induced_k2t(t)
@@ -301,19 +310,8 @@ def _clique_shard(args: tuple) -> dict:
             for e in range(pairs):
                 need = tables[t][e][1]
                 if need > 1:
-                    if need not in cliques:
-                        cliques[need] = w.clique_at_least(need)
-                    bad[t] |= free & edges[e] & ~cliques[need]
-        for g, t in _failures(w, bad):
-            omega = len(detect.max_clique(g))
-            for formula_id, guar in tables[t][g.edge_count][0]:
-                if omega < guar:
-                    out.add_violation(
-                        f"clique-lower {formula_id} n={n} t={t}",
-                        f"omega={omega}",
-                        f"omega>={guar}",
-                        graph6=graph6_encode(g),
-                    )
+                    bad[t] |= free & edges[e] & ~clique_at_least(need)
+        _recheck(out, w, bad, visit)
     return out.as_shard()
 
 
@@ -349,76 +347,84 @@ def _proof_tables(n: int, t: int) -> list:
     return table
 
 
-def _k2t_free_masks(n: int, t_values: tuple[int, ...], lo: int, hi: int):
-    """(edge_count, adj, the t of ``t_values`` without an induced K_{2,t})
-    for each graph of [lo, hi) in index order; ``adj`` is reused in place."""
-    for w in bitslice.windows(n, lo, hi):
-        found = [(t, w.has_induced_k2t(t)) for t in t_values]
-        for p, (_, edge_count, adj) in enumerate(iter_masks(n, w.lo, w.hi)):
-            yield edge_count, adj, [t for t, ind in found if not (ind >> p) & 1]
-
-
 def _proof_shard(args: tuple) -> dict:
     n, t_values, lo, hi = args
     tables = {t: _proof_tables(n, t) for t in t_values}
     pairs = math.comb(n, 2)
-    full = (1 << n) - 1
     out = SuiteResult(suite="proof-ineq", params={}, details={"averaging_checked": 0})
-    for edge_count, adj, free in _k2t_free_masks(n, t_values, lo, hi):
-        out.checked += 1
-        m_values = []
-        identity_bad = None
-        for v in range(n):
-            d = adj[v].bit_count()
-            e_inside, m_inside = pair_counts(adj, adj[v])
-            if e_inside + m_inside != d * (d - 1) // 2:
-                identity_bad = (v, e_inside, m_inside, d)
-            m_values.append(m_inside)
-        if identity_bad is not None:
-            v, e_inside, m_inside, d = identity_bad
-            out.add_violation(
-                f"ledger-identity n={n} v={v}",
-                f"e_v={e_inside} m_v={m_inside}",
-                f"e_v+m_v={d * (d - 1) // 2}",
-                graph6=graph6_encode(Graph(n, adj)),
-            )
-        for t in free:
-            for v in range(n):
-                gamma = 0
-                residual = adj[v]
-                while True:
-                    chosen = detect._mask_lex_independent_tset(adj, residual, t)
-                    if chosen is None:
-                        break
-                    gamma += 1
-                    residual &= ~chosen
-                q_val = (t - 1) * gamma * (gamma + t - 1) // 2
-                if m_values[v] < q_val:
+
+    def visit(g: Graph, t: Optional[int]):
+        if t is None:
+            # One entry per graph, naming the last vertex that breaks it.
+            for v in reversed(range(n)):
+                d = g.degree(v)
+                e_inside, m_inside = pair_counts(g.adj, g.adj[v])
+                if e_inside + m_inside != d * (d - 1) // 2:
                     out.add_violation(
-                        f"packing-debt n={n} t={t} v={v}",
-                        f"m_v={m_values[v]} gamma={gamma}",
-                        f"m_v>=q(gamma)={q_val}",
-                        graph6=graph6_encode(Graph(n, adj)),
+                        f"ledger-identity n={n} v={v}",
+                        f"e_v={e_inside} m_v={m_inside}",
+                        f"e_v+m_v={d * (d - 1) // 2}",
+                        graph6=graph6_encode(g),
                     )
-            r_max, rhs = tables[t][edge_count]
-            if (
-                edge_count < pairs
-                and r_max is not None
-                and not detect.mask_has_clique(adj, full, r_max + 1)
-            ):
+                    break
+            return
+        rows = ledger(g, t)
+        for row in rows:
+            if row.m_v < row.q_of_gamma:
+                out.add_violation(
+                    f"packing-debt n={n} t={t} v={row.v}",
+                    f"m_v={row.m_v} gamma={row.gamma_v}",
+                    f"m_v>=q(gamma)={row.q_of_gamma}",
+                    graph6=graph6_encode(g),
+                )
+        r_max, rhs = tables[t][g.edge_count]
+        sum_m = sum(row.m_v for row in rows)
+        averaged = g.edge_count < pairs and r_max is not None
+        if averaged and len(detect.max_clique(g)) <= r_max and sum_m < rhs - 1e-9:
+            out.add_violation(
+                f"averaging n={n} t={t} r={r_max}",
+                f"sum_m={sum_m}",
+                f">={rhs}",
+                graph6=graph6_encode(g),
+            )
+
+    for w in bitslice.windows(n, lo, hi):
+        out.checked += w.all.bit_count()
+        edges = w.edge_classes()
+        missing = [w.pair_terms(v, w.non_edge) for v in range(n)]
+        m_digits = [bitslice.count_digits(terms) for terms in missing]
+        # Key None: the ledger identity e_v + m_v = C(d_v, 2), from a degree
+        # adder and an adder over the pair terms, fails at some v.
+        bad: dict = {None: 0}
+        for v in range(n):
+            degree = bitslice.count_digits([w.edge[v][u] for u in range(n) if u != v])
+            inside = bitslice.count_digits(w.pair_terms(v, w.edge) + missing[v])
+            for d in range(n):
+                wrong = w.all ^ w.count_equals(inside, math.comb(d, 2))
+                bad[None] |= w.count_equals(degree, d) & wrong
+        clique_at_least = functools.cache(w.clique_at_least)
+        sum_m = bitslice.count_digits([x for terms in missing for x in terms])
+        for t in t_values:
+            free = w.all ^ w.has_induced_k2t(t)
+            bad[t] = 0
+            for v in range(n):
+                # levels[gamma]: the greedy packing has at least gamma parts.
+                levels = [w.all] + w.packing_levels(v, t) + [0]
+                for gamma in range(len(levels) - 1):
+                    debt = w.count_less(m_digits[v], forced_missing_edges(gamma, t))
+                    bad[t] |= free & levels[gamma] & ~levels[gamma + 1] & debt
+            for e in range(pairs):
+                r_max, rhs = tables[t][e]
+                if r_max is None:
+                    continue
                 # The main clique theorem makes this filter empty on real
                 # inputs (omega >= r_max + 1 is exactly what it promises);
-                # the count below documents that, and any entry would be
-                # cross-examined against the averaging bound.
-                out.details["averaging_checked"] += 1
-                sum_m = sum(m_values)
-                if sum_m < rhs - 1e-9:
-                    out.add_violation(
-                        f"averaging n={n} t={t} r={r_max}",
-                        f"sum_m={sum_m}",
-                        f">={rhs}",
-                        graph6=graph6_encode(Graph(n, adj)),
-                    )
+                # for an integer sum_m, sum_m < rhs - 1e-9 iff it is below
+                # ceil(rhs - 1e-9).
+                checked = free & edges[e] & ~clique_at_least(r_max + 1)
+                out.details["averaging_checked"] += checked.bit_count()
+                bad[t] |= checked & w.count_less(sum_m, math.ceil(rhs - 1e-9))
+        _recheck(out, w, bad, visit)
     return out.as_shard()
 
 
@@ -580,6 +586,16 @@ def run_triangle_theorem(
         deltas[n] = delta_max(n, h, t)
     result.details["ramsey_ebar"] = r_value
     result.details["delta"] = deltas
+
+    def visit(g: Graph, _t: int):
+        if detect.contains_subgraph(g, h) is None:
+            result.add_violation(
+                f"triangle-thm n={g.n}",
+                "H not found",
+                f"H on {h.n} vertices must embed",
+                graph6=graph6_encode(g),
+            )
+
     for n in range(2, n_max + 1):
         pairs = math.comb(n, 2)
         condition = [
@@ -594,13 +610,7 @@ def run_triangle_theorem(
                     meets |= edges[e]
             free = meets & ~w.has_induced_k2t(t)
             result.checked += free.bit_count()
-            for g, _ in _failures(w, {t: free & ~w.contains_pattern(h)}):
-                result.add_violation(
-                    f"triangle-thm n={n}",
-                    "H not found",
-                    f"H on {h.n} vertices must embed",
-                    graph6=graph6_encode(g),
-                )
+            _recheck(result, w, {t: free & ~w.contains_pattern(h)}, visit)
     return result
 
 
@@ -615,24 +625,27 @@ def _turan_shard(args: tuple) -> dict:
     out = SuiteResult(
         suite="turan-upper", params={}, details={"skipped_no_exact_ramsey": 0}
     )
-    # bounds depend on (t, omega); cache them.
-    cache: dict = {}
 
+    @functools.cache
     def bounds_for(t: int, omega: int):
-        key = (t, omega)
-        if key not in cache:
-            r_value = known_ramsey(t, omega)
-            if r_value is None:
-                cache[key] = None
-            else:
-                reports = induced_turan_upper(
-                    n, t, v_h=omega + 1, ramsey_value=r_value
+        r_value = known_ramsey(t, omega)
+        if r_value is None:
+            return None
+        reports = induced_turan_upper(n, t, v_h=omega + 1, ramsey_value=r_value)
+        merged = [r for r in reports if r.formula_id == "ramsey-sqrt"]
+        merged.extend(induced_turan_upper(n, t - 1, v_h=omega + 1))
+        return merged
+
+    def visit(g: Graph, t: int):
+        omega = len(detect.max_clique(g))
+        for entry in bounds_for(t, omega):
+            if g.edge_count >= entry.bound:
+                out.add_violation(
+                    f"turan-upper {entry.formula_id} n={n} t={t} omega={omega}",
+                    f"e={g.edge_count}",
+                    f"e<{entry.bound}",
+                    graph6=graph6_encode(g),
                 )
-                tight = induced_turan_upper(n, t - 1, v_h=omega + 1)
-                merged = [r for r in reports if r.formula_id == "ramsey-sqrt"]
-                merged.extend(tight)
-                cache[key] = merged
-        return cache[key]
 
     for w in bitslice.windows(n, lo, hi):
         edges = w.edge_classes()
@@ -657,16 +670,7 @@ def _turan_shard(args: tuple) -> dict:
                     for e in range(pairs + 1):
                         if e >= entry.bound:
                             bad[t] |= graphs & edges[e]
-        for g, t in _failures(w, bad):
-            omega = len(detect.max_clique(g))
-            for entry in bounds_for(t, omega):
-                if g.edge_count >= entry.bound:
-                    out.add_violation(
-                        f"turan-upper {entry.formula_id} n={n} t={t} omega={omega}",
-                        f"e={g.edge_count}",
-                        f"e<{entry.bound}",
-                        graph6=graph6_encode(g),
-                    )
+        _recheck(out, w, bad, visit)
     return out.as_shard()
 
 
@@ -832,29 +836,24 @@ def run_suite(
     workers: Optional[int] = None,
     shard: Optional[tuple[int, int]] = None,
 ) -> SuiteResult:
+    exhaustive = {
+        "clique-exhaustive": run_clique_exhaustive,
+        "proof-ineq": run_proof_inequalities,
+        "turan-upper": run_turan_upper,
+    }
+    if suite_id in exhaustive:
+        t_values = (2, 3) if t is None else (t,)
+        return exhaustive[suite_id](
+            n_max=n_max or 7, t_values=t_values, workers=workers, shard=shard
+        )
     if suite_id == "beta":
         return run_beta()
-    if suite_id == "clique-exhaustive":
-        t_values = (2, 3) if t is None else (t,)
-        return run_clique_exhaustive(
-            n_max=n_max or 7, t_values=t_values, workers=workers, shard=shard
-        )
-    if suite_id == "proof-ineq":
-        t_values = (2, 3) if t is None else (t,)
-        return run_proof_inequalities(
-            n_max=n_max or 7, t_values=t_values, workers=workers, shard=shard
-        )
     if suite_id == "ramsey-small":
         return run_ramsey_small()
     if suite_id == "polarity":
         return run_polarity()
     if suite_id == "triangle-thm":
         return run_triangle_theorem(n_max=n_max or 6, t=t or 2)
-    if suite_id == "turan-upper":
-        t_values = (2, 3) if t is None else (t,)
-        return run_turan_upper(
-            n_max=n_max or 7, t_values=t_values, workers=workers, shard=shard
-        )
     raise ValueError(
         f"unknown suite {suite_id!r}; choose from {', '.join(SUITE_IDS)}"
     )

@@ -2,12 +2,11 @@
 
 Each test prints a PASS/FAIL line (visible with pytest -s; pytest -v
 reports the same per-test verdicts) and enforces the criterion's runtime
-budget. Worker count for the exhaustive suites honours K2TLAB_THREADS
-and otherwise uses up to 8 local CPUs.
+budget. The exhaustive suites take their worker count from
+K2TLAB_THREADS through ``suites.default_workers`` (1 when it is unset).
 """
 
 import math
-import os
 import time
 
 import pytest
@@ -24,13 +23,6 @@ from k2tlab.suites import (
     run_turan_upper,
     run_witness_random,
 )
-
-
-def workers():
-    env = os.environ.get("K2TLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
 
 
 def criterion(number, label, result, elapsed, budget):
@@ -59,9 +51,7 @@ def test_criterion_1_beta_identities():
 
 def test_criterion_2_exhaustive_clique_guarantees():
     started = time.monotonic()
-    result = run_clique_exhaustive(
-        n_max=7, t_values=(2, 3), workers=workers()
-    )
+    result = run_clique_exhaustive(n_max=7, t_values=(2, 3))
     elapsed = time.monotonic() - started
     criterion(2, "exhaustive clique guarantees n<=7", result, elapsed, 600.0)
     # Boundary cases (alpha = 1) are logged separately: one K_n per (n, t).
@@ -70,9 +60,7 @@ def test_criterion_2_exhaustive_clique_guarantees():
 
 def test_criterion_3_proof_internal_inequalities():
     started = time.monotonic()
-    result = run_proof_inequalities(
-        n_max=7, t_values=(2, 3), workers=workers()
-    )
+    result = run_proof_inequalities(n_max=7, t_values=(2, 3))
     elapsed = time.monotonic() - started
     criterion(3, "proof-internal inequalities n<=7", result, elapsed, 600.0)
     assert result.checked == sum(1 << math.comb(n, 2) for n in range(2, 8))
@@ -136,7 +124,6 @@ def test_criterion_9_turan_upper_bounds():
         t_values=(2, 3),
         include_random=True,
         random_count=1000,
-        workers=workers(),
     )
     elapsed = time.monotonic() - started
     criterion(9, "induced-Turan upper bounds", result, elapsed, 600.0)

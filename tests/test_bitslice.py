@@ -11,10 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from k2tlab import bitslice, suites
+from k2tlab import bitslice, suites, witness
+from k2tlab.bitslice import delta_max
 from k2tlab.bounds import induced_turan_upper
-from k2tlab.constructions import complete, cycle, delta_max, iter_masks, path
+from k2tlab.constructions import complete, cycle, iter_masks, path
 from k2tlab.detect import (
+    SelfCheckError,
+    _mask_lex_independent_tset,
     _max_clique_size,
     contains_subgraph,
     mask_has_clique,
@@ -23,6 +26,7 @@ from k2tlab.detect import (
 )
 from k2tlab.graphs import Graph, graph6_encode, triangle_count
 from k2tlab.ramsey import known_ramsey
+from k2tlab.witness import greedy_packing, pair_counts
 
 PATTERNS = (complete(3), cycle(4), path(4))
 
@@ -41,20 +45,44 @@ def check_window(n, lo, hi):
         cliques = {k: w.clique_at_least(k) for k in range(n + 2)}
         copies = [w.contains_pattern(h) for h in PATTERNS]
         edges, tri_digits = w.edge_classes(), w.triangle_digits()
+        inside = [
+            [bitslice.count_digits(w.pair_terms(v, rel)) for v in range(n)]
+            for rel in (w.edge, w.non_edge)
+        ]
+        # less[v][k]: m_v < k, up to one past the largest m_v.
+        less = [
+            [w.count_less(digits, k) for k in range(math.comb(n - 1, 2) + 2)]
+            for digits in inside[1]
+        ]
+        packings = {t: [w.packing_levels(v, t) for v in range(n)] for t in (2, 3, 4)}
+        built = w.graphs(w.all)
         for p, (mask, edge_count, adj) in enumerate(iter_masks(n, w.lo, w.hi)):
-            assert list(w.masks(1 << p)) == [(p, mask)]
+            g = Graph(n, list(adj))
+            assert next(built) == (p, g)
+            for v in range(n):
+                e_v, m_v = pair_counts(adj, adj[v])
+                assert (w.count_equals(inside[0][v], e_v) >> p) & 1
+                assert (w.count_equals(inside[1][v], m_v) >> p) & 1
+                assert [(x >> p) & 1 for x in less[v]] == [
+                    int(m_v < k) for k in range(len(less[v]))
+                ]
+                for t, levels in packings.items():
+                    gamma = greedy_packing(g, v, t).gamma
+                    assert [(x >> p) & 1 for x in levels[v]] == [
+                        int(gamma > j) for j in range(len(levels[v]))
+                    ], (n, mask, v, t)
             for t, indicator in k2t.items():
                 want = mask_has_induced_k2t(adj, n, t) is not None
                 assert (indicator >> p) & 1 == want, (n, mask, t)
             omega = _max_clique_size(adj, (1 << n) - 1)
             for k, indicator in cliques.items():
                 assert (indicator >> p) & 1 == (omega >= k), (n, mask, k)
-            g = Graph(n, list(adj))
             for h, indicator in zip(PATTERNS, copies):
                 want = contains_subgraph(g, h) is not None
                 assert (indicator >> p) & 1 == want, (n, mask, h)
             assert (edges[edge_count] >> p) & 1
             assert (w.count_equals(tri_digits, triangle_count(g)) >> p) & 1
+        assert next(built, None) is None
 
 
 class TestIndicators:
@@ -174,12 +202,66 @@ def reference_turan_shard(args):
     return out.as_shard()
 
 
-def reference_k2t_free_masks(n, t_values, lo, hi):
-    """The proof-ineq shard's stream with the per-graph filter it had."""
+def reference_proof_shard(args):
+    n, t_values, lo, hi = args
+    tables = {t: suites._proof_tables(n, t) for t in t_values}
+    pairs = math.comb(n, 2)
+    full = (1 << n) - 1
+    out = proof_result()
     for _, edge_count, adj in iter_masks(n, lo, hi):
-        yield edge_count, adj, [
-            t for t in t_values if mask_has_induced_k2t(adj, n, t) is None
-        ]
+        out.checked += 1
+        m_values = []
+        identity_bad = None
+        for v in range(n):
+            d = adj[v].bit_count()
+            e_inside, m_inside = pair_counts(adj, adj[v])
+            if e_inside + m_inside != d * (d - 1) // 2:
+                identity_bad = (v, e_inside, m_inside, d)
+            m_values.append(m_inside)
+        if identity_bad is not None:
+            v, e_inside, m_inside, d = identity_bad
+            out.add_violation(
+                f"ledger-identity n={n} v={v}",
+                f"e_v={e_inside} m_v={m_inside}",
+                f"e_v+m_v={d * (d - 1) // 2}",
+                graph6=graph6_encode(Graph(n, adj)),
+            )
+        for t in t_values:
+            if mask_has_induced_k2t(adj, n, t) is not None:
+                continue
+            for v in range(n):
+                gamma = 0
+                residual = adj[v]
+                while True:
+                    chosen = _mask_lex_independent_tset(adj, residual, t)
+                    if chosen is None:
+                        break
+                    gamma += 1
+                    residual &= ~chosen
+                q_val = suites.forced_missing_edges(gamma, t)
+                if m_values[v] < q_val:
+                    out.add_violation(
+                        f"packing-debt n={n} t={t} v={v}",
+                        f"m_v={m_values[v]} gamma={gamma}",
+                        f"m_v>=q(gamma)={q_val}",
+                        graph6=graph6_encode(Graph(n, adj)),
+                    )
+            r_max, rhs = tables[t][edge_count]
+            if (
+                edge_count < pairs
+                and r_max is not None
+                and not mask_has_clique(adj, full, r_max + 1)
+            ):
+                out.details["averaging_checked"] += 1
+                sum_m = sum(m_values)
+                if sum_m < rhs - 1e-9:
+                    out.add_violation(
+                        f"averaging n={n} t={t} r={r_max}",
+                        f"sum_m={sum_m}",
+                        f">={rhs}",
+                        graph6=graph6_encode(Graph(n, adj)),
+                    )
+    return out.as_shard()
 
 
 def reference_delta_max(n, h, t):
@@ -222,12 +304,10 @@ def run_both(body, reference, n_max, shard, result):
     return got, want
 
 
-def run_proof_both(monkeypatch, shard):
-    got = suites.run_proof_inequalities(n_max=5, workers=1, shard=shard)
-    with monkeypatch.context() as m:
-        m.setattr(suites, "_k2t_free_masks", reference_k2t_free_masks)
-        want = suites.run_proof_inequalities(n_max=5, workers=1, shard=shard)
-    return got, want
+def run_proof_both(shard):
+    return run_both(
+        suites._proof_shard, reference_proof_shard, 5, shard, proof_result
+    )
 
 
 def same(got, want):
@@ -240,6 +320,12 @@ def same(got, want):
 
 def clique_result():
     return suites.SuiteResult(suite="clique-exhaustive", params={})
+
+
+def proof_result():
+    return suites.SuiteResult(
+        suite="proof-ineq", params={}, details={"averaging_checked": 0}
+    )
 
 
 def turan_result():
@@ -265,9 +351,10 @@ class TestSuitesMatchReference:
         same(got, want)
 
     @pytest.mark.parametrize("i", [0, 1, 2])
-    def test_proof_shards(self, monkeypatch, i):
-        got, want = run_proof_both(monkeypatch, (i, 3))
+    def test_proof_shards(self, i):
+        got, want = run_proof_both((i, 3))
         same(got, want)
+        assert got.checked > 0 and got.violation_count == 0
 
     def test_delta_max(self):
         cases = [(5, complete(4), 2), (5, cycle(5), 2), (5, path(4), 3), (6, complete(4), 2)]
@@ -313,17 +400,40 @@ class TestForcedViolations:
             same(got, want)
 
     def test_proof_averaging_forced(self, monkeypatch):
-        # r_max = n makes the clique filter pass and the huge right-hand
-        # side fails the averaging inequality on every K_{2,t}-free graph.
+        # r_max = n makes the clique filter pass. A huge right-hand side
+        # fails the averaging inequality on every K_{2,t}-free graph; one
+        # equal to the edge count e, or to e + 1/2, puts the bound on and
+        # between integers, where sum_m = e - 1 or e decides.
         table = suites._proof_tables
-        monkeypatch.setattr(
-            suites, "_proof_tables", lambda n, t: [(n, 10**6) for _ in table(n, t)]
-        )
-        for i in range(3):
-            got, want = run_proof_both(monkeypatch, (i, 3))
-            assert got.details["averaging_checked"] > 0
-            assert got.violation_count > 0
-            same(got, want)
+        for rhs in (lambda e: 10**6, float, lambda e: e + 0.5):
+            monkeypatch.setattr(
+                suites,
+                "_proof_tables",
+                lambda n, t: [(n, rhs(e)) for e in range(len(table(n, t)))],
+            )
+            for i in range(3):
+                got, want = run_proof_both((i, 3))
+                assert got.details["averaging_checked"] > 0
+                assert got.violation_count > 0
+                same(got, want)
+
+    def test_packing_debt_forced(self, monkeypatch):
+        # One more forced missing edge at even gamma and one fewer at odd
+        # gamma flags the vertices with m_v = q(gamma_v) for even gamma_v;
+        # a debt of 50 at gamma = 0 alone flags the vertices whose packing
+        # is empty, and no graph whose vertices all have gamma_v >= 1.
+        q = witness.forced_missing_edges
+        for shift in (lambda gamma: (-1) ** gamma, lambda gamma: 50 * (gamma == 0)):
+            def shifted(gamma, t):
+                return q(gamma, t) + shift(gamma)
+
+            monkeypatch.setattr(suites, "forced_missing_edges", shifted)
+            monkeypatch.setattr(witness, "forced_missing_edges", shifted)
+            for i in range(3):
+                got, want = run_proof_both((i, 3))
+                assert got.violation_count > suites.VIOLATION_LIMIT
+                assert any(v["claim"].startswith("packing-debt") for v in got.violations)
+                same(got, want)
 
     def test_triangle_condition_forced(self, monkeypatch):
         monkeypatch.setattr(suites, "triangle_theorem_condition", lambda *args: True)
@@ -335,3 +445,11 @@ class TestForcedViolations:
         assert got.violation_count == want.violation_count
         assert got.violations == want.violations
 
+
+
+def test_engine_flag_without_violation_raises(monkeypatch):
+    # With omega >= k never set, the engine flags graphs whose rebuilt
+    # clique meets the guarantee; the recheck must refuse to pass them.
+    monkeypatch.setattr(bitslice.Window, "clique_at_least", lambda self, k: 0)
+    with pytest.raises(SelfCheckError):
+        suites.run_clique_exhaustive(n_max=4, workers=1)

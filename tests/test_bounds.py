@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from math import comb
 
@@ -340,3 +341,56 @@ class TestTriangleTheoremCondition:
         # n=5: C(5,2)=10; lhs=4*alpha^2; ramsey 2 -> rhs=1+0.3*delta.
         assert triangle_theorem_condition(5, Fraction(3, 5), 2, 2, 1)
         assert not triangle_theorem_condition(5, Fraction(3, 5), 2, 2, 2)
+
+
+def t2_oracle(n, alpha):
+    """ceil(alpha^2 n / 10) and ceil((1 - sqrt(1 - alpha))^2 n), clamped at
+    1: exactly when sqrt(1 - alpha) is rational, else at 50 digits, where
+    the irrational value sits far from every integer."""
+    ghs = math.ceil(alpha * alpha * n / 10)
+    rest = 1 - alpha
+    num, den = math.isqrt(rest.numerator), math.isqrt(rest.denominator)
+    if num * num == rest.numerator and den * den == rest.denominator:
+        holmsen = math.ceil((1 - Fraction(num, den)) ** 2 * n)
+    else:
+        x = 1 - mpmath.sqrt(mpmath.mpf(rest.numerator) / rest.denominator)
+        holmsen = int(mpmath.ceil(x * x * n))
+    return max(1, ghs), max(1, holmsen)
+
+
+def t2_guarantees(n, alpha):
+    reports = clique_lower_report(n, alpha, 2)
+    by_id = {r.formula_id: r.integer_guarantee for r in reports}
+    return by_id["ghs"], by_id["holmsen"]
+
+
+class TestExactT2Guarantees:
+    @pytest.mark.parametrize(
+        "n, alpha, formula, exact",
+        [
+            (900000000, Fraction(5, 9), "holmsen", 100000000),
+            (3247328, Fraction(195, 196), "holmsen", 2799992),
+            (308789876346436637, Fraction(3, 187), "ghs", 7947350187646),
+        ],
+    )
+    def test_former_overclaims(self, n, alpha, formula, exact):
+        got = dict(zip(("ghs", "holmsen"), t2_guarantees(n, alpha)))
+        assert got[formula] == exact
+
+    def test_against_mpmath_up_to_1e15(self):
+        rng = random.Random(20240)
+        for _ in range(3000):
+            q = rng.randrange(1, 400)
+            kind = rng.randrange(3)
+            if kind == 0:
+                alpha = Fraction(rng.randrange(q + 1), q)
+            elif kind == 1:
+                # 1 - alpha a rational square: beta^2 n is rational and, for
+                # n a multiple of q^2, an integer.
+                alpha = 1 - Fraction(rng.randrange(q + 1), q) ** 2
+            else:
+                alpha = Fraction(rng.random())
+            n = rng.randrange(2, 10 ** rng.randrange(1, 16) + 3)
+            if kind == 1 and rng.randrange(2):
+                n = max(1, n // (q * q)) * q * q
+            assert t2_guarantees(n, alpha) == t2_oracle(n, alpha), (n, alpha)
