@@ -158,6 +158,24 @@ def theorem_clique_r(
     return best
 
 
+def _report(
+    formula_id: str,
+    value: float,
+    guarantee: Optional[int] = None,
+    applicable: bool = True,
+    note: Optional[str] = None,
+) -> BoundReport:
+    """The one BoundReport constructor: the guarantee is clamped below at 1
+    when the formula applies, and absent when it does not."""
+    return BoundReport(
+        formula_id=formula_id,
+        value=value,
+        integer_guarantee=max(1, guarantee) if applicable else None,
+        applicable=applicable,
+        threshold_note=note,
+    )
+
+
 def clique_guarantee(
     n: int, alpha: Real, t: int, ramsey_fn: Optional[RamseyFn] = None
 ) -> BoundReport:
@@ -172,20 +190,10 @@ def clique_guarantee(
     r = theorem_clique_r(n, alpha, t, ramsey_fn)
     value = 1 if r is None else r + 1
     if a == 1.0:
-        return BoundReport(
-            formula_id="ramsey-threshold",
-            value=float(value),
-            integer_guarantee=None,
-            applicable=False,
-            threshold_note="boundary-degenerate: alpha = 1 leaves no missing edge",
-        )
-    return BoundReport(
-        formula_id="ramsey-threshold",
-        value=float(value),
-        integer_guarantee=value,
-        applicable=True,
-        threshold_note=None if r is None else f"r = {r}",
-    )
+        note = "boundary-degenerate: alpha = 1 leaves no missing edge"
+        return _report("ramsey-threshold", float(value), applicable=False, note=note)
+    note = None if r is None else f"r = {r}"
+    return _report("ramsey-threshold", float(value), value, note=note)
 
 
 def _floor_sqrt_fraction(x: Fraction) -> int:
@@ -206,10 +214,6 @@ def _ceil_holmsen(n: int, alpha: Fraction) -> int:
     if r * r == d:
         return -((r - a_term) // q)
     return (a_term - r - 1) // q + 1
-
-
-def _clamp_guarantee(raw: int) -> int:
-    return max(1, raw)
 
 
 def _ceil_real(value: float) -> int:
@@ -244,42 +248,23 @@ def clique_lower_report(n: int, alpha: Real, t: int) -> list[BoundReport]:
     reports: list[BoundReport] = []
 
     if t == 2:
-        value = a * a * n / 10.0
-        reports.append(
-            BoundReport(
-                formula_id="ghs",
-                value=value,
-                integer_guarantee=_clamp_guarantee(math.ceil(frac * frac * n / 10)),
-                applicable=True,
-            )
-        )
-        value = bsq * n
-        reports.append(
-            BoundReport(
-                formula_id="holmsen",
-                value=value,
-                integer_guarantee=_clamp_guarantee(_ceil_holmsen(n, frac)),
-                applicable=True,
-            )
-        )
+        ghs = math.ceil(frac * frac * n / 10)
+        reports.append(_report("ghs", a * a * n / 10.0, ghs))
+        reports.append(_report("holmsen", bsq * n, _ceil_holmsen(n, frac)))
 
     if t == 3:
-        raw = math.floor(math.sqrt(2.0 * bsq * n))
         reports.append(
-            BoundReport(
-                formula_id="k23-sqrt-beta",
-                value=b * math.sqrt(2.0 * n),
-                integer_guarantee=_clamp_guarantee(raw),
-                applicable=True,
+            _report(
+                "k23-sqrt-beta",
+                b * math.sqrt(2.0 * n),
+                math.floor(math.sqrt(2.0 * bsq * n)),
             )
         )
-        raw = _floor_sqrt_fraction(Fraction(4, 9) * frac * frac * n)
         reports.append(
-            BoundReport(
-                formula_id="k23-sqrt-alpha",
-                value=2.0 * a * math.sqrt(n) / 3.0,
-                integer_guarantee=_clamp_guarantee(raw),
-                applicable=True,
+            _report(
+                "k23-sqrt-alpha",
+                2.0 * a * math.sqrt(n) / 3.0,
+                _floor_sqrt_fraction(Fraction(4, 9) * frac * frac * n),
             )
         )
         # Threshold n >= exp(2 e^2 / beta^2), compared in log space so a
@@ -287,41 +272,17 @@ def clique_lower_report(n: int, alpha: Real, t: int) -> list[BoundReport]:
         log_threshold = 2.0 * math.e**2 / bsq if bsq > 0 else math.inf
         applicable = n >= 1 and math.log(n) >= log_threshold
         note = f"needs ln(n) >= 2 e^2 / beta^2 = {log_threshold:.6g}"
-        value = b * math.sqrt(0.5 * n * math.log(n)) + 2.0
-        reports.append(
-            BoundReport(
-                formula_id="k23-log-beta",
-                value=value,
-                integer_guarantee=(
-                    _clamp_guarantee(_ceil_real(value)) if applicable else None
-                ),
-                applicable=applicable,
-                threshold_note=note,
+        for formula_id, value in (
+            ("k23-log-beta", b * math.sqrt(0.5 * n * math.log(n)) + 2.0),
+            ("k23-log-alpha", a * math.sqrt(n * math.log(n)) / 3.0 + 2.0),
+        ):
+            reports.append(
+                _report(formula_id, value, _ceil_real(value), applicable, note)
             )
-        )
-        value = a * math.sqrt(n * math.log(n)) / 3.0 + 2.0
-        reports.append(
-            BoundReport(
-                formula_id="k23-log-alpha",
-                value=value,
-                integer_guarantee=(
-                    _clamp_guarantee(_ceil_real(value)) if applicable else None
-                ),
-                applicable=applicable,
-                threshold_note=note,
-            )
-        )
 
     root = 1.0 / (t - 1)
     value = (t - 1) / math.e * (bsq * n) ** root
-    reports.append(
-        BoundReport(
-            formula_id="es-root-beta",
-            value=value - t + 3,
-            integer_guarantee=_clamp_guarantee(math.floor(value) - t + 3),
-            applicable=True,
-        )
-    )
+    reports.append(_report("es-root-beta", value - t + 3, math.floor(value) - t + 3))
     alpha_sq_n = frac * frac * n
     if t == 2:
         raw = math.floor(alpha_sq_n / 4)
@@ -329,37 +290,15 @@ def clique_lower_report(n: int, alpha: Real, t: int) -> list[BoundReport]:
         raw = _floor_sqrt_fraction(alpha_sq_n / 4)
     else:
         raw = math.floor((t - 1) / 4.0 * float(alpha_sq_n) ** root)
-    reports.append(
-        BoundReport(
-            formula_id="es-root-alpha",
-            value=(t - 1) / 4.0 * float(alpha_sq_n) ** root - t + 3,
-            integer_guarantee=_clamp_guarantee(raw - t + 3),
-            applicable=True,
-        )
-    )
+    value = (t - 1) / 4.0 * float(alpha_sq_n) ** root - t + 3
+    reports.append(_report("es-root-alpha", value, raw - t + 3))
 
     log_n = math.log(n)
     asym = "asymptotic-only: threshold in n not quantified"
     value = 0.05 * (bsq * n) ** root * (log_n / (t - 1)) ** (1.0 - root)
-    reports.append(
-        BoundReport(
-            formula_id="bollobas-log-beta",
-            value=value,
-            integer_guarantee=None,
-            applicable=False,
-            threshold_note=asym,
-        )
-    )
+    reports.append(_report("bollobas-log-beta", value, applicable=False, note=asym))
     value = (float(alpha_sq_n) * log_n ** (t - 2)) ** root / (20.0 * t)
-    reports.append(
-        BoundReport(
-            formula_id="bollobas-log-alpha",
-            value=value,
-            integer_guarantee=None,
-            applicable=False,
-            threshold_note=asym,
-        )
-    )
+    reports.append(_report("bollobas-log-alpha", value, applicable=False, note=asym))
     return reports
 
 

@@ -2,10 +2,17 @@
 search, graph generation, and the verification suites.
 
 Exit codes: 0 = pass / nothing found, 1 = semantic finding (certificate
-found, suite violations), 2 = usage or internal error (a failed
-certificate self-check, ``detect.SelfCheckError``). The
-K2TLAB_THREADS environment variable sets the default worker count for
-the sharded suites.
+found, suite violations), 2 = usage, input or internal error. Input
+errors are mapped in one place, ``_Main.invoke``: values out of range
+(``GraphError``, ``ValueError``), malformed or oversized numbers
+(``ArithmeticError``, such as ``--alpha 1/0`` or an n too large for a
+float), unreadable paths (``OSError``), and inputs above the caps
+(``constructions.ENUMERATION_CAP`` for the exhaustive suites,
+``graphs.MAX_VERTEX_PAIRS`` for generated graphs). An internal error is a
+failed certificate self-check, ``detect.SelfCheckError``. Every command
+reports through ``_emit``, which builds the JSON envelope and stamps
+``runtime_ms``. The K2TLAB_THREADS environment variable sets the
+default worker count for the sharded suites.
 """
 
 from __future__ import annotations
@@ -61,13 +68,34 @@ def load_graph(path: str, fmt: str = "auto") -> Graph:
     raise GraphError(f"unknown graph format {fmt!r}")
 
 
-def _emit(report_dict: dict, json_path: str | None) -> None:
-    text = report.report_json(report_dict)
+_STARTED = "k2tlab.started"
+
+# Errors in what the user supplied: values out of range, unparsable
+# numbers, numbers too large for a float, unreadable paths.
+_INPUT_ERRORS = (GraphError, ValueError, ArithmeticError, OSError)
+
+
+def _emit(
+    inputs: dict, results: dict, json_path: str | None, violations=None
+) -> None:
+    """Write the running command's report envelope, stamped with the time
+    since ``main`` dispatched it, to ``json_path`` or stdout."""
+    ctx = click.get_current_context()
+    runtime_ms = int(1000 * (time.monotonic() - ctx.meta[_STARTED]))
+    text = report.report_json(
+        report.make_report(
+            ctx.command.name, inputs, results, violations, runtime_ms=runtime_ms
+        )
+    )
     if json_path:
         with open(json_path, "w") as fh:
             fh.write(text)
     else:
         click.echo(text, nl=False)
+
+
+def _k2t_certificate(cert: detect.InducedK2tCertificate) -> dict:
+    return {"a": cert.a, "b": cert.b, "t_side": sorted(cert.t_side)}
 
 
 def _parse_shard(text: str | None) -> tuple[int, int] | None:
@@ -82,10 +110,13 @@ def _parse_shard(text: str | None) -> tuple[int, int] | None:
 
 class _Main(click.Group):
     def invoke(self, ctx):
+        ctx.meta[_STARTED] = time.monotonic()
         try:
             return super().invoke(ctx)
         except detect.SelfCheckError as exc:
             raise CommandError(f"internal error: {exc}") from exc
+        except _INPUT_ERRORS as exc:
+            raise CommandError(str(exc)) from exc
 
 
 @click.group(cls=_Main)
@@ -101,28 +132,12 @@ def main():
 @click.option("--json", "json_path", type=click.Path())
 def cmd_detect(graph_path, t, fmt, json_path):
     """Search a graph for an induced K_(2,t); exit 1 when one is found."""
-    started = time.monotonic()
-    try:
-        g = load_graph(graph_path, fmt)
-        cert = detect.find_induced_k2t(g, t)
-    except (GraphError, ValueError) as exc:
-        raise CommandError(str(exc)) from exc
+    g = load_graph(graph_path, fmt)
+    cert = detect.find_induced_k2t(g, t)
     results: dict = {"found": cert is not None}
     if cert is not None:
-        results["certificate"] = {
-            "a": cert.a,
-            "b": cert.b,
-            "t_side": sorted(cert.t_side),
-        }
-    _emit(
-        report.make_report(
-            "detect",
-            {"graph": graph6_encode(g), "t": t},
-            results,
-            runtime_ms=int(1000 * (time.monotonic() - started)),
-        ),
-        json_path,
-    )
+        results["certificate"] = _k2t_certificate(cert)
+    _emit({"graph": graph6_encode(g), "t": t}, results, json_path)
     sys.exit(1 if cert is not None else 0)
 
 
@@ -144,37 +159,24 @@ def _float_or_fraction(text: str):
 def cmd_bounds(n_list, alpha_list, t_list, v_h, ramsey_value, json_path, csv_path):
     """Evaluate every clique lower bound (and optional induced-Turan
     upper bounds) over a grid of (n, alpha, t)."""
-    started = time.monotonic()
-    try:
-        ns = [int(x) for x in n_list.split(",")]
-        alphas = [_float_or_fraction(x) for x in alpha_list.split(",")]
-        ts = [int(x) for x in t_list.split(",")]
-    except ValueError as exc:
-        raise click.UsageError(f"bad grid value: {exc}") from exc
+    ns = [int(x) for x in n_list.split(",")]
+    alphas = [_float_or_fraction(x) for x in alpha_list.split(",")]
+    ts = [int(x) for x in t_list.split(",")]
     rows = []
     turan_rows = []
-    try:
-        for n in ns:
-            for alpha in alphas:
-                for t in ts:
-                    reports = clique_lower_report(n, alpha, t)
-                    reports.append(clique_guarantee(n, alpha, t))
-                    for entry in reports:
-                        rows.append(
-                            {
-                                "n": n,
-                                "alpha": float(alpha),
-                                "t": t,
-                                **asdict(entry),
-                            }
-                        )
-                    if v_h is not None or ramsey_value is not None:
-                        for tb in induced_turan_upper(
-                            n, t, v_h=v_h, ramsey_value=ramsey_value
-                        ):
-                            turan_rows.append(asdict(tb))
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
+    for n in ns:
+        for alpha in alphas:
+            for t in ts:
+                reports = clique_lower_report(n, alpha, t)
+                reports.append(clique_guarantee(n, alpha, t))
+                for entry in reports:
+                    row = {"n": n, "alpha": float(alpha), "t": t}
+                    rows.append(row | asdict(entry))
+                if v_h is not None or ramsey_value is not None:
+                    for tb in induced_turan_upper(
+                        n, t, v_h=v_h, ramsey_value=ramsey_value
+                    ):
+                        turan_rows.append(asdict(tb))
     results = {"rows": rows}
     if turan_rows:
         results["turan_rows"] = turan_rows
@@ -186,22 +188,14 @@ def cmd_bounds(n_list, alpha_list, t_list, v_h, ramsey_value, json_path, csv_pat
         report.write_csv(
             csv_path, header, [[row[h] for h in header] for row in rows]
         )
-    _emit(
-        report.make_report(
-            "bounds",
-            {
-                "n": ns,
-                "alpha": [float(a) for a in alphas],
-                "t": ts,
-                "v_h": v_h,
-                "ramsey": ramsey_value,
-            },
-            results,
-            runtime_ms=int(1000 * (time.monotonic() - started)),
-        ),
-        json_path,
-    )
-    sys.exit(0)
+    inputs = {
+        "n": ns,
+        "alpha": [float(a) for a in alphas],
+        "t": ts,
+        "v_h": v_h,
+        "ramsey": ramsey_value,
+    }
+    _emit(inputs, results, json_path)
 
 
 @main.command("witness")
@@ -212,13 +206,9 @@ def cmd_bounds(n_list, alpha_list, t_list, v_h, ramsey_value, json_path, csv_pat
 def cmd_witness(graph_path, h_path, t, json_path):
     """Run the constructive extraction on (G, H, t) and print the trace
     outcome; the trace must re-verify before a clean exit."""
-    started = time.monotonic()
-    try:
-        g = load_graph(graph_path)
-        h = load_graph(h_path)
-        trace = witness.extract(g, h, t)
-    except (GraphError, ValueError) as exc:
-        raise CommandError(str(exc)) from exc
+    g = load_graph(graph_path)
+    h = load_graph(h_path)
+    trace = witness.extract(g, h, t)
     verified = witness.verify_trace(g, trace, h, t)
     results: dict = {"outcome": trace.outcome, "verified": verified}
     if trace.selected_edge is not None:
@@ -236,19 +226,10 @@ def cmd_witness(graph_path, h_path, t, json_path):
     elif isinstance(cert, detect.InducedK2tCertificate):
         results["certificate"] = {
             "kind": "induced-k2t",
-            "a": cert.a,
-            "b": cert.b,
-            "t_side": sorted(cert.t_side),
+            **_k2t_certificate(cert),
         }
-    _emit(
-        report.make_report(
-            "witness",
-            {"graph": graph6_encode(g), "h": graph6_encode(h), "t": t},
-            results,
-            runtime_ms=int(1000 * (time.monotonic() - started)),
-        ),
-        json_path,
-    )
+    inputs = {"graph": graph6_encode(g), "h": graph6_encode(h), "t": t}
+    _emit(inputs, results, json_path)
     if not verified:
         raise CommandError("trace failed independent re-verification")
     found = trace.outcome in (
@@ -267,34 +248,19 @@ def cmd_witness(graph_path, h_path, t, json_path):
 @click.option("--json", "json_path", type=click.Path())
 def cmd_verify(suite_id, nmax, t, shard, workers, json_path):
     """Run a verification suite; exit 1 iff it reports violations."""
-    started = time.monotonic()
-    try:
-        result = suites.run_suite(
-            suite_id,
-            n_max=nmax,
-            t=t,
-            workers=workers,
-            shard=_parse_shard(shard),
-        )
-    except (GraphError, ValueError) as exc:
-        raise CommandError(str(exc)) from exc
-    result.violations.sort(key=lambda v: (v["claim"], v.get("graph6") or ""))
-    _emit(
-        report.make_report(
-            "verify",
-            result.params | {"suite": suite_id},
-            {
-                "checked": result.checked,
-                "passed": result.passed,
-                "violation_count": result.violation_count,
-                "boundary_cases": result.boundary_cases,
-                "details": result.details,
-            },
-            violations=result.violations,
-            runtime_ms=int(1000 * (time.monotonic() - started)),
-        ),
-        json_path,
+    result = suites.run_suite(
+        suite_id, n_max=nmax, t=t, workers=workers, shard=_parse_shard(shard)
     )
+    result.violations.sort(key=lambda v: (v["claim"], v.get("graph6") or ""))
+    results = {
+        "checked": result.checked,
+        "passed": result.passed,
+        "violation_count": result.violation_count,
+        "boundary_cases": result.boundary_cases,
+        "details": result.details,
+    }
+    inputs = result.params | {"suite": suite_id}
+    _emit(inputs, results, json_path, result.violations)
     click.echo(
         f"suite {suite_id}: checked={result.checked} "
         f"violations={result.violation_count} "
@@ -313,17 +279,12 @@ def cmd_verify(suite_id, nmax, t, shard, workers, json_path):
 def cmd_generate(kind, params, seed, out_path, json_path):
     """Generate a graph (complete, empty, cycle, path, complete-bipartite,
     turan, polarity, gnp) and emit it as graph6."""
-    started = time.monotonic()
-    try:
-        if kind == "polarity":
-            g = constructions.polarity_graph(int(params[0]))
-        elif kind == "gnp":
-            n, p = int(params[0]), float(params[1])
-            g = constructions.random_gnp(n, p, seed)
-        else:
-            g = constructions.standard(kind, *(int(x) for x in params))
-    except (GraphError, ValueError, IndexError, TypeError) as exc:
-        raise CommandError(f"generate {kind}: {exc}") from exc
+    if kind == "gnp":
+        if len(params) != 2:
+            raise click.UsageError("generate gnp takes two parameters, N and P")
+        g = constructions.random_gnp(int(params[0]), float(params[1]), seed)
+    else:
+        g = constructions.standard(kind, *(int(x) for x in params))
     g6 = graph6_encode(g)
     if out_path:
         with open(out_path, "w") as fh:
@@ -334,21 +295,13 @@ def cmd_generate(kind, params, seed, out_path, json_path):
         stats: dict = {"n": g.n, "edges": g.edge_count, "graph6": g6}
         if g.n >= 2:
             stats["alpha"] = float(density(g).alpha)
-        _emit(
-            report.make_report(
-                "generate",
-                {
-                    "kind": kind,
-                    "params": list(params),
-                    "seed": seed,
-                    "prng": constructions.PRNG_NAME,
-                },
-                stats,
-                runtime_ms=int(1000 * (time.monotonic() - started)),
-            ),
-            json_path,
-        )
-    sys.exit(0)
+        inputs = {
+            "kind": kind,
+            "params": list(params),
+            "seed": seed,
+            "prng": constructions.PRNG_NAME,
+        }
+        _emit(inputs, stats, json_path)
 
 
 @main.command("ramsey")
@@ -361,20 +314,16 @@ def cmd_generate(kind, params, seed, out_path, json_path):
 def cmd_ramsey(t, r, h_path, ebar, cap, json_path):
     """Exact small Ramsey number for K_t versus a clique or a deletion
     family, with the extremal witness as graph6."""
-    started = time.monotonic()
     if (r is None) == (h_path is None):
         raise click.UsageError("supply exactly one of --r or --h")
-    try:
-        if r is not None:
-            family = explicit_family([constructions.complete(r)])
-            target = f"K_{r}"
-        else:
-            h = load_graph(h_path)
-            family = family_minus_ebar(h) if ebar else family_minus_vertex(h)
-            target = f"{{H - {'ebar' if ebar else 'x'}}} for H={graph6_encode(h)}"
-        result = ramsey_exact(RamseyQuery(t=t, family=family), n_cap=cap)
-    except (GraphError, ValueError) as exc:
-        raise CommandError(str(exc)) from exc
+    if r is not None:
+        family = explicit_family([constructions.complete(r)])
+        target = f"K_{r}"
+    else:
+        h = load_graph(h_path)
+        family = family_minus_ebar(h) if ebar else family_minus_vertex(h)
+        target = f"{{H - {'ebar' if ebar else 'x'}}} for H={graph6_encode(h)}"
+    result = ramsey_exact(RamseyQuery(t=t, family=family), n_cap=cap)
     results = {
         "lower": result.lower,
         "upper": result.upper,
@@ -386,16 +335,7 @@ def cmd_ramsey(t, r, h_path, ebar, cap, json_path):
         ),
         "family": [graph6_encode(m) for m in family.members],
     }
-    _emit(
-        report.make_report(
-            "ramsey",
-            {"t": t, "target": target, "cap": cap},
-            results,
-            runtime_ms=int(1000 * (time.monotonic() - started)),
-        ),
-        json_path,
-    )
-    sys.exit(0)
+    _emit({"t": t, "target": target, "cap": cap}, results, json_path)
 
 
 if __name__ == "__main__":

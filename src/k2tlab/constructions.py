@@ -10,11 +10,12 @@ seed and reproduce bit-identically on any platform.
 
 from __future__ import annotations
 
+import inspect
 import math
 from typing import Iterator, Optional
 
 from . import detect
-from .graphs import Graph, GraphError, build
+from .graphs import Graph, GraphError, build, check_vertex_pairs
 
 ENUMERATION_CAP = 7
 PRNG_NAME = "xorshift64star-v1"
@@ -42,6 +43,7 @@ def polarity_graph(q: int) -> Graph:
     points keep degree q, the rest degree q + 1. Two points share exactly
     one polar line, so the graph has no K_{2,2} subgraph at all.
     """
+    check_vertex_pairs(q * q + q + 1)
     if not _is_prime(q):
         raise GraphError(f"q must be prime, got {q} (prime powers unsupported)")
     points = []
@@ -74,28 +76,33 @@ def polarity_graph(q: int) -> Graph:
 
 
 def complete(n: int) -> Graph:
+    check_vertex_pairs(n)
     return build(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def empty(n: int) -> Graph:
+    check_vertex_pairs(n)
     return build(n, [])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"a cycle needs n >= 3, got {n}")
+    check_vertex_pairs(n)
     return build(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise GraphError(f"a path needs n >= 1, got {n}")
+    check_vertex_pairs(n)
     return build(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 0 or b < 0:
         raise GraphError("part sizes must be non-negative")
+    check_vertex_pairs(a + b)
     return build(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
@@ -103,16 +110,17 @@ def turan(n: int, r: int) -> Graph:
     """Turan graph T(n, r): complete r-partite with balanced parts."""
     if r < 1 or n < 0:
         raise GraphError(f"need r >= 1 and n >= 0, got n={n}, r={r}")
+    check_vertex_pairs(n)
     parts = []
     base, extra = divmod(n, r)
     start = 0
-    for i in range(r):
+    for i in range(min(r, n)):  # parts past the n-th are empty
         size = base + (1 if i < extra else 0)
         parts.append(range(start, start + size))
         start += size
     edges = []
-    for i in range(r):
-        for j in range(i + 1, r):
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
             edges.extend((u, v) for u in parts[i] for v in parts[j])
     return build(n, edges)
 
@@ -124,18 +132,22 @@ _STANDARD: dict = {
     "path": path,
     "complete-bipartite": complete_bipartite,
     "turan": turan,
+    "polarity": polarity_graph,
 }
 
 
 def standard(kind: str, *params: int) -> Graph:
     """Named fixture dispatcher: complete, empty, cycle, path,
-    complete-bipartite, turan."""
+    complete-bipartite, turan, polarity."""
     try:
         builder = _STANDARD[kind]
     except KeyError:
         raise GraphError(
             f"unknown graph kind {kind!r}; choose from {sorted(_STANDARD)}"
         ) from None
+    arity = len(inspect.signature(builder).parameters)
+    if len(params) != arity:
+        raise GraphError(f"{kind} takes {arity} parameter(s), got {len(params)}")
     return builder(*params)
 
 
@@ -167,6 +179,7 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     order; identical (n, p, seed) always yields the identical graph."""
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"p must lie in [0, 1], got {p}")
+    check_vertex_pairs(n)
     rng = XorShift64Star(seed)
     threshold = int(p * (1 << 64))
     edges = []

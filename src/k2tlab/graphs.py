@@ -324,6 +324,22 @@ graphs the exact searches handle (ER_13 has 183 vertices). It is checked
 before anything of that size is allocated, so one short line cannot
 exhaust memory."""
 
+MAX_VERTEX_PAIRS = 1 << 22
+"""Largest vertex-pair count C(n, 2) a generator in ``constructions``
+builds, about 2,900 vertices: far above the largest graph the tests, the
+README and the benchmark build (ER_13, 183 vertices), and low enough that
+one command-line number cannot exhaust memory or print Theta(n^2) graph6."""
+
+
+def check_vertex_pairs(n: int) -> None:
+    """Raise GraphError, before anything is built, when an n-vertex graph
+    would have more than MAX_VERTEX_PAIRS vertex pairs."""
+    if n * (n - 1) // 2 > MAX_VERTEX_PAIRS:
+        raise GraphError(
+            f"{n} vertices make more than {MAX_VERTEX_PAIRS} vertex pairs, "
+            "the cap for generated graphs"
+        )
+
 
 def parse_edge_text(text: str) -> Graph:
     n = None

@@ -37,11 +37,6 @@ def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def write_json(report: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(report_json(report))
-
-
 def rows_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -38,7 +38,14 @@ from .bounds import (
     triangle_upper,
 )
 from .bitslice import delta_max
-from .constructions import PRNG_NAME, complete, cycle, polarity_graph, random_gnp
+from .constructions import (
+    ENUMERATION_CAP,
+    PRNG_NAME,
+    complete,
+    cycle,
+    polarity_graph,
+    random_gnp,
+)
 from .graphs import Graph, graph6_encode
 from .ramsey import (
     RamseyQuery,
@@ -176,6 +183,11 @@ def _run_exhaustive(
     split over up to ``workers`` processes (default K2TLAB_THREADS), at
     most one per ``bitslice.BLOCK`` block of it, so a slice of one block
     starts no pool."""
+    if n_max > ENUMERATION_CAP:
+        raise ValueError(
+            f"the exhaustive suites enumerate every labelled graph and cap at "
+            f"n = {ENUMERATION_CAP}, got n_max = {n_max}"
+        )
     workers = default_workers() if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

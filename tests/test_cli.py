@@ -339,3 +339,34 @@ class TestRamseyCommand:
             main, ["ramsey", "--t", "2", "--r", "3", "--h", k4]
         )
         assert result.exit_code == 2
+
+
+class TestInputErrorsExitTwo:
+    """Bad input of every kind ends in exit 2 and a one-line message,
+    never a traceback (exit 1 is reserved for findings)."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["detect", "--graph", "{dir}"],
+            ["witness", "--graph", "{c4}", "--h", "{dir}"],
+            ["ramsey", "--t", "2", "--h", "{dir}"],
+            ["bounds", "--n", "10", "--alpha", "1/0"],
+            ["bounds", "--n", str(10**400), "--alpha", "0.5"],
+            ["verify", "--suite", "clique-exhaustive", "--nmax", "8"],
+            ["verify", "--suite", "proof-ineq", "--nmax", "8"],
+            ["verify", "--suite", "turan-upper", "--nmax", "8"],
+            ["generate", "complete", "100000"],
+            ["ramsey", "--t", "3", "--r", "100000"],
+        ],
+        ids=lambda args: " ".join(args)[:40],
+    )
+    def test_exits_two_with_one_error_line(self, runner, tmp_path, args):
+        c4 = write_graph6(tmp_path, "c4.g6", cycle(4))
+        args = [a.format(dir=tmp_path, c4=c4) for a in args]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len([line for line in lines if line.startswith("Error:")]) == 1
+        assert "Traceback" not in result.output

@@ -91,6 +91,38 @@ class TestStandard:
         with pytest.raises(GraphError):
             standard("mystery", 4)
 
+    def test_wrong_parameter_count(self):
+        with pytest.raises(GraphError, match="takes 2"):
+            standard("turan", 6)
+
+    def test_turan_with_more_parts_than_vertices(self):
+        assert turan(4, 10**12) == complete(4)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: complete(2897),
+            lambda: empty(10**6),
+            lambda: cycle(10**6),
+            lambda: path(10**6),
+            lambda: complete_bipartite(2000, 897),
+            lambda: turan(10**6, 3),
+            lambda: random_gnp(10**6, 0.5, 1),
+            lambda: polarity_graph(10**30 + 57),
+        ],
+    )
+    def test_vertex_pair_cap_checked_before_building(self, build):
+        with pytest.raises(GraphError, match="vertex pairs"):
+            build()
+
+    def test_vertex_pair_cap_boundary(self):
+        from k2tlab.graphs import MAX_VERTEX_PAIRS, check_vertex_pairs
+
+        assert comb(2896, 2) <= MAX_VERTEX_PAIRS < comb(2897, 2)
+        check_vertex_pairs(2896)
+        with pytest.raises(GraphError):
+            check_vertex_pairs(2897)
+
 
 class TestRandomGnp:
     def test_p_zero_empty(self):

@@ -224,3 +224,10 @@ class TestRegistry:
             "triangle-thm",
             "turan-upper",
         }
+
+    @pytest.mark.parametrize(
+        "suite_id", ["clique-exhaustive", "proof-ineq", "turan-upper"]
+    )
+    def test_exhaustive_suites_refuse_n_above_cap(self, suite_id):
+        with pytest.raises(ValueError, match="cap at n = 7"):
+            run_suite(suite_id, n_max=8)
