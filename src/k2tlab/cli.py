@@ -6,9 +6,10 @@ found, suite violations), 2 = usage, input or internal error. Input
 errors are mapped in one place, ``_Main.invoke``: values out of range
 (``GraphError``, ``ValueError``), malformed or oversized numbers
 (``ArithmeticError``, such as ``--alpha 1/0`` or an n too large for a
-float), unreadable paths (``OSError``), and inputs above the caps
-(``constructions.ENUMERATION_CAP`` for the exhaustive suites,
-``graphs.MAX_VERTEX_PAIRS`` for generated graphs). An internal error is a
+float), unreadable paths (``OSError``), ``verify`` options a suite does
+not take, and inputs above the caps (``constructions.ENUMERATION_CAP`` for
+the exhaustive suites, ``graphs.MAX_VERTEX_PAIRS`` for generated graphs,
+``detect.MAX_PATTERN_VERTICES`` for family members). An internal error is a
 failed certificate self-check, ``detect.SelfCheckError``. Every command
 reports through ``_emit``, which builds the JSON envelope and stamps
 ``runtime_ms``. The K2TLAB_THREADS environment variable sets the

@@ -15,7 +15,7 @@ import math
 from typing import Iterator, Optional
 
 from . import detect
-from .graphs import Graph, GraphError, build, check_vertex_pairs
+from .graphs import Graph, GraphError, check_vertex_pairs
 
 ENUMERATION_CAP = 7
 PRNG_NAME = "xorshift64star-v1"
@@ -77,33 +77,37 @@ def polarity_graph(q: int) -> Graph:
 
 def complete(n: int) -> Graph:
     check_vertex_pairs(n)
-    return build(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph(n, [(1 << n) - 1 - (1 << v) for v in range(n)])
 
 
 def empty(n: int) -> Graph:
     check_vertex_pairs(n)
-    return build(n, [])
+    return Graph(n, [0] * n)
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"a cycle needs n >= 3, got {n}")
     check_vertex_pairs(n)
-    return build(n, [(v, (v + 1) % n) for v in range(n)])
+    return Graph(n, [(1 << ((v + 1) % n)) | (1 << ((v - 1) % n)) for v in range(n)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise GraphError(f"a path needs n >= 1, got {n}")
     check_vertex_pairs(n)
-    return build(n, [(v, v + 1) for v in range(n - 1)])
+    full = (1 << n) - 1
+    # Bits v + 1 and v - 1; the mask drops bit n, and 1 >> 1 is 0.
+    return Graph(n, [((2 << v) | (1 << v >> 1)) & full for v in range(n)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 0 or b < 0:
         raise GraphError("part sizes must be non-negative")
     check_vertex_pairs(a + b)
-    return build(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+    left = (1 << a) - 1
+    right = ((1 << b) - 1) << a
+    return Graph(a + b, [right] * a + [left] * b)
 
 
 def turan(n: int, r: int) -> Graph:
@@ -111,18 +115,14 @@ def turan(n: int, r: int) -> Graph:
     if r < 1 or n < 0:
         raise GraphError(f"need r >= 1 and n >= 0, got n={n}, r={r}")
     check_vertex_pairs(n)
-    parts = []
+    full = (1 << n) - 1
+    adj = []
     base, extra = divmod(n, r)
-    start = 0
     for i in range(min(r, n)):  # parts past the n-th are empty
         size = base + (1 if i < extra else 0)
-        parts.append(range(start, start + size))
-        start += size
-    edges = []
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            edges.extend((u, v) for u in parts[i] for v in parts[j])
-    return build(n, edges)
+        part = ((1 << size) - 1) << len(adj)
+        adj.extend([full ^ part] * size)
+    return Graph(n, adj)
 
 
 _STANDARD: dict = {
@@ -182,12 +182,14 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     check_vertex_pairs(n)
     rng = XorShift64Star(seed)
     threshold = int(p * (1 << 64))
-    edges = []
+    adj = [0] * n
     for u in range(n):
+        bit_u = 1 << u
         for v in range(u + 1, n):
             if rng.next64() < threshold:
-                edges.append((u, v))
-    return build(n, edges)
+                adj[u] |= 1 << v
+                adj[v] |= bit_u
+    return Graph(n, adj)
 
 
 # ---------------------------------------------------------------------------

@@ -216,8 +216,22 @@ def triangle_count(g: Graph) -> int:
 
 # ---------------------------------------------------------------------------
 # graph6 codec (McKay's format: 6-bit groups of the upper triangle,
-# column-major, padded with zero bits, each group offset by 63).
+# column-major, padded with zero bits, each group offset by 63). Both
+# directions go through one '0'/'1' string per graph, in which column c of
+# the upper triangle is the low c bits of row c, lowest row first.
 # ---------------------------------------------------------------------------
+
+_GROUP_BITS = {o: format(o - 63, "06b") for o in range(63, 127)}
+_BITS_GROUP = {bits: chr(o) for o, bits in _GROUP_BITS.items()}
+
+
+def _group_bits(text: str) -> str:
+    """The 6-bit groups of graph6 characters as one '0'/'1' string."""
+    out = text.translate(_GROUP_BITS)
+    if len(out) != 6 * len(text):
+        bad = next(ch for ch in text if ord(ch) not in _GROUP_BITS)
+        raise GraphError(f"byte {ord(bad)} outside graph6 range 63..126")
+    return out
 
 
 def _encode_n(n: int) -> str:
@@ -238,44 +252,27 @@ def _decode_n(text: str) -> tuple[int, int]:
     """Return (n, chars consumed) from the front of a graph6 body."""
     if not text:
         raise GraphError("empty graph6 string")
-    vals = []
-    for ch in text:
-        o = ord(ch)
-        if not 63 <= o <= 126:
-            raise GraphError(f"byte {o} outside graph6 range 63..126")
-        vals.append(o - 63)
-    if vals[0] != 63:
-        return vals[0], 1
-    if len(vals) >= 2 and vals[1] == 63:
-        if len(vals) < 8:
+    head = _group_bits(text[:8])
+    if head[:6] != "111111":
+        return int(head[:6], 2), 1
+    if head[6:12] == "111111":
+        if len(text) < 8:
             raise GraphError("truncated graph6 vertex count")
-        n = 0
-        for v in vals[2:8]:
-            n = (n << 6) | v
-        return n, 8
-    if len(vals) < 4:
+        return int(head[12:48], 2), 8
+    if len(text) < 4:
         raise GraphError("truncated graph6 vertex count")
-    n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-    return n, 4
+    return int(head[6:24], 2), 4
 
 
 def graph6_encode(g: Graph) -> str:
     """Encode a graph as a canonical graph6 string."""
-    out = [_encode_n(g.n)]
-    bit_buf = 0
-    bit_len = 0
-    for col in range(1, g.n):
-        column = g.adj[col]
-        for row in range(col):
-            bit_buf = (bit_buf << 1) | ((column >> row) & 1)
-            bit_len += 1
-            if bit_len == 6:
-                out.append(chr(bit_buf + 63))
-                bit_buf = 0
-                bit_len = 0
-    if bit_len:
-        out.append(chr((bit_buf << (6 - bit_len)) + 63))
-    return "".join(out)
+    stream = "".join(
+        format(g.adj[c] & ((1 << c) - 1), f"0{c}b")[::-1] for c in range(1, g.n)
+    )
+    stream += "0" * (-len(stream) % 6)
+    return _encode_n(g.n) + "".join(
+        [_BITS_GROUP[stream[i : i + 6]] for i in range(0, len(stream), 6)]
+    )
 
 
 def graph6_decode(text: str) -> Graph:
@@ -285,30 +282,26 @@ def graph6_decode(text: str) -> Graph:
         s = s[len(GRAPH6_HEADER) :].strip()
     n, used = _decode_n(s)
     body = s[used:]
+    stream = _group_bits(body)
     nbits = comb(n, 2)
     expected = (nbits + 5) // 6
     if len(body) != expected:
         raise GraphError(
             f"graph6 body has {len(body)} groups, expected {expected} for n={n}"
         )
-    stream = 0
-    for ch in body:
-        o = ord(ch)
-        if not 63 <= o <= 126:
-            raise GraphError(f"byte {o} outside graph6 range 63..126")
-        stream = (stream << 6) | (o - 63)
-    pad = 6 * expected - nbits
-    if pad and stream & ((1 << pad) - 1):
+    if "1" in stream[nbits:]:
         raise GraphError("nonzero padding bits in graph6 string")
-    stream >>= pad
     adj = [0] * n
-    pos = nbits - 1
-    for col in range(1, n):
-        for row in range(col):
-            if (stream >> pos) & 1:
-                adj[col] |= 1 << row
-                adj[row] |= 1 << col
-            pos -= 1
+    start = 0
+    for c in range(1, n):
+        column = stream[start : start + c]
+        start += c
+        adj[c] = int(column[::-1], 2)
+        bit_c = 1 << c
+        r = column.find("1")
+        while r >= 0:
+            adj[r] |= bit_c
+            r = column.find("1", r + 1)
     return Graph(n, adj)
 
 

@@ -9,6 +9,12 @@ defining properties are inherited by induced prefixes, so a level with
 no survivors pins the exact value. Levels are deduplicated by exact
 isomorphism tests inside cheap-invariant buckets, which keeps the n = 9
 refutations (e.g. for R(3,4)) at interactive speed.
+
+All three family constructors go through one builder, which checks sizes
+before it builds a deletion or hashes an invariant: a member above the
+subgraph-pattern cap ``detect.MAX_PATTERN_VERTICES`` (10 vertices), and so
+any H above 11 vertices, raises GraphError at once rather than after a
+search. Members are deduplicated up to isomorphism in construction order.
 """
 
 from __future__ import annotations
@@ -19,12 +25,21 @@ from operator import itemgetter
 from typing import Optional
 
 from .detect import (
+    MAX_PATTERN_VERTICES,
     contains_family_member,
     contains_subgraph,
     find_independent_set,
     require,
 )
-from .graphs import Graph, GraphError, bits, build, graph6_encode, induced_subgraph
+from .graphs import (
+    Graph,
+    GraphError,
+    bits,
+    build,
+    graph6_encode,
+    induced_subgraph,
+    missing_edges,
+)
 
 MAX_RAMSEY_CAP = 10
 DEFAULT_RAMSEY_CAP = 9
@@ -48,12 +63,6 @@ class GraphFamily:
     members: tuple[Graph, ...]
     origin: str
     provenance: tuple[FamilyProvenance, ...] = ()
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -157,59 +166,48 @@ def _dedupe(items, graph=lambda item: item) -> list:
 # ---------------------------------------------------------------------------
 
 
-def family_minus_vertex(h: Graph) -> GraphFamily:
-    """{H - x}: H with one vertex removed, deduplicated up to isomorphism."""
-    if h.n < 2:
+def _family(origin: str, h: Optional[Graph], members: tuple = ()) -> GraphFamily:
+    """The family of ``origin``: the explicit ``members``, or H minus each
+    vertex and, for {H - ebar}, minus each non-adjacent pair, deduplicated
+    up to isomorphism in that order. Sizes are checked first."""
+    if h is not None and h.n < 2:
         raise GraphError(f"need at least 2 vertices to delete one, got n={h.n}")
-    items = []
-    for v in range(h.n):
-        sub = induced_subgraph(h, (u for u in range(h.n) if u != v))
-        items.append((sub.graph, FamilyProvenance(removed=(v,), kept=sub.vertices)))
+    if h is None and not members:
+        raise GraphError("explicit family must be non-empty")
+    largest = max(g.n for g in members) if h is None else h.n - 1
+    if largest > MAX_PATTERN_VERTICES:
+        raise GraphError(
+            f"a family member would have {largest} vertices; family members "
+            f"cap at {MAX_PATTERN_VERTICES}"
+        )
+    items = [(g, FamilyProvenance(removed=(), kept=())) for g in members]
+    if h is not None:
+        removals = [(v,) for v in range(h.n)]
+        if origin == ORIGIN_MINUS_EBAR:
+            removals += missing_edges(h)
+        for removed in removals:
+            sub = induced_subgraph(h, (u for u in range(h.n) if u not in removed))
+            items.append((sub.graph, FamilyProvenance(removed, sub.vertices)))
     items = _dedupe(items, itemgetter(0))
     return GraphFamily(
         members=tuple(g for g, _ in items),
-        origin=ORIGIN_MINUS_VERTEX,
+        origin=origin,
         provenance=tuple(p for _, p in items),
     )
+
+
+def family_minus_vertex(h: Graph) -> GraphFamily:
+    """{H - x}: H with one vertex removed, deduplicated up to isomorphism."""
+    return _family(ORIGIN_MINUS_VERTEX, h)
 
 
 def family_minus_ebar(h: Graph) -> GraphFamily:
     """{H - ebar}: H minus one vertex or minus two non-adjacent vertices."""
-    if h.n < 2:
-        raise GraphError(f"need at least 2 vertices to delete one, got n={h.n}")
-    items = []
-    for v in range(h.n):
-        sub = induced_subgraph(h, (u for u in range(h.n) if u != v))
-        items.append((sub.graph, FamilyProvenance(removed=(v,), kept=sub.vertices)))
-    for u in range(h.n):
-        for v in range(u + 1, h.n):
-            if not h.has_edge(u, v):
-                sub = induced_subgraph(
-                    h, (w for w in range(h.n) if w != u and w != v)
-                )
-                items.append(
-                    (sub.graph, FamilyProvenance(removed=(u, v), kept=sub.vertices))
-                )
-    items = _dedupe(items, itemgetter(0))
-    return GraphFamily(
-        members=tuple(g for g, _ in items),
-        origin=ORIGIN_MINUS_EBAR,
-        provenance=tuple(p for _, p in items),
-    )
+    return _family(ORIGIN_MINUS_EBAR, h)
 
 
 def explicit_family(members) -> GraphFamily:
-    ms = tuple(members)
-    if not ms:
-        raise GraphError("explicit family must be non-empty")
-    items = _dedupe(
-        [(g, FamilyProvenance(removed=(), kept=())) for g in ms], itemgetter(0)
-    )
-    return GraphFamily(
-        members=tuple(g for g, _ in items),
-        origin=ORIGIN_EXPLICIT,
-        provenance=tuple(p for _, p in items),
-    )
+    return _family(ORIGIN_EXPLICIT, None, tuple(members))
 
 
 # ---------------------------------------------------------------------------

@@ -358,12 +358,19 @@ class TestInputErrorsExitTwo:
             ["verify", "--suite", "turan-upper", "--nmax", "8"],
             ["generate", "complete", "100000"],
             ["ramsey", "--t", "3", "--r", "100000"],
+            ["ramsey", "--t", "3", "--r", "11"],
+            ["ramsey", "--t", "3", "--h", "{k12}"],
+            ["verify", "--suite", "polarity", "--shard", "5/2"],
+            ["verify", "--suite", "triangle-thm", "--nmax", "4", "--shard", "1/2"],
+            ["verify", "--suite", "beta", "--nmax", "3", "--t", "9", "--workers", "4"],
+            ["verify", "--suite", "ramsey-small", "--t", "3"],
         ],
         ids=lambda args: " ".join(args)[:40],
     )
     def test_exits_two_with_one_error_line(self, runner, tmp_path, args):
         c4 = write_graph6(tmp_path, "c4.g6", cycle(4))
-        args = [a.format(dir=tmp_path, c4=c4) for a in args]
+        k12 = write_graph6(tmp_path, "k12.g6", complete(12))
+        args = [a.format(dir=tmp_path, c4=c4, k12=k12) for a in args]
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)

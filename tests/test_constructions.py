@@ -21,7 +21,7 @@ from k2tlab.constructions import (
     turan,
 )
 from k2tlab.detect import SelfCheckError, contains_subgraph, find_induced_k2t
-from k2tlab.graphs import Graph, GraphError, graph6_encode
+from k2tlab.graphs import Graph, GraphError, build, graph6_encode
 
 
 class TestPolarityGraph:
@@ -122,6 +122,75 @@ class TestStandard:
         check_vertex_pairs(2896)
         with pytest.raises(GraphError):
             check_vertex_pairs(2897)
+
+
+def _old_edges(kind, *params):
+    """The edge lists the generators once passed to ``build``, kept as the
+    oracle for the adjacency rows they now build directly."""
+    if kind == "complete":
+        (n,) = params
+        return n, [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if kind == "empty":
+        return params[0], []
+    if kind == "cycle":
+        (n,) = params
+        return n, [(v, (v + 1) % n) for v in range(n)]
+    if kind == "path":
+        (n,) = params
+        return n, [(v, v + 1) for v in range(n - 1)]
+    if kind == "complete-bipartite":
+        a, b = params
+        return a + b, [(u, a + v) for u in range(a) for v in range(b)]
+    if kind == "turan":
+        n, r = params
+        parts, start = [], 0
+        base, extra = divmod(n, r)
+        for i in range(min(r, n)):
+            size = base + (1 if i < extra else 0)
+            parts.append(range(start, start + size))
+            start += size
+        return n, [
+            (u, v)
+            for i in range(len(parts))
+            for j in range(i + 1, len(parts))
+            for u in parts[i]
+            for v in parts[j]
+        ]
+    n, p, seed = params
+    rng = XorShift64Star(seed)
+    threshold = int(p * (1 << 64))
+    return n, [
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.next64() < threshold
+    ]
+
+
+class TestRowsMatchEdgeLists:
+    def test_fixtures(self):
+        for n in range(0, 41):
+            assert complete(n) == build(*_old_edges("complete", n))
+            assert empty(n) == build(*_old_edges("empty", n))
+            if n >= 1:
+                assert path(n) == build(*_old_edges("path", n))
+            if n >= 3:
+                assert cycle(n) == build(*_old_edges("cycle", n))
+            for r in range(1, 10):
+                assert turan(n, r) == build(*_old_edges("turan", n, r))
+        for a in range(0, 9):
+            for b in range(0, 9):
+                want = build(*_old_edges("complete-bipartite", a, b))
+                assert complete_bipartite(a, b) == want
+
+    def test_random_gnp_keeps_its_draw_order(self):
+        for n in (0, 1, 2, 20, 64):
+            for p in (0.0, 0.3, 0.5, 0.7, 1.0):
+                for seed in range(3):
+                    want = build(*_old_edges("gnp", n, p, seed))
+                    assert random_gnp(n, p, seed) == want
+
+    @pytest.mark.parametrize("build_one", [complete, empty])
+    def test_negative_n_is_a_graph_error(self, build_one):
+        with pytest.raises(GraphError):
+            build_one(-1)
 
 
 class TestRandomGnp:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs, graph_from_mask, naive_triangles
-from k2tlab.constructions import complete, complete_bipartite, cycle, random_gnp
+from k2tlab.constructions import complete, complete_bipartite, cycle, random_gnp, turan
 from k2tlab.graphs import (
     MAX_EDGE_TEXT_VERTICES,
     Graph,
@@ -235,6 +235,17 @@ class TestGraph6:
             nxg.add_edges_from(g.edges())
             theirs = nx.to_graph6_bytes(nxg, header=False).decode().strip()
             assert mine == theirs
+            assert graph6_decode(theirs) == g
+
+    @pytest.mark.parametrize("n", [62, 63, 64, 300])
+    def test_networkx_bytes_across_the_header_switch(self, n):
+        # graph6 spends one vertex-count byte up to n = 62 and four from 63.
+        for g in (complete(n), cycle(n), turan(n, 5), random_gnp(n, 0.5, n)):
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(g.n))
+            nxg.add_edges_from(g.edges())
+            theirs = nx.to_graph6_bytes(nxg, header=False).decode().strip()
+            assert graph6_encode(g) == theirs
             assert graph6_decode(theirs) == g
 
     def test_large_n_header(self):

@@ -111,6 +111,22 @@ class TestFamilies:
         with pytest.raises(GraphError):
             family_minus_vertex(complete(1))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: explicit_family([complete(11)]),
+            lambda: family_minus_vertex(complete(12)),
+            lambda: family_minus_ebar(complete(12)),
+        ],
+    )
+    def test_member_above_pattern_cap(self, build):
+        with pytest.raises(GraphError, match="cap at 10"):
+            build()
+
+    def test_largest_h_under_the_cap(self):
+        fam = family_minus_vertex(complete(11))
+        assert len(fam.members) == 1 and fam.members[0] == complete(10)
+
 
 class TestRamseyExact:
     def test_r33_with_pentagon_witness(self):
