@@ -183,13 +183,12 @@ class Window:
                 equal &= ~digits[j]
         return less
 
-    def pair_terms(self, v: int, rel: list[list[int]]) -> list[int]:
+    def missing_terms(self, v: int) -> list[int]:
         """One indicator per pair {a, b} of the other vertices: a and b lie
-        in N(v) and ``rel[a][b]`` holds. ``count_digits`` of them gives
-        m_v for ``rel`` = ``non_edge`` and e_v for ``rel`` = ``edge``."""
-        row = self.edge[v]
+        in N(v) and are not adjacent. ``count_digits`` of them gives m_v."""
+        row, non = self.edge[v], self.non_edge
         others = [u for u in range(self.n) if u != v]
-        return [row[a] & row[b] & rel[a][b] for a, b in combinations(others, 2)]
+        return [row[a] & row[b] & non[a][b] for a, b in combinations(others, 2)]
 
     def packing_levels(self, v: int, t: int) -> list[int]:
         """Entry j: the graphs whose greedy packing of N(v) has more than j

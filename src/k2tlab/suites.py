@@ -1,19 +1,19 @@
 """Verification suites: exhaustive and grid-based checks of every bound
-and proof-internal inequality, with violation payloads that are
-independently re-checkable from their graph6 strings.
+and of the packing debt inside the clique theorem's proof, with violation
+payloads that are independently re-checkable from their graph6 strings.
 
 The exhaustive suites evaluate whole windows of the labelled enumeration
 at once with the bitsliced engine (``bitslice``): the induced-K_{2,t}
 filter, the clique and pattern tests, the greedy packings and the edge,
-triangle, degree and missing-edge counts are big-int indicators over up to
-2^16 graphs, and everything that depends only on (n, t, edge count) or
-(t, omega) is precomputed, so counts are popcounts. Only the graphs an
-indicator flags as violations are built one by one, rechecked with the
-per-graph kernels and reported with their graph6 payloads; a flag the
-recheck does not confirm raises ``detect.SelfCheckError``. Heavy suites
-fan out over index-interval shards; results merge order-independently.
-Worker count comes from the K2TLAB_THREADS environment variable unless
-given explicitly.
+triangle and missing-edge counts are big-int indicators over up to 2^16
+graphs, and everything that depends only on (n, t, edge count),
+(t, omega) or (t, gamma) is precomputed, so counts are popcounts. Only
+the graphs an indicator flags as violations are built one by one,
+rechecked with the per-graph kernels and reported with their graph6
+payloads; a flag the recheck does not confirm raises
+``detect.SelfCheckError``. Heavy suites fan out over index-interval
+shards; results merge order-independently. Worker count comes from the
+K2TLAB_THREADS environment variable unless given explicitly.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .bounds import (
     clique_guarantee,
     clique_lower_report,
     induced_turan_upper,
-    theorem_clique_r,
     triangle_theorem_condition,
     triangle_upper,
 )
@@ -55,13 +54,7 @@ from .ramsey import (
     known_ramsey,
     ramsey_exact,
 )
-from .witness import (
-    extract,
-    forced_missing_edges,
-    ledger,
-    pair_counts,
-    verify_trace,
-)
+from .witness import extract, forced_missing_edges, ledger, verify_trace
 
 VIOLATION_LIMIT = 100
 
@@ -167,6 +160,14 @@ def _apply_shard(
     return total * i // k, total * (i + 1) // k
 
 
+def _require_n_and_t(n_max: int, t_values: tuple[int, ...]) -> None:
+    """Refuse an n_max below 2, which checks no graph, and any t below 2."""
+    if n_max < 2 or any(t < 2 for t in t_values):
+        raise ValueError(
+            f"need n_max >= 2 and t >= 2, got n_max = {n_max}, t = {list(t_values)}"
+        )
+
+
 def _run_exhaustive(
     result: SuiteResult,
     body,
@@ -181,6 +182,7 @@ def _run_exhaustive(
     split over up to ``workers`` processes (default K2TLAB_THREADS), at
     most one per ``bitslice.BLOCK`` block of it, so a slice of one block
     starts no pool."""
+    _require_n_and_t(n_max, t_values)
     if n_max > ENUMERATION_CAP:
         raise ValueError(
             f"the exhaustive suites enumerate every labelled graph and cap at "
@@ -341,45 +343,23 @@ def run_clique_exhaustive(
 
 
 # ---------------------------------------------------------------------------
-# Proof-internal inequalities
+# Proof-internal packing debt
 # ---------------------------------------------------------------------------
 
 
-def _proof_tables(n: int, t: int) -> list:
-    """Per edge count: (r_max or None, averaging RHS |M| beta^2 n)."""
-    pairs = math.comb(n, 2)
-    table = []
-    for e in range(pairs + 1):
-        alpha = Fraction(e, pairs)
-        b = beta(alpha, t).beta
-        r_max = theorem_clique_r(n, alpha, t, known_ramsey)
-        table.append((r_max, (pairs - e) * b * b * n))
-    return table
+def _proof_tables(n: int, t: int) -> list[int]:
+    """q(gamma) = forced_missing_edges(gamma, t) for every packing size
+    gamma = 0..(n - 1) // t a vertex of an n-vertex graph can have."""
+    return [forced_missing_edges(gamma, t) for gamma in range((n - 1) // t + 1)]
 
 
 def _proof_shard(args: tuple) -> dict:
     n, t_values, lo, hi = args
     tables = {t: _proof_tables(n, t) for t in t_values}
-    pairs = math.comb(n, 2)
-    out = SuiteResult(suite="proof-ineq", params={}, details={"averaging_checked": 0})
+    out = SuiteResult(suite="proof-ineq", params={})
 
-    def visit(g: Graph, t: Optional[int]):
-        if t is None:
-            # One entry per graph, naming the last vertex that breaks it.
-            for v in reversed(range(n)):
-                d = g.degree(v)
-                e_inside, m_inside = pair_counts(g.adj, g.adj[v])
-                if e_inside + m_inside != d * (d - 1) // 2:
-                    out.add_violation(
-                        f"ledger-identity n={n} v={v}",
-                        f"e_v={e_inside} m_v={m_inside}",
-                        f"e_v+m_v={d * (d - 1) // 2}",
-                        graph6=graph6_encode(g),
-                    )
-                    break
-            return
-        rows = ledger(g, t)
-        for row in rows:
+    def visit(g: Graph, t: int):
+        for row in ledger(g, t):
             if row.m_v < row.q_of_gamma:
                 out.add_violation(
                     f"packing-debt n={n} t={t} v={row.v}",
@@ -387,53 +367,20 @@ def _proof_shard(args: tuple) -> dict:
                     f"m_v>=q(gamma)={row.q_of_gamma}",
                     graph6=graph6_encode(g),
                 )
-        r_max, rhs = tables[t][g.edge_count]
-        sum_m = sum(row.m_v for row in rows)
-        averaged = g.edge_count < pairs and r_max is not None
-        if averaged and len(detect.max_clique(g)) <= r_max and sum_m < rhs - 1e-9:
-            out.add_violation(
-                f"averaging n={n} t={t} r={r_max}",
-                f"sum_m={sum_m}",
-                f">={rhs}",
-                graph6=graph6_encode(g),
-            )
 
     for w in bitslice.windows(n, lo, hi):
         out.checked += w.all.bit_count()
-        edges = w.edge_classes()
-        missing = [w.pair_terms(v, w.non_edge) for v in range(n)]
-        m_digits = [bitslice.count_digits(terms) for terms in missing]
-        # Key None: the ledger identity e_v + m_v = C(d_v, 2), from a degree
-        # adder and an adder over the pair terms, fails at some v.
-        bad: dict = {None: 0}
-        for v in range(n):
-            degree = bitslice.count_digits([w.edge[v][u] for u in range(n) if u != v])
-            inside = bitslice.count_digits(w.pair_terms(v, w.edge) + missing[v])
-            for d in range(n):
-                wrong = w.all ^ w.count_equals(inside, math.comb(d, 2))
-                bad[None] |= w.count_equals(degree, d) & wrong
-        clique_at_least = functools.cache(w.clique_at_least)
-        sum_m = bitslice.count_digits([x for terms in missing for x in terms])
+        m_digits = [bitslice.count_digits(w.missing_terms(v)) for v in range(n)]
+        bad = {}
         for t in t_values:
             free = w.all ^ w.has_induced_k2t(t)
             bad[t] = 0
             for v in range(n):
                 # levels[gamma]: the greedy packing has at least gamma parts.
                 levels = [w.all] + w.packing_levels(v, t) + [0]
-                for gamma in range(len(levels) - 1):
-                    debt = w.count_less(m_digits[v], forced_missing_edges(gamma, t))
+                for gamma, q in enumerate(tables[t]):
+                    debt = w.count_less(m_digits[v], q)
                     bad[t] |= free & levels[gamma] & ~levels[gamma + 1] & debt
-            for e in range(pairs):
-                r_max, rhs = tables[t][e]
-                if r_max is None:
-                    continue
-                # The main clique theorem makes this filter empty on real
-                # inputs (omega >= r_max + 1 is exactly what it promises);
-                # for an integer sum_m, sum_m < rhs - 1e-9 iff it is below
-                # ceil(rhs - 1e-9).
-                checked = free & edges[e] & ~clique_at_least(r_max + 1)
-                out.details["averaging_checked"] += checked.bit_count()
-                bad[t] |= checked & w.count_less(sum_m, math.ceil(rhs - 1e-9))
         _recheck(out, w, bad, visit)
     return out.as_shard()
 
@@ -444,11 +391,11 @@ def run_proof_inequalities(
     workers: Optional[int] = None,
     shard: Optional[tuple[int, int]] = None,
 ) -> SuiteResult:
-    """Criterion: the ledger identity on every graph, the packing debt
-    m_v >= q(gamma_v) on every induced-K_{2,t}-free graph, and the
-    averaged missing-edge inequality on the theorem's own instances."""
+    """Criterion: the packing debt m_v >= q(gamma_v) at every vertex of
+    every induced-K_{2,t}-free graph, gamma_v being the size of the greedy
+    packing of N(v) and m_v the missing edges inside N(v)."""
     return _run_exhaustive(
-        SuiteResult(suite="proof-ineq", params={}, details={"averaging_checked": 0}),
+        SuiteResult(suite="proof-ineq", params={}),
         _proof_shard, n_max, t_values, workers, shard,
     )
 
@@ -568,6 +515,7 @@ def run_triangle_theorem(
     """Criterion: with Delta(n, H, t) from exhaustive enumeration, every
     induced-K_{2,t}-free graph whose density passes the triangle-budget
     condition really contains H (H = K3 by default)."""
+    _require_n_and_t(n_max, (t,))
     h = complete(3) if h is None else h
     result = SuiteResult(
         suite="triangle-thm", params={"n_max": n_max, "t": t, "h": graph6_encode(h)}
@@ -845,8 +793,11 @@ def run_suite(
     if suite_id in exhaustive:
         t_values = (2, 3) if t is None else (t,)
         return exhaustive[suite_id](
-            n_max=n_max or 7, t_values=t_values, workers=workers, shard=shard
+            n_max=7 if n_max is None else n_max,
+            t_values=t_values, workers=workers, shard=shard,
         )
     if suite_id == "triangle-thm":
-        return run_triangle_theorem(n_max=n_max or 6, t=t or 2)
+        return run_triangle_theorem(
+            n_max=6 if n_max is None else n_max, t=2 if t is None else t
+        )
     return plain[suite_id]()

@@ -26,7 +26,7 @@ from k2tlab.detect import (
 )
 from k2tlab.graphs import Graph, graph6_encode, triangle_count
 from k2tlab.ramsey import known_ramsey
-from k2tlab.witness import greedy_packing, pair_counts
+from k2tlab.witness import greedy_packing, missing_pairs
 
 PATTERNS = (complete(3), cycle(4), path(4))
 
@@ -45,14 +45,11 @@ def check_window(n, lo, hi):
         cliques = {k: w.clique_at_least(k) for k in range(n + 2)}
         copies = [w.contains_pattern(h) for h in PATTERNS]
         edges, tri_digits = w.edge_classes(), w.triangle_digits()
-        inside = [
-            [bitslice.count_digits(w.pair_terms(v, rel)) for v in range(n)]
-            for rel in (w.edge, w.non_edge)
-        ]
+        missing = [bitslice.count_digits(w.missing_terms(v)) for v in range(n)]
         # less[v][k]: m_v < k, up to one past the largest m_v.
         less = [
             [w.count_less(digits, k) for k in range(math.comb(n - 1, 2) + 2)]
-            for digits in inside[1]
+            for digits in missing
         ]
         packings = {t: [w.packing_levels(v, t) for v in range(n)] for t in (2, 3, 4)}
         built = w.graphs(w.all)
@@ -60,9 +57,8 @@ def check_window(n, lo, hi):
             g = Graph(n, list(adj))
             assert next(built) == (p, g)
             for v in range(n):
-                e_v, m_v = pair_counts(adj, adj[v])
-                assert (w.count_equals(inside[0][v], e_v) >> p) & 1
-                assert (w.count_equals(inside[1][v], m_v) >> p) & 1
+                m_v = missing_pairs(adj, adj[v])
+                assert (w.count_equals(missing[v], m_v) >> p) & 1
                 assert [(x >> p) & 1 for x in less[v]] == [
                     int(m_v < k) for k in range(len(less[v]))
                 ]
@@ -204,28 +200,10 @@ def reference_turan_shard(args):
 
 def reference_proof_shard(args):
     n, t_values, lo, hi = args
-    tables = {t: suites._proof_tables(n, t) for t in t_values}
-    pairs = math.comb(n, 2)
-    full = (1 << n) - 1
     out = proof_result()
-    for _, edge_count, adj in iter_masks(n, lo, hi):
+    for _, _, adj in iter_masks(n, lo, hi):
         out.checked += 1
-        m_values = []
-        identity_bad = None
-        for v in range(n):
-            d = adj[v].bit_count()
-            e_inside, m_inside = pair_counts(adj, adj[v])
-            if e_inside + m_inside != d * (d - 1) // 2:
-                identity_bad = (v, e_inside, m_inside, d)
-            m_values.append(m_inside)
-        if identity_bad is not None:
-            v, e_inside, m_inside, d = identity_bad
-            out.add_violation(
-                f"ledger-identity n={n} v={v}",
-                f"e_v={e_inside} m_v={m_inside}",
-                f"e_v+m_v={d * (d - 1) // 2}",
-                graph6=graph6_encode(Graph(n, adj)),
-            )
+        m_values = [missing_pairs(adj, adj[v]) for v in range(n)]
         for t in t_values:
             if mask_has_induced_k2t(adj, n, t) is not None:
                 continue
@@ -244,21 +222,6 @@ def reference_proof_shard(args):
                         f"packing-debt n={n} t={t} v={v}",
                         f"m_v={m_values[v]} gamma={gamma}",
                         f"m_v>=q(gamma)={q_val}",
-                        graph6=graph6_encode(Graph(n, adj)),
-                    )
-            r_max, rhs = tables[t][edge_count]
-            if (
-                edge_count < pairs
-                and r_max is not None
-                and not mask_has_clique(adj, full, r_max + 1)
-            ):
-                out.details["averaging_checked"] += 1
-                sum_m = sum(m_values)
-                if sum_m < rhs - 1e-9:
-                    out.add_violation(
-                        f"averaging n={n} t={t} r={r_max}",
-                        f"sum_m={sum_m}",
-                        f">={rhs}",
                         graph6=graph6_encode(Graph(n, adj)),
                     )
     return out.as_shard()
@@ -323,9 +286,7 @@ def clique_result():
 
 
 def proof_result():
-    return suites.SuiteResult(
-        suite="proof-ineq", params={}, details={"averaging_checked": 0}
-    )
+    return suites.SuiteResult(suite="proof-ineq", params={})
 
 
 def turan_result():
@@ -398,24 +359,6 @@ class TestForcedViolations:
             )
             assert got.violation_count > 0
             same(got, want)
-
-    def test_proof_averaging_forced(self, monkeypatch):
-        # r_max = n makes the clique filter pass. A huge right-hand side
-        # fails the averaging inequality on every K_{2,t}-free graph; one
-        # equal to the edge count e, or to e + 1/2, puts the bound on and
-        # between integers, where sum_m = e - 1 or e decides.
-        table = suites._proof_tables
-        for rhs in (lambda e: 10**6, float, lambda e: e + 0.5):
-            monkeypatch.setattr(
-                suites,
-                "_proof_tables",
-                lambda n, t: [(n, rhs(e)) for e in range(len(table(n, t)))],
-            )
-            for i in range(3):
-                got, want = run_proof_both((i, 3))
-                assert got.details["averaging_checked"] > 0
-                assert got.violation_count > 0
-                same(got, want)
 
     def test_packing_debt_forced(self, monkeypatch):
         # One more forced missing edge at even gamma and one fewer at odd

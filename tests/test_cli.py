@@ -57,7 +57,7 @@ class TestDetectCommand:
         rep = report_of(result)
         assert rep["results"]["found"]
         assert rep["results"]["certificate"]["t_side"] == [1, 3]
-        assert rep["schema_version"] == 1
+        assert rep["schema_version"] == 2
 
     def test_none_exits_zero(self, runner, tmp_path):
         p = write_graph6(tmp_path, "k5.g6", complete(5))
@@ -364,6 +364,11 @@ class TestInputErrorsExitTwo:
             ["verify", "--suite", "triangle-thm", "--nmax", "4", "--shard", "1/2"],
             ["verify", "--suite", "beta", "--nmax", "3", "--t", "9", "--workers", "4"],
             ["verify", "--suite", "ramsey-small", "--t", "3"],
+            ["verify", "--suite", "triangle-thm", "--nmax", "0"],
+            ["verify", "--suite", "triangle-thm", "--t", "0"],
+            ["verify", "--suite", "clique-exhaustive", "--nmax", "-3"],
+            ["verify", "--suite", "proof-ineq", "--nmax", "1"],
+            ["verify", "--suite", "turan-upper", "--nmax", "3", "--t", "1"],
         ],
         ids=lambda args: " ".join(args)[:40],
     )

@@ -1,8 +1,12 @@
+import math
 import os
+from fractions import Fraction
 
 import pytest
 
 from k2tlab import suites
+from k2tlab.bounds import theorem_clique_r
+from k2tlab.ramsey import known_ramsey
 from k2tlab.suites import (
     SUITE_IDS,
     VIOLATION_LIMIT,
@@ -57,7 +61,24 @@ class TestProofInequalities:
         result = run_proof_inequalities(n_max=5)
         assert result.passed
         assert result.checked == 2 + 8 + 64 + 1024
-        assert result.details == {"averaging_checked": 0}
+        assert result.details == {}
+
+    def test_clique_guarantee_covers_the_averaging_instances(self):
+        # proof-ineq does not check the averaged missing-edge inequality:
+        # the proof applies it only to induced-K_{2,t}-free graphs with
+        # omega <= r = theorem_clique_r(...), and clique-exhaustive already
+        # requires omega >= r + 1 of every such graph.
+        cases = 0
+        for n in range(2, 8):
+            pairs = math.comb(n, 2)
+            for t in (2, 3, 4):
+                table = suites._guarantee_table(n, t)
+                for e in range(pairs):
+                    r = theorem_clique_r(n, Fraction(e, pairs), t, known_ramsey)
+                    if r is not None:
+                        cases += 1
+                        assert table[e][1] >= r + 1, (n, t, e)
+        assert cases == 45
 
 
 class TestRamseySmall:
