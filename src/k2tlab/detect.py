@@ -1,5 +1,6 @@
 """Exact detectors: induced K_{2,t}, independent t-sets, subgraph copies
-of a fixed pattern, and maximum clique.
+of a fixed pattern (anywhere, or through a given host vertex), and
+maximum clique.
 
 All searches are deterministic: candidates are explored in increasing
 vertex order, so returned certificates are reproducible across runs and
@@ -204,6 +205,55 @@ def _max_clique_size(masks: Sequence[int], universe: int) -> int:
     return best
 
 
+def plan_embedding(h: Graph, first: Optional[int] = None) -> tuple:
+    """The search plan for embedding ``h``: one step per pattern vertex,
+    ``first`` (when given) and then the rest by descending degree, each step
+    holding (vertex, degree, neighbours placed by earlier steps)."""
+    order = sorted(range(h.n), key=lambda v: (v != first, -h.degree(v), v))
+    position = {v: i for i, v in enumerate(order)}
+    return tuple(
+        (v, h.degree(v), tuple(u for u in bits(h.adj[v]) if position[u] < position[v]))
+        for v in order
+    )
+
+
+def _embed(
+    adj: Sequence[int],
+    full: int,
+    plan: tuple,
+    i: int,
+    image: list,
+    used: int,
+    first: Optional[int] = None,
+) -> bool:
+    """The embedding kernel: place steps i.. of ``plan`` on unused host
+    vertices (``first``, when given, bounds the choices for step i), each
+    adjacent to the images of its placed neighbours and of at least its
+    pattern degree. True with the copy left in ``image``, else False."""
+    if i == len(plan):
+        return True
+    v, dv, placed = plan[i]
+    cand = ~used & full if first is None else first
+    for u in placed:
+        cand &= adj[image[u]]
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        w = low.bit_length() - 1
+        if adj[w].bit_count() < dv:
+            continue
+        image[v] = w
+        if _embed(adj, full, plan, i + 1, image, used | low):
+            return True
+    return False
+
+
+def embeds_at(g: Graph, plan: tuple, w: int) -> bool:
+    """True iff ``g`` holds a copy of the planned pattern that maps the
+    plan's first vertex to host vertex ``w``."""
+    return _embed(g.adj, g.full_mask, plan, 0, [-1] * len(plan), 0, 1 << w)
+
+
 def contains_subgraph(g: Graph, h: Graph) -> Optional[Embedding]:
     """First embedding of ``h`` into ``g`` as a (not necessarily induced)
     subgraph, or None. Backtracking ordered by descending pattern degree.
@@ -217,37 +267,8 @@ def contains_subgraph(g: Graph, h: Graph) -> Optional[Embedding]:
         )
     if h.n > g.n or h.edge_count > g.edge_count:
         return None
-    order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
-    position = {v: i for i, v in enumerate(order)}
-    # For each pattern vertex, its pattern-neighbours already placed when
-    # its turn comes.
-    placed_nbrs = [
-        [u for u in bits(h.adj[v]) if position[u] < position[v]] for v in order
-    ]
     image = [-1] * h.n
-    used = 0
-
-    def rec(i: int) -> bool:
-        nonlocal used
-        if i == len(order):
-            return True
-        v = order[i]
-        dv = h.degree(v)
-        cand = ~used & g.full_mask
-        for u in placed_nbrs[i]:
-            cand &= g.adj[image[u]]
-        for w in bits(cand):
-            if g.degree(w) < dv:
-                continue
-            image[v] = w
-            used |= 1 << w
-            if rec(i + 1):
-                return True
-            used ^= 1 << w
-            image[v] = -1
-        return False
-
-    if rec(0):
+    if _embed(g.adj, g.full_mask, plan_embedding(h), 0, image, 0):
         emb = Embedding(pattern=h, mapping=tuple(image))
         require(emb.check(g), "contains_subgraph: invalid embedding")
         return emb

@@ -6,9 +6,15 @@ R(K_t, F) is the least n such that every graph on n vertices contains an
 independent t-set or some member of F as a (not necessarily induced)
 subgraph. The search grows good graphs one vertex at a time -- both
 defining properties are inherited by induced prefixes, so a level with
-no survivors pins the exact value. Levels are deduplicated by exact
-isomorphism tests inside cheap-invariant buckets, which keeps the n = 9
-refutations (e.g. for R(3,4)) at interactive speed.
+no survivors pins the exact value (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998). Since the parent is good, a step tests
+only what the new vertex adds: a neighbour mask is skipped when the
+vertices outside it hold an independent (t-1)-set, and members are
+searched only for copies through the new vertex, from one start per
+orbit of the member's automorphism group. Levels are deduplicated by
+exact isomorphism tests inside cheap-invariant buckets, with each graph's
+colours refined once, which keeps the n = 9 refutations (e.g. for
+R(3,4)) at interactive speed.
 
 All three family constructors go through one builder, which checks sizes
 before it builds a deletion or hashes an invariant: a member above the
@@ -26,9 +32,11 @@ from typing import Optional
 
 from .detect import (
     MAX_PATTERN_VERTICES,
+    _lex_set,
     contains_family_member,
-    contains_subgraph,
+    embeds_at,
     find_independent_set,
+    plan_embedding,
     require,
 )
 from .graphs import (
@@ -91,30 +99,44 @@ class RamseyResult:
 def _refined_colours(g: Graph, rounds: int = 3) -> list:
     """Iterated (colour, sorted neighbour colours) refinement. The final
     colour values are nested tuples, identical across isomorphic graphs."""
-    colours: list = [g.degree(v) for v in range(g.n)]
+    nbrs = [list(bits(row)) for row in g.adj]
+    colours: list = [len(vs) for vs in nbrs]
     for _ in range(rounds):
         colours = [
-            (colours[v], tuple(sorted(colours[u] for u in bits(g.adj[v]))))
-            for v in range(g.n)
+            (colours[v], tuple(sorted([colours[u] for u in vs])))
+            for v, vs in enumerate(nbrs)
         ]
     return colours
 
 
-def invariant_key(g: Graph) -> tuple:
-    """A cheap isomorphism invariant used to bucket candidates."""
-    return (g.n, g.edge_count, tuple(sorted(_refined_colours(g))))
+def invariant_key(g: Graph, colours: Optional[list] = None) -> tuple:
+    """A cheap isomorphism invariant used to bucket candidates; ``colours``
+    are g's refined colours when the caller already has them."""
+    if colours is None:
+        colours = _refined_colours(g)
+    return (g.n, g.edge_count, tuple(sorted(colours)))
 
 
-def is_isomorphic(a: Graph, b: Graph) -> bool:
-    """Exact backtracking isomorphism test for desk-scale graphs."""
+def is_isomorphic(a: Graph, b: Graph, colours: Optional[tuple] = None) -> bool:
+    """Exact backtracking isomorphism test for desk-scale graphs.
+
+    ``colours`` is the pair of refined colours of a and b when the caller
+    already has them. Comparing their sorted values is only a quick reject
+    (the backtracking alone decides), so it is skipped then: the dedupe
+    passes colours whose invariant keys are equal."""
     if a.n != b.n or a.edge_count != b.edge_count:
         return False
-    ca = _refined_colours(a)
-    cb = _refined_colours(b)
-    if sorted(ca) != sorted(cb):
-        return False
+    if colours is None:
+        colours = (_refined_colours(a), _refined_colours(b))
+        if sorted(colours[0]) != sorted(colours[1]):
+            return False
+    return _colour_preserving_map(a, b, *colours)
+
+
+def _colour_preserving_map(a: Graph, b: Graph, ca: list, cb: list) -> bool:
+    """True iff some isomorphism a -> b maps every vertex to one of the
+    same colour: backtracking over vertices of a, rare colours first."""
     n = a.n
-    # Map rare colours first: most-constrained-first ordering.
     freq: dict = {}
     for c in ca:
         freq[c] = freq.get(c, 0) + 1
@@ -147,16 +169,38 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
     return rec(0)
 
 
+def _orbit_representatives(g: Graph) -> list[int]:
+    """The least vertex of each orbit of Aut(g). Vertices x and v share an
+    orbit iff some automorphism maps x to v: a colour-preserving map once
+    x and v are pinned with a colour of their own."""
+    colours = _refined_colours(g)
+
+    def pinned(x: int) -> list:
+        return [(c, v == x) for v, c in enumerate(colours)]
+
+    reps: list[int] = []
+    for v in range(g.n):
+        if not any(
+            colours[x] == colours[v] and _colour_preserving_map(g, g, pinned(x), pinned(v))
+            for x in reps
+        ):
+            reps.append(v)
+    return reps
+
+
 def _dedupe(items, graph=lambda item: item) -> list:
     """The items, in order, whose ``graph(item)`` is the first of its
-    isomorphism class: exact tests inside cheap-invariant buckets."""
+    isomorphism class: exact tests inside cheap-invariant buckets. Each
+    graph's colours are refined once; the buckets keep the representatives'
+    colours for the tests."""
     buckets: dict = {}
     out = []
     for item in items:
         g = graph(item)
-        bucket = buckets.setdefault(invariant_key(g), [])
-        if not any(is_isomorphic(g, seen) for seen in bucket):
-            bucket.append(g)
+        colours = _refined_colours(g)
+        bucket = buckets.setdefault(invariant_key(g, colours), [])
+        if not any(is_isomorphic(g, rep, (colours, seen)) for rep, seen in bucket):
+            bucket.append((g, colours))
             out.append(item)
     return out
 
@@ -215,21 +259,42 @@ def explicit_family(members) -> GraphFamily:
 # ---------------------------------------------------------------------------
 
 
-def _is_good(g: Graph, t: int, members: tuple[Graph, ...]) -> bool:
-    """Good = no independent t-set and no family member as subgraph."""
-    if find_independent_set(g, t) is not None:
-        return False
-    for member in members:
-        if member.n <= g.n and contains_subgraph(g, member) is not None:
-            return False
-    return True
+def _anchored_plans(members: tuple[Graph, ...]) -> tuple:
+    """Per member and orbit of Aut(member): (vertex count, edge count,
+    embedding plan that starts at the orbit's least vertex). A copy through
+    a host vertex maps some vertex there, and an automorphism moves that
+    vertex to its orbit's representative, so one start per orbit finds
+    every copy."""
+    return tuple(
+        (m.n, m.edge_count, plan_embedding(m, x))
+        for m in members
+        for x in _orbit_representatives(m)
+    )
 
 
-def _extensions(parent: Graph):
-    """All one-vertex extensions of ``parent``, new vertex last."""
+def _is_good(g: Graph, plans: tuple) -> bool:
+    """Good = no independent t-set and no family member as subgraph, for an
+    extension of a good graph from ``_extensions``. Those have no
+    independent t-set, and a member copy must use the new (last) vertex,
+    so only copies anchored there are searched."""
+    v = g.n - 1
+    return not any(
+        n <= g.n and e <= g.edge_count and embeds_at(g, plan, v)
+        for n, e, plan in plans
+    )
+
+
+def _extensions(parent: Graph, t: int):
+    """The one-vertex extensions of ``parent`` (which has no independent
+    t-set) that have none either, new vertex last. The mask of the new
+    vertex's neighbours is skipped when the parent vertices outside it
+    hold an independent (t-1)-set, which would complete one."""
     k = parent.n
+    full = parent.full_mask
     bit_k = 1 << k
     for mask in range(1 << k):
+        if _lex_set(parent.adj, full & ~mask, t - 1, -1) is not None:
+            continue
         adj = list(parent.adj)
         adj.append(mask)
         for u in bits(mask):
@@ -256,14 +321,15 @@ def ramsey_exact(query: RamseyQuery, n_cap: int = DEFAULT_RAMSEY_CAP) -> RamseyR
     if not 1 <= n_cap <= MAX_RAMSEY_CAP:
         raise GraphError(f"n_cap must be in 1..{MAX_RAMSEY_CAP}, got {n_cap}")
     t = query.t
+    plans = _anchored_plans(members)
 
     survivors = [build(0, [])]
     for n in range(1, n_cap + 1):
         level = _dedupe(
             cand
             for parent in survivors
-            for cand in _extensions(parent)
-            if _is_good(cand, t, members)
+            for cand in _extensions(parent, t)
+            if _is_good(cand, plans)
         )
         if not level:
             witness = min(survivors, key=graph6_encode)

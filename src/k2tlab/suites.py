@@ -256,15 +256,14 @@ def run_beta(steps: int = 100, t_max: int = 10) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _guarantee_table(n: int, t: int) -> list:
-    """Per edge count: (applicable (formula_id, guarantee) list, max
-    guarantee) or None at the alpha = 1 boundary."""
+@functools.cache
+def _guarantee_table(n: int, t: int) -> tuple:
+    """Per edge count: (applicable (formula_id, guarantee) tuple, max
+    guarantee) or None at the alpha = 1 boundary. Built once per process:
+    every clique-exhaustive shard of a run reads the same tables."""
     pairs = math.comb(n, 2)
     table = []
-    for e in range(pairs + 1):
-        if e == pairs:
-            table.append(None)
-            continue
+    for e in range(pairs):
         alpha = Fraction(e, pairs)
         entries = []
         for report in clique_lower_report(n, alpha, t):
@@ -273,8 +272,9 @@ def _guarantee_table(n: int, t: int) -> list:
         guarantee = clique_guarantee(n, alpha, t, known_ramsey)
         if guarantee.applicable and guarantee.integer_guarantee is not None:
             entries.append((guarantee.formula_id, guarantee.integer_guarantee))
-        table.append((entries, max(g for _, g in entries)))
-    return table
+        table.append((tuple(entries), max(g for _, g in entries)))
+    table.append(None)
+    return tuple(table)
 
 
 def _recheck(out: SuiteResult, w, bad: dict, visit) -> None:

@@ -370,7 +370,9 @@ class TestInputErrorsExitTwo:
             ["verify", "--suite", "proof-ineq", "--nmax", "1"],
             ["verify", "--suite", "turan-upper", "--nmax", "3", "--t", "1"],
         ],
-        ids=lambda args: " ".join(args)[:40],
+        # Whole inputs, so that no two ids collide; the 401-digit --n is
+        # cut after 20 digits.
+        ids=lambda args: " ".join(a if len(a) <= 20 else f"{a[:20]}..." for a in args),
     )
     def test_exits_two_with_one_error_line(self, runner, tmp_path, args):
         c4 = write_graph6(tmp_path, "c4.g6", cycle(4))

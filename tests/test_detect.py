@@ -23,11 +23,13 @@ from k2tlab.detect import (
     _mask_lex_independent_tset,
     contains_family_member,
     contains_subgraph,
+    embeds_at,
     find_independent_set,
     find_induced_k2t,
     mask_has_clique,
     mask_has_induced_k2t,
     max_clique,
+    plan_embedding,
 )
 from k2tlab.graphs import GraphError, bits, build, graph6_encode, mask_of
 
@@ -189,6 +191,21 @@ class TestContainsSubgraph:
         assert (emb is not None) == naive_has_subgraph(g, h)
         if emb is not None:
             assert emb.check(g)
+
+    @given(graph_masks(max_n=6, min_n=1), graph_masks(max_n=4, min_n=1))
+    @settings(max_examples=100, deadline=None)
+    def test_anchored_matches_naive(self, host_nm, pat_nm):
+        g = graph_from_mask(*host_nm)
+        h = graph_from_mask(*pat_nm)
+        for x in range(h.n):
+            plan = plan_embedding(h, x)
+            assert plan[0][0] == x
+            for w in range(g.n):
+                naive = any(
+                    p[x] == w and all(g.has_edge(p[a], p[b]) for a, b in h.edges())
+                    for p in itertools.permutations(range(g.n), h.n)
+                )
+                assert embeds_at(g, plan, w) == naive, (x, w)
 
 
 class TestContainsFamilyMember:

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import pytest
 
+from conftest import all_graphs
+from k2tlab import ramsey
 from k2tlab.constructions import (
     complete,
     complete_bipartite,
@@ -9,10 +12,11 @@ from k2tlab.constructions import (
     empty,
     path,
 )
-from k2tlab.detect import contains_family_member, find_independent_set
-from k2tlab.graphs import GraphError, build, graph6_encode
+from k2tlab.detect import contains_family_member, contains_subgraph, find_independent_set
+from k2tlab.graphs import Graph, GraphError, bits, build, graph6_encode
 from k2tlab.ramsey import (
     RamseyQuery,
+    RamseyResult,
     explicit_family,
     family_minus_ebar,
     family_minus_vertex,
@@ -256,3 +260,127 @@ class TestKnownRamsey:
                 n_cap=9,
             )
             assert res.exact == known_ramsey(t, r)
+
+
+# ---------------------------------------------------------------------------
+# The whole-graph level search that ramsey_exact replaced, as a reference:
+# every one-vertex extension, tested for an independent t-set and for every
+# member anywhere in the candidate, deduplicated by plain is_isomorphic.
+# ---------------------------------------------------------------------------
+
+
+def reference_ramsey(t, members, n_cap=9):
+    survivors = [build(0, [])]
+    for n in range(1, n_cap + 1):
+        buckets, level = {}, []
+        for parent in survivors:
+            k = parent.n
+            for mask in range(1 << k):
+                adj = list(parent.adj) + [mask]
+                for u in bits(mask):
+                    adj[u] |= 1 << k
+                g = Graph(k + 1, adj)
+                if find_independent_set(g, t) is not None or any(
+                    m.n <= g.n and contains_subgraph(g, m) is not None for m in members
+                ):
+                    continue
+                bucket = buckets.setdefault(invariant_key(g), [])
+                if not any(is_isomorphic(g, seen) for seen in bucket):
+                    bucket.append(g)
+                    level.append(g)
+        if not level:
+            witness = min(survivors, key=graph6_encode)
+            return RamseyResult(lower=n, upper=n, exact=n, lower_witness=witness)
+        survivors = level
+    lower = n_cap + 1
+    upper = math.comb(min(m.n for m in members) + t - 2, t - 1)
+    witness = min(survivors, key=graph6_encode)
+    return RamseyResult(lower, upper, lower if lower == upper else None, witness)
+
+
+def nonisomorphic_graphs(n):
+    return ramsey._dedupe(all_graphs(n))
+
+
+class TestAgainstWholeGraphSearch:
+    def test_graph_counts(self):
+        assert [len(nonisomorphic_graphs(n)) for n in range(2, 6)] == [2, 4, 11, 34]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_deletion_families(self, n):
+        for h in nonisomorphic_graphs(n):
+            for family in (family_minus_vertex(h), family_minus_ebar(h)):
+                for t in (2, 3):
+                    if any(m.n == 0 for m in family.members):
+                        # {H - ebar} of the empty graph on 2 vertices.
+                        with pytest.raises(GraphError):
+                            ramsey_exact(RamseyQuery(t=t, family=family))
+                        continue
+                    got = ramsey_exact(RamseyQuery(t=t, family=family))
+                    want = reference_ramsey(t, family.members)
+                    assert got == want, (graph6_encode(h), family.origin, t)
+                    assert graph6_encode(got.lower_witness) == graph6_encode(
+                        want.lower_witness
+                    )
+
+    @pytest.mark.parametrize("r, t, n_cap", [(3, 2, 9), (3, 3, 9), (4, 2, 9), (4, 3, 9), (5, 2, 9), (5, 3, 7)])
+    def test_cliques(self, r, t, n_cap):
+        members = (complete(r),)
+        got = ramsey_exact(RamseyQuery(t=t, family=explicit_family(members)), n_cap=n_cap)
+        want = reference_ramsey(t, members, n_cap)
+        assert got == want
+        assert graph6_encode(got.lower_witness) == graph6_encode(want.lower_witness)
+
+
+def automorphism_orbit_representatives(g):
+    reps = []
+    for v in range(g.n):
+        if not any(
+            p[x] == v
+            for x in reps
+            for p in itertools.permutations(range(g.n))
+            if all(g.has_edge(p[a], p[b]) for a, b in g.edges())
+        ):
+            reps.append(v)
+    return reps
+
+
+class TestAnchoredSearch:
+    def test_orbit_representatives(self):
+        for n in range(1, 6):
+            for g in nonisomorphic_graphs(n):
+                assert ramsey._orbit_representatives(g) == (
+                    automorphism_orbit_representatives(g)
+                ), graph6_encode(g)
+
+
+class TestLevels:
+    """Survivors per level, counted as the traced benchmark counts them:
+    candidates that ``_is_good`` passes at each vertex count, less those
+    that ``is_isomorphic`` finds a duplicate of inside ramsey_exact."""
+
+    @staticmethod
+    def levels(monkeypatch, t, r):
+        good, dup = {}, {}
+
+        def counted(fn, tally):
+            def wrapper(g, *args):
+                result = fn(g, *args)
+                if result:
+                    tally[g.n] = tally.get(g.n, 0) + 1
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(ramsey, "_is_good", counted(ramsey._is_good, good))
+        family = explicit_family([complete(r)])
+        monkeypatch.setattr(ramsey, "is_isomorphic", counted(ramsey.is_isomorphic, dup))
+        ramsey_exact(RamseyQuery(t=t, family=family))
+        return [good[n] - dup.get(n, 0) for n in sorted(good)]
+
+    def test_r33(self, monkeypatch):
+        assert self.levels(monkeypatch, 3, 3) == [1, 2, 2, 3, 1]
+
+    def test_r34(self, monkeypatch):
+        # The final 3 is the number of (3,4)-critical graphs on 8 vertices.
+        assert self.levels(monkeypatch, 3, 4) == [1, 2, 3, 6, 9, 15, 9, 3]
