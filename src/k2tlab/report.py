@@ -13,7 +13,7 @@ import io
 import json
 from typing import Optional, Sequence
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def make_report(

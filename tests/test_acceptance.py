@@ -119,11 +119,6 @@ def test_criterion_8_triangle_bound_formula():
 
 def test_criterion_9_turan_upper_bounds():
     started = time.monotonic()
-    result = run_turan_upper(
-        n_max=7,
-        t_values=(2, 3),
-        include_random=True,
-        random_count=1000,
-    )
+    result = run_turan_upper(n_max=7, t_values=(2, 3))
     elapsed = time.monotonic() - started
     criterion(9, "induced-Turan upper bounds", result, elapsed, 600.0)

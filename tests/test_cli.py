@@ -57,7 +57,7 @@ class TestDetectCommand:
         rep = report_of(result)
         assert rep["results"]["found"]
         assert rep["results"]["certificate"]["t_side"] == [1, 3]
-        assert rep["schema_version"] == 2
+        assert rep["schema_version"] == 3
 
     def test_none_exits_zero(self, runner, tmp_path):
         p = write_graph6(tmp_path, "k5.g6", complete(5))
@@ -224,6 +224,29 @@ class TestVerifyCommand:
             rep.pop("runtime_ms")
             reports.append(json.dumps(rep, sort_keys=True))
         assert reports[0] == reports[1]
+
+    def test_turan_upper_report_has_no_sweep(self, runner, tmp_path):
+        out = tmp_path / "r.json"
+        result = runner.invoke(
+            main,
+            ["verify", "--suite", "turan-upper", "--nmax", "4",
+             "--json", str(out)],
+        )
+        assert result.exit_code == 0
+        rep = json.loads(out.read_text())
+        assert set(rep["inputs"]) == {"n_max", "shard", "suite", "t_values", "workers"}
+        assert set(rep["results"]["details"]) == {"skipped_no_exact_ramsey"}
+
+    @pytest.mark.parametrize(
+        "guard", ["find_independent_set", "contains_family_member"]
+    )
+    def test_ramsey_small_bad_witness_exits_two(self, runner, monkeypatch, guard):
+        from k2tlab import ramsey
+
+        monkeypatch.setattr(ramsey, guard, lambda *args: (0,))
+        result = runner.invoke(main, ["verify", "--suite", "ramsey-small"])
+        assert result.exit_code == 2
+        assert "Ramsey witness" in result.output
 
     def test_workers_flag(self, runner):
         result = runner.invoke(

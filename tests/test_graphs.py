@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 from math import comb
 
@@ -34,6 +35,19 @@ def graph_masks(draw, max_n=8):
     return n, mask
 
 
+@st.composite
+def loopless_rows(draw, max_n=12):
+    """Adjacency rows of a random graph with up to four one-sided bit flips,
+    so some stay symmetric and some have an even number of stray bits."""
+    n, mask = draw(graph_masks(max_n=max_n))
+    rows = list(graph_from_mask(n, mask).adj)
+    if n >= 2:
+        pairs = st.sampled_from(list(itertools.permutations(range(n), 2)))
+        for v, u in draw(st.lists(pairs, max_size=4)):
+            rows[v] ^= 1 << u
+    return n, rows
+
+
 class TestBuild:
     def test_c4(self):
         g = build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -65,6 +79,32 @@ class TestBuild:
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(GraphError):
             Graph(2, [0b10, 0b00])
+
+    def test_rejects_even_number_of_unmirrored_bits(self):
+        # 0 -> 2 is mirrored; 1 -> 0 and 2 -> 1 are not, and their count is even.
+        with pytest.raises(GraphError, match=r"asymmetric pair \(0, 1\)"):
+            Graph(3, [4, 1, 3])
+
+    @given(loopless_rows())
+    @settings(max_examples=300)
+    def test_accepts_exactly_the_symmetric_rows(self, case):
+        n, rows = case
+        symmetric = all(
+            (rows[v] >> u & 1) == (rows[u] >> v & 1)
+            for v in range(n)
+            for u in range(n)
+        )
+        if symmetric:
+            assert Graph(n, rows).edge_count == sum(r.bit_count() for r in rows) // 2
+        else:
+            with pytest.raises(GraphError, match="asymmetric pair"):
+                Graph(n, rows)
+
+    def test_largest_complete_graph_builds_in_under_a_second(self):
+        started = time.perf_counter()
+        g = complete(2896)
+        assert time.perf_counter() - started < 1.0
+        assert g.edge_count == comb(2896, 2)
 
     def test_immutable(self):
         g = build(2, [(0, 1)])

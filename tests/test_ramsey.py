@@ -12,7 +12,12 @@ from k2tlab.constructions import (
     empty,
     path,
 )
-from k2tlab.detect import contains_family_member, contains_subgraph, find_independent_set
+from k2tlab.detect import (
+    SelfCheckError,
+    contains_family_member,
+    contains_subgraph,
+    find_independent_set,
+)
 from k2tlab.graphs import Graph, GraphError, bits, build, graph6_encode
 from k2tlab.ramsey import (
     RamseyQuery,
@@ -29,6 +34,20 @@ from k2tlab.ramsey import (
 
 def members_signature(family):
     return sorted((m.n, m.edge_count) for m in family.members)
+
+
+class TestWitnessGuard:
+    """``ramsey_exact`` re-checks its witness before returning; the
+    ramsey-small suite relies on this guard and does not repeat it."""
+
+    @pytest.mark.parametrize(
+        "guard", ["find_independent_set", "contains_family_member"]
+    )
+    @pytest.mark.parametrize("t, r", [(3, 3), (2, 4)])
+    def test_bad_witness_raises(self, monkeypatch, guard, t, r):
+        monkeypatch.setattr(ramsey, guard, lambda *args: (0,))
+        with pytest.raises(SelfCheckError, match="Ramsey witness"):
+            ramsey_exact(RamseyQuery(t=t, family=explicit_family([complete(r)])))
 
 
 class TestIsomorphism:

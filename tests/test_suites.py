@@ -106,44 +106,18 @@ class TestTriangleTheoremSuite:
 
 class TestTuranUpper:
     def test_small_clean(self):
-        result = run_turan_upper(n_max=5, include_random=False)
+        result = run_turan_upper(n_max=5)
         assert result.passed
         assert result.checked > 0
 
     def test_shard_counters_merge(self):
-        whole = run_turan_upper(n_max=5, include_random=False)
+        whole = run_turan_upper(n_max=5)
         skipped = whole.details["skipped_no_exact_ramsey"]
         assert skipped > 0
-        pieces = [
-            run_turan_upper(n_max=5, include_random=False, shard=(i, 3))
-            for i in range(3)
-        ]
+        pieces = [run_turan_upper(n_max=5, shard=(i, 3)) for i in range(3)]
         assert sum(p.details["skipped_no_exact_ramsey"] for p in pieces) == skipped
-        parallel = run_turan_upper(n_max=5, include_random=False, workers=2)
+        parallel = run_turan_upper(n_max=5, workers=2)
         assert parallel.details == whole.details
-
-    def test_shards_split_the_random_sweep(self, monkeypatch):
-        whole = run_turan_upper(n_max=2, random_count=60)
-        seeds = []
-        gnp = suites.random_gnp
-        monkeypatch.setattr(
-            suites, "random_gnp", lambda n, p, seed: seeds.append(seed) or gnp(n, p, seed)
-        )
-        pieces = [
-            run_turan_upper(n_max=2, random_count=60, shard=(i, 3)) for i in range(3)
-        ]
-        assert seeds == list(range(60))
-        assert sum(p.checked for p in pieces) == whole.checked
-        assert sum(p.details["random_qualifying"] for p in pieces) == (
-            whole.details["random_qualifying"]
-        )
-
-    def test_random_part_runs(self):
-        result = run_turan_upper(
-            n_max=2, include_random=True, random_count=60
-        )
-        assert result.passed
-        assert "random_qualifying" in result.details
 
 
 class TestWitnessRandom:
