@@ -22,7 +22,7 @@ from itertools import combinations, permutations
 from typing import Iterator, Optional
 
 from .constructions import ENUMERATION_CAP, pair_order
-from .graphs import Graph, GraphError, bits, build
+from .graphs import Graph, GraphError, bits
 
 BLOCK_BITS = 16
 BLOCK = 1 << BLOCK_BITS
@@ -218,8 +218,12 @@ class Window:
         pairs = pair_order(self.n)
         for p in bits(indicator):
             mask = (self.lo + p) ^ ((self.lo + p) >> 1)
-            edges = [uv for k, uv in enumerate(pairs) if (mask >> k) & 1]
-            yield p, build(self.n, edges)
+            adj = [0] * self.n
+            for k in bits(mask):
+                u, v = pairs[k]
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            yield p, Graph._trusted(self.n, adj, mask.bit_count())
 
 
 def count_digits(indicators: list[int]) -> list[int]:

@@ -67,7 +67,7 @@ def polarity_graph(q: int) -> Graph:
         n == q * q + q + 1 and sum(row.bit_count() for row in adj) == q * (q + 1) ** 2,
         "polarity_graph: q^2 + q + 1 points and q (q + 1)^2 / 2 edges",
     )
-    return Graph(n, adj)
+    return Graph._trusted(n, adj, q * (q + 1) ** 2 // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -77,19 +77,22 @@ def polarity_graph(q: int) -> Graph:
 
 def complete(n: int) -> Graph:
     check_vertex_pairs(n)
-    return Graph(n, [(1 << n) - 1 - (1 << v) for v in range(n)])
+    full = (1 << n) - 1
+    return Graph._trusted(n, [full ^ (1 << v) for v in range(n)], math.comb(n, 2))
 
 
 def empty(n: int) -> Graph:
     check_vertex_pairs(n)
-    return Graph(n, [0] * n)
+    return Graph._trusted(n, [0] * n, 0)
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"a cycle needs n >= 3, got {n}")
     check_vertex_pairs(n)
-    return Graph(n, [(1 << ((v + 1) % n)) | (1 << ((v - 1) % n)) for v in range(n)])
+    return Graph._trusted(
+        n, [(1 << ((v + 1) % n)) | (1 << ((v - 1) % n)) for v in range(n)], n
+    )
 
 
 def path(n: int) -> Graph:
@@ -98,7 +101,8 @@ def path(n: int) -> Graph:
     check_vertex_pairs(n)
     full = (1 << n) - 1
     # Bits v + 1 and v - 1; the mask drops bit n, and 1 >> 1 is 0.
-    return Graph(n, [((2 << v) | (1 << v >> 1)) & full for v in range(n)])
+    rows = [((2 << v) | (1 << v >> 1)) & full for v in range(n)]
+    return Graph._trusted(n, rows, n - 1)
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -107,7 +111,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
     check_vertex_pairs(a + b)
     left = (1 << a) - 1
     right = ((1 << b) - 1) << a
-    return Graph(a + b, [right] * a + [left] * b)
+    return Graph._trusted(a + b, [right] * a + [left] * b, a * b)
 
 
 def turan(n: int, r: int) -> Graph:
@@ -117,12 +121,14 @@ def turan(n: int, r: int) -> Graph:
     check_vertex_pairs(n)
     full = (1 << n) - 1
     adj = []
+    inside = 0  # pairs within a part
     base, extra = divmod(n, r)
     for i in range(min(r, n)):  # parts past the n-th are empty
         size = base + (1 if i < extra else 0)
         part = ((1 << size) - 1) << len(adj)
         adj.extend([full ^ part] * size)
-    return Graph(n, adj)
+        inside += math.comb(size, 2)
+    return Graph._trusted(n, adj, math.comb(n, 2) - inside)
 
 
 _STANDARD: dict = {
@@ -183,13 +189,15 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     rng = XorShift64Star(seed)
     threshold = int(p * (1 << 64))
     adj = [0] * n
+    count = 0
     for u in range(n):
         bit_u = 1 << u
         for v in range(u + 1, n):
             if rng.next64() < threshold:
                 adj[u] |= 1 << v
                 adj[v] |= bit_u
-    return Graph(n, adj)
+                count += 1
+    return Graph._trusted(n, adj, count)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +217,7 @@ def enumerate_labelled(n: int) -> Iterator[Graph]:
         raise GraphError(
             f"labelled enumeration needs 0 <= n <= {ENUMERATION_CAP}, got {n}"
         )
-    return (Graph(n, list(adj)) for _, _, adj in iter_masks(n))
+    return (Graph._trusted(n, adj, e) for _, e, adj in iter_masks(n))
 
 
 def iter_masks(n: int, lo: int = 0, hi: Optional[int] = None):

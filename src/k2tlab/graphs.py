@@ -44,7 +44,9 @@ def _turned_is_transposed(adj: Sequence[int], n: int) -> bool:
 
 
 class Graph:
-    """Immutable simple graph; symmetry and irreflexivity are enforced."""
+    """Immutable simple graph. The constructor enforces symmetry and
+    irreflexivity; internal builders whose rows hold both by construction
+    skip the check through ``Graph._trusted``."""
 
     __slots__ = ("n", "adj", "_edge_count", "_hash")
 
@@ -74,10 +76,23 @@ class Graph:
             ]
             if stray:
                 raise GraphError(f"asymmetric pair {min(stray)}")
+        self._fill(n, adj, count // 2)
+
+    @classmethod
+    def _trusted(cls, n: int, adj: Sequence[int], edge_count: int) -> "Graph":
+        """A graph from rows that the caller built in range, loop-free and
+        symmetric, with ``edge_count`` edges: nothing is checked. Only for
+        builders whose rows are right by construction."""
+        g = object.__new__(cls)
+        g._fill(n, adj, edge_count)
+        return g
+
+    def _fill(self, n: int, adj: Sequence[int], edge_count: int) -> None:
+        adj = tuple(adj)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", tuple(adj))
-        object.__setattr__(self, "_edge_count", count // 2)
-        object.__setattr__(self, "_hash", hash((n,) + tuple(adj)))
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "_edge_count", edge_count)
+        object.__setattr__(self, "_hash", hash((n,) + adj))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -120,8 +135,10 @@ class Graph:
 
     def complement(self) -> "Graph":
         full = self.full_mask
-        return Graph(
-            self.n, [~row & full & ~(1 << v) for v, row in enumerate(self.adj)]
+        return Graph._trusted(
+            self.n,
+            [~row & full & ~(1 << v) for v, row in enumerate(self.adj)],
+            comb(self.n, 2) - self.edge_count,
         )
 
 
@@ -184,6 +201,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
         raise GraphError(f"vertices out of range for n={g.n}")
     index = {v: i for i, v in enumerate(vs)}
     adj = [0] * len(vs)
+    count = 0
     for i, v in enumerate(vs):
         row = g.adj[v]
         for u in vs[i + 1 :]:
@@ -191,7 +209,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
                 j = index[u]
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return InducedSubgraph(Graph(len(vs), adj), tuple(vs))
+                count += 1
+    return InducedSubgraph(Graph._trusted(len(vs), adj, count), tuple(vs))
 
 
 def neighbourhood_subgraph(g: Graph, v: int) -> InducedSubgraph:
@@ -305,18 +324,17 @@ def graph6_decode(text: str) -> Graph:
         )
     if "1" in stream[nbits:]:
         raise GraphError("nonzero padding bits in graph6 string")
-    adj = [0] * n
+    # Column c, padded to n, is column c of the upper triangle. Row v is
+    # column v (bits below v) followed by row v of the padded columns'
+    # transpose (bits above v).
+    columns = []
     start = 0
-    for c in range(1, n):
-        column = stream[start : start + c]
+    for c in range(n):
+        columns.append(stream[start : start + c])
         start += c
-        adj[c] = int(column[::-1], 2)
-        bit_c = 1 << c
-        r = column.find("1")
-        while r >= 0:
-            adj[r] |= bit_c
-            r = column.find("1", r + 1)
-    return Graph(n, adj)
+    upper = ["".join(row) for row in zip(*(col.ljust(n, "0") for col in columns))]
+    adj = [int((columns[v] + upper[v][v:])[::-1], 2) for v in range(n)]
+    return Graph._trusted(n, adj, stream.count("1"))
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +357,10 @@ one command-line number cannot exhaust memory or print Theta(n^2) graph6."""
 
 
 def check_vertex_pairs(n: int) -> None:
-    """Raise GraphError, before anything is built, when an n-vertex graph
-    would have more than MAX_VERTEX_PAIRS vertex pairs."""
+    """Raise GraphError, before anything is built, when n is negative or an
+    n-vertex graph would have more than MAX_VERTEX_PAIRS vertex pairs."""
+    if n < 0:
+        raise GraphError(f"vertex count must be non-negative, got {n}")
     if n * (n - 1) // 2 > MAX_VERTEX_PAIRS:
         raise GraphError(
             f"{n} vertices make more than {MAX_VERTEX_PAIRS} vertex pairs, "

@@ -11,9 +11,12 @@ generation", J. Algorithms 1998). Since the parent is good, a step tests
 only what the new vertex adds: a neighbour mask is skipped when the
 vertices outside it hold an independent (t-1)-set, and members are
 searched only for copies through the new vertex, from one start per
-orbit of the member's automorphism group. Levels are deduplicated by
-exact isomorphism tests inside cheap-invariant buckets, with each graph's
-colours refined once, which keeps the n = 9 refutations (e.g. for
+orbit of the member's automorphism group. A candidate's rows are
+symmetric by construction, so it is built through ``Graph._trusted``
+without re-validation. Levels are deduplicated by exact isomorphism tests
+inside cheap-invariant buckets: each graph's colours are refined once, to
+small ints through one table per level, and the test backtracks over
+bitmasks of colour classes. This keeps the n = 9 refutations (e.g. for
 R(3,4)) at interactive speed.
 
 All three family constructors go through one builder, which checks sizes
@@ -96,22 +99,32 @@ class RamseyResult:
 # ---------------------------------------------------------------------------
 
 
-def _refined_colours(g: Graph, rounds: int = 3) -> list:
-    """Iterated (colour, sorted neighbour colours) refinement. The final
-    colour values are nested tuples, identical across isomorphic graphs."""
+def _refined_colours(g: Graph, table: Optional[dict] = None, rounds: int = 3) -> list:
+    """Iterated colour refinement from the degrees: each round renames
+    every vertex's (round, colour, sorted neighbour colours) signature to a
+    small int. Graphs refined through one shared ``table`` get equal colours
+    exactly for equal signatures, so their colours compare with each other.
+    Without a table a signature becomes its rank among g's own signatures
+    of the round, which is an isomorphism invariant of g alone."""
     nbrs = [list(bits(row)) for row in g.adj]
-    colours: list = [len(vs) for vs in nbrs]
-    for _ in range(rounds):
-        colours = [
-            (colours[v], tuple(sorted([colours[u] for u in vs])))
+    colours = [len(vs) for vs in nbrs]
+    for r in range(rounds):
+        sigs = [
+            (r, colours[v], tuple(sorted([colours[u] for u in vs])))
             for v, vs in enumerate(nbrs)
         ]
+        if table is None:
+            rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+            colours = [rank[sig] for sig in sigs]
+        else:
+            colours = [table.setdefault(sig, len(table)) for sig in sigs]
     return colours
 
 
 def invariant_key(g: Graph, colours: Optional[list] = None) -> tuple:
     """A cheap isomorphism invariant used to bucket candidates; ``colours``
-    are g's refined colours when the caller already has them."""
+    are g's refined colours when the caller already has them (keys compare
+    only if their colours came through one table)."""
     if colours is None:
         colours = _refined_colours(g)
     return (g.n, g.edge_count, tuple(sorted(colours)))
@@ -120,14 +133,15 @@ def invariant_key(g: Graph, colours: Optional[list] = None) -> tuple:
 def is_isomorphic(a: Graph, b: Graph, colours: Optional[tuple] = None) -> bool:
     """Exact backtracking isomorphism test for desk-scale graphs.
 
-    ``colours`` is the pair of refined colours of a and b when the caller
-    already has them. Comparing their sorted values is only a quick reject
-    (the backtracking alone decides), so it is skipped then: the dedupe
-    passes colours whose invariant keys are equal."""
+    ``colours`` is the pair of refined colours of a and b, through one
+    table, when the caller already has them. Comparing their sorted values
+    is only a quick reject (the backtracking alone decides), so it is
+    skipped then: the dedupe passes colours whose invariant keys are equal."""
     if a.n != b.n or a.edge_count != b.edge_count:
         return False
     if colours is None:
-        colours = (_refined_colours(a), _refined_colours(b))
+        table: dict = {}
+        colours = (_refined_colours(a, table), _refined_colours(b, table))
         if sorted(colours[0]) != sorted(colours[1]):
             return False
     return _colour_preserving_map(a, b, *colours)
@@ -135,48 +149,55 @@ def is_isomorphic(a: Graph, b: Graph, colours: Optional[tuple] = None) -> bool:
 
 def _colour_preserving_map(a: Graph, b: Graph, ca: list, cb: list) -> bool:
     """True iff some isomorphism a -> b maps every vertex to one of the
-    same colour: backtracking over vertices of a, rare colours first."""
+    same colour: backtracking over vertices of a, rare colours first. The
+    candidates for a vertex are the unused vertices of b in its colour
+    class, and one (b-row & used) compare checks all edges back to the
+    vertices already mapped."""
     n = a.n
+    classes: dict = {}
+    for w, c in enumerate(cb):
+        classes[c] = classes.get(c, 0) | 1 << w
     freq: dict = {}
     for c in ca:
         freq[c] = freq.get(c, 0) + 1
     order = sorted(range(n), key=lambda v: (freq[ca[v]], ca[v], v))
-    image = [-1] * n
-    used = 0
+    cands = [classes.get(ca[v], 0) for v in order]
+    # back[i]: the steps before i whose vertices are a-neighbours of step i's.
+    aadj = a.adj
+    back = [
+        [j for j in range(i) if aadj[v] >> order[j] & 1] for i, v in enumerate(order)
+    ]
+    image = [0] * n  # image[i]: the bit of the b-vertex that step i maps to
+    badj = b.adj
 
-    def rec(i: int) -> bool:
-        nonlocal used
+    def rec(i: int, used: int) -> bool:
         if i == n:
             return True
-        v = order[i]
-        for w in range(n):
-            if (used >> w) & 1 or cb[w] != ca[v]:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if ((a.adj[v] >> u) & 1) != ((b.adj[w] >> image[u]) & 1):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used |= 1 << w
-                if rec(i + 1):
+        want = 0
+        for j in back[i]:
+            want |= image[j]
+        free = cands[i] & ~used
+        while free:
+            low = free & -free
+            free ^= low
+            if badj[low.bit_length() - 1] & used == want:
+                image[i] = low
+                if rec(i + 1, used | low):
                     return True
-                used ^= 1 << w
         return False
 
-    return rec(0)
+    return rec(0, 0)
 
 
 def _orbit_representatives(g: Graph) -> list[int]:
     """The least vertex of each orbit of Aut(g). Vertices x and v share an
     orbit iff some automorphism maps x to v: a colour-preserving map once
-    x and v are pinned with a colour of their own."""
+    x and v are pinned with a colour of their own (-1; refined colours are
+    ranks, so never negative)."""
     colours = _refined_colours(g)
 
     def pinned(x: int) -> list:
-        return [(c, v == x) for v, c in enumerate(colours)]
+        return [-1 if v == x else c for v, c in enumerate(colours)]
 
     reps: list[int] = []
     for v in range(g.n):
@@ -191,13 +212,14 @@ def _orbit_representatives(g: Graph) -> list[int]:
 def _dedupe(items, graph=lambda item: item) -> list:
     """The items, in order, whose ``graph(item)`` is the first of its
     isomorphism class: exact tests inside cheap-invariant buckets. Each
-    graph's colours are refined once; the buckets keep the representatives'
-    colours for the tests."""
+    graph's colours are refined once, through one table for the whole call;
+    the buckets keep the representatives' colours for the tests."""
+    table: dict = {}
     buckets: dict = {}
     out = []
     for item in items:
         g = graph(item)
-        colours = _refined_colours(g)
+        colours = _refined_colours(g, table)
         bucket = buckets.setdefault(invariant_key(g, colours), [])
         if not any(is_isomorphic(g, rep, (colours, seen)) for rep, seen in bucket):
             bucket.append((g, colours))
@@ -292,6 +314,7 @@ def _extensions(parent: Graph, t: int):
     k = parent.n
     full = parent.full_mask
     bit_k = 1 << k
+    edges = parent.edge_count
     for mask in range(1 << k):
         if _lex_set(parent.adj, full & ~mask, t - 1, -1) is not None:
             continue
@@ -299,7 +322,7 @@ def _extensions(parent: Graph, t: int):
         adj.append(mask)
         for u in bits(mask):
             adj[u] |= bit_k
-        yield Graph(k + 1, adj)
+        yield Graph._trusted(k + 1, adj, edges + mask.bit_count())
 
 
 def ramsey_exact(query: RamseyQuery, n_cap: int = DEFAULT_RAMSEY_CAP) -> RamseyResult:

@@ -87,3 +87,22 @@ def naive_has_subgraph(g: Graph, h: Graph) -> bool:
 @pytest.fixture(scope="session")
 def petersen_graph() -> Graph:
     return petersen()
+
+
+@pytest.fixture(autouse=True)
+def checked_trusted_rows(monkeypatch):
+    """Every ``Graph._trusted`` build is re-checked by the public
+    constructor, so a builder that makes asymmetric rows or miscounts its
+    edges fails the tests. Explicit raises keep this under ``python -O``."""
+    trusted = Graph._trusted
+
+    def checked(cls, n, adj, edge_count):
+        rows = list(adj)
+        count = Graph(n, rows).edge_count  # raises GraphError on bad rows
+        if edge_count != count:
+            raise AssertionError(
+                f"Graph._trusted was told {edge_count} edges, the rows have {count}"
+            )
+        return trusted(n, rows, edge_count)
+
+    monkeypatch.setattr(Graph, "_trusted", classmethod(checked))

@@ -122,6 +122,9 @@ class TestStandard:
         check_vertex_pairs(2896)
         with pytest.raises(GraphError):
             check_vertex_pairs(2897)
+        # The generators build through Graph._trusted, which checks nothing.
+        with pytest.raises(GraphError, match="non-negative"):
+            check_vertex_pairs(-1)
 
 
 def _old_edges(kind, *params):

@@ -288,6 +288,13 @@ class TestGraph6:
             assert graph6_encode(g) == theirs
             assert graph6_decode(theirs) == g
 
+    def test_largest_complete_graph_decodes_in_under_a_second(self):
+        text = graph6_encode(complete(2896))
+        started = time.perf_counter()
+        g = graph6_decode(text)
+        assert time.perf_counter() - started < 1.0
+        assert g == complete(2896) and g.edge_count == comb(2896, 2)
+
     def test_large_n_header(self):
         g = build(63, [(0, 62)])
         s = graph6_encode(g)

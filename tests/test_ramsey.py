@@ -1,9 +1,12 @@
 import itertools
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import all_graphs
+from conftest import all_graphs, graph_from_mask
 from k2tlab import ramsey
 from k2tlab.constructions import (
     complete,
@@ -74,6 +77,130 @@ class TestIsomorphism:
 
     def test_self_complementary(self):
         assert is_isomorphic(path(4), path(4).complement())
+
+
+def relabel(g, perm):
+    """g with each vertex v renamed perm[v]."""
+    return build(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def shuffled(n, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
+def all_classes(n_max):
+    """One graph per isomorphism class on n = 0..n_max vertices, by level:
+    every class on n vertices is a one-vertex extension of one on n - 1,
+    and no graph on n_max <= 6 vertices has an independent 7-set."""
+    levels = [[build(0, [])]]
+    for _ in range(n_max):
+        levels.append(ramsey._dedupe(
+            g for parent in levels[-1] for g in ramsey._extensions(parent, 7)
+        ))
+    return levels
+
+
+def shrikhande():
+    """Cayley graph of Z_4 x Z_4 with connection set +-(0,1), +-(1,0), +-(1,1)."""
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    return build(16, [
+        (u, v) for u, v in itertools.combinations(range(16), 2)
+        if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in steps
+    ])
+
+
+def rook_4x4():
+    """K_4 x K_4: the cells of a 4 x 4 board, adjacent in a row or a column."""
+    return build(16, [
+        (u, v) for u, v in itertools.combinations(range(16), 2)
+        if u // 4 == v // 4 or u % 4 == v % 4
+    ])
+
+
+# Pairs with equal invariant keys that are not isomorphic: colour
+# refinement cannot split them, only the backtracking can.
+REFINEMENT_BLIND = {
+    "C6 / 2K3": lambda: (
+        cycle(6), build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    ),
+    "K33 / prism": lambda: (
+        complete_bipartite(3, 3),
+        build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                  (0, 3), (1, 4), (2, 5)]),
+    ),
+    "Shrikhande / rook": lambda: (shrikhande(), rook_4x4()),  # both srg(16,6,2,2)
+}
+
+
+class TestRelabellingInvariance:
+    """``invariant_key`` (each colour a rank among the graph's own
+    signatures) and ``is_isomorphic`` (one colour table for both graphs)
+    must not depend on the labelling."""
+
+    def test_every_class_up_to_six_vertices(self):
+        rng = random.Random(6)
+        levels = all_classes(6)
+        assert [len(level) for level in levels] == [1, 1, 2, 4, 11, 34, 156]
+        for g in itertools.chain(*levels):
+            for _ in range(8):
+                h = relabel(g, shuffled(g.n, rng))
+                assert invariant_key(h) == invariant_key(g), graph6_encode(g)
+                assert is_isomorphic(g, h) and is_isomorphic(h, g), graph6_encode(g)
+
+    @given(
+        st.integers(min_value=0, max_value=9).flatmap(
+            lambda n: st.tuples(
+                st.integers(min_value=0, max_value=(1 << math.comb(n, 2)) - 1),
+                st.permutations(range(n)),
+            )
+        )
+    )
+    @settings(max_examples=300)
+    def test_drawn_graphs_up_to_nine_vertices(self, case):
+        mask, perm = case
+        g = graph_from_mask(len(perm), mask)
+        h = relabel(g, perm)
+        assert invariant_key(h) == invariant_key(g)
+        assert is_isomorphic(g, h)
+
+
+class TestIsomorphismAgainstBruteForce:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_small_pairs(self, n):
+        # Orbits of the labelled graphs (as pair masks) under every
+        # relabelling; for n = 5 each graph meets one member of every orbit.
+        pairs = list(itertools.combinations(range(n), 2))
+        index = {uv: k for k, uv in enumerate(pairs)}
+        moved = [
+            [index[tuple(sorted((p[u], p[v])))] for u, v in pairs]
+            for p in itertools.permutations(range(n))
+        ]
+        orbit = {}
+        for mask in range(1 << len(pairs)):
+            if mask not in orbit:
+                for to in moved:
+                    orbit[sum(1 << to[k] for k in bits(mask))] = mask
+        reps = sorted(set(orbit.values())) if n == 5 else sorted(orbit)
+        graphs = {mask: graph_from_mask(n, mask) for mask in orbit}
+        for a in orbit:
+            for b in reps:
+                assert is_isomorphic(graphs[a], graphs[b]) == (orbit[a] == orbit[b]), (
+                    n, a, b
+                )
+
+    @pytest.mark.parametrize("name", sorted(REFINEMENT_BLIND))
+    def test_refinement_blind_pairs(self, name):
+        a, b = REFINEMENT_BLIND[name]()
+        assert invariant_key(a) == invariant_key(b)
+        table = {}
+        assert sorted(ramsey._refined_colours(a, table)) == sorted(
+            ramsey._refined_colours(b, table)
+        )
+        assert not is_isomorphic(a, b) and not is_isomorphic(b, a)
+        perm = shuffled(a.n, random.Random(16))
+        assert is_isomorphic(a, relabel(a, perm)) and is_isomorphic(b, relabel(b, perm))
 
 
 class TestFamilies:
