@@ -11,13 +11,21 @@ generation", J. Algorithms 1998). Since the parent is good, a step tests
 only what the new vertex adds: a neighbour mask is skipped when the
 vertices outside it hold an independent (t-1)-set, and members are
 searched only for copies through the new vertex, from one start per
-orbit of the member's automorphism group. A candidate's rows are
-symmetric by construction, so it is built through ``Graph._trusted``
-without re-validation. Levels are deduplicated by exact isomorphism tests
-inside cheap-invariant buckets: each graph's colours are refined once, to
-small ints through one table per level, and the test backtracks over
-bitmasks of colour classes. This keeps the n = 9 refutations (e.g. for
-R(3,4)) at interactive speed.
+orbit of the member's automorphism group. Inside each class of twin
+vertices of the parent (one open neighbourhood N(v), or one closed
+neighbourhood N[v]) the mask takes only the lowest-indexed vertices:
+swapping twins is an automorphism of the parent that fixes the new
+vertex, so a skipped mask always has a smaller mask of the same parent
+whose child is isomorphic and just as good. A skipped candidate is thus
+never first in its isomorphism class, and the survivors of each level,
+their order and the witness bytes are those of the unpruned step. A
+candidate's rows are symmetric by construction, so it is built through
+``Graph._trusted`` without re-validation. Levels are deduplicated by exact
+isomorphism tests inside cheap-invariant buckets: each graph's colours
+are refined once, to small ints through one table per level, until a
+round splits no colour class, and the test backtracks over bitmasks of
+colour classes. This keeps the n = 9 refutations (e.g. for R(3,4)) at
+interactive speed.
 
 All three family constructors go through one builder, which checks sizes
 before it builds a deletion or hashes an invariant: a member above the
@@ -99,25 +107,33 @@ class RamseyResult:
 # ---------------------------------------------------------------------------
 
 
-def _refined_colours(g: Graph, table: Optional[dict] = None, rounds: int = 3) -> list:
+def _refined_colours(g: Graph, table: Optional[dict] = None) -> list:
     """Iterated colour refinement from the degrees: each round renames
     every vertex's (round, colour, sorted neighbour colours) signature to a
-    small int. Graphs refined through one shared ``table`` get equal colours
-    exactly for equal signatures, so their colours compare with each other.
-    Without a table a signature becomes its rank among g's own signatures
-    of the round, which is an isomorphism invariant of g alone."""
+    small int, and the refinement stops after the first round that splits
+    no colour class, or after three rounds. Graphs refined through one
+    shared ``table`` get equal colours exactly for equal signatures, so
+    their colours compare with each other; the round in each signature
+    keeps graphs that stop at different rounds apart. Without a table a
+    signature becomes its rank among g's own signatures of the round,
+    offset by round * n, which is an isomorphism invariant of g alone."""
     nbrs = [list(bits(row)) for row in g.adj]
     colours = [len(vs) for vs in nbrs]
-    for r in range(rounds):
+    classes = len(set(colours))
+    for r in range(3):
         sigs = [
             (r, colours[v], tuple(sorted([colours[u] for u in vs])))
             for v, vs in enumerate(nbrs)
         ]
         if table is None:
-            rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+            rank = {sig: i for i, sig in enumerate(sorted(set(sigs)), r * g.n)}
             colours = [rank[sig] for sig in sigs]
         else:
             colours = [table.setdefault(sig, len(table)) for sig in sigs]
+        split = len(set(colours))
+        if split == classes:
+            break
+        classes = split
     return colours
 
 
@@ -308,21 +324,39 @@ def _is_good(g: Graph, plans: tuple) -> bool:
 
 def _extensions(parent: Graph, t: int):
     """The one-vertex extensions of ``parent`` (which has no independent
-    t-set) that have none either, new vertex last. The mask of the new
-    vertex's neighbours is skipped when the parent vertices outside it
-    hold an independent (t-1)-set, which would complete one."""
+    t-set) that have none either, new vertex last, in increasing order of
+    the new vertex's neighbour mask, less those the twin rule of the module
+    docstring skips. The parent vertices outside the mask must hold no
+    independent (t-1)-set, so these complements S are grown one vertex at
+    a time: u joins S when S minus N(u) holds no independent (t-2)-set."""
     k = parent.n
+    adj = parent.adj
+    # twin_prev[v]: the bit of the previous vertex in v's twin class, or 0.
+    # An open neighbourhood never equals a closed one: N(v) = N[w] would
+    # put w in N(v), so v in N(w), inside N[w] = N(v). So one dict holds
+    # both kinds.
+    twin_prev = [0] * k
+    last: dict = {}
+    for v, row in enumerate(adj):
+        for key in (row, row | 1 << v):
+            twin_prev[v] |= last.get(key, 0)
+            last[key] = 1 << v
+    sets = [0]
+    for u in range(k):
+        bit = 1 << u
+        grown = [s | bit for s in sets if _lex_set(adj, s & ~adj[u], t - 2, -1) is None]
+        # On the complement the twin rule reads: once u's twin predecessor
+        # is left out of the mask, so is u.
+        sets = [s for s in sets if not s & twin_prev[u]] + grown
     full = parent.full_mask
     bit_k = 1 << k
     edges = parent.edge_count
-    for mask in range(1 << k):
-        if _lex_set(parent.adj, full & ~mask, t - 1, -1) is not None:
-            continue
-        adj = list(parent.adj)
-        adj.append(mask)
+    for mask in sorted(full ^ s for s in sets):
+        rows = list(adj)
+        rows.append(mask)
         for u in bits(mask):
-            adj[u] |= bit_k
-        yield Graph._trusted(k + 1, adj, edges + mask.bit_count())
+            rows[u] |= bit_k
+        yield Graph._trusted(k + 1, rows, edges + mask.bit_count())
 
 
 def ramsey_exact(query: RamseyQuery, n_cap: int = DEFAULT_RAMSEY_CAP) -> RamseyResult:

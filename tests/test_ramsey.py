@@ -17,6 +17,7 @@ from k2tlab.constructions import (
 )
 from k2tlab.detect import (
     SelfCheckError,
+    _lex_set,
     contains_family_member,
     contains_subgraph,
     find_independent_set,
@@ -122,9 +123,11 @@ def rook_4x4():
 # Pairs with equal invariant keys that are not isomorphic: colour
 # refinement cannot split them, only the backtracking can.
 REFINEMENT_BLIND = {
+    # Both 2-regular on 6 vertices.
     "C6 / 2K3": lambda: (
         cycle(6), build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     ),
+    # Both 3-regular on 6 vertices; only the prism has odd cycles.
     "K33 / prism": lambda: (
         complete_bipartite(3, 3),
         build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
@@ -164,6 +167,36 @@ class TestRelabellingInvariance:
         h = relabel(g, perm)
         assert invariant_key(h) == invariant_key(g)
         assert is_isomorphic(g, h)
+
+
+def three_round_classes(g):
+    """The colour classes after three full rounds of refinement, with
+    nothing stopping early."""
+    colours = [g.degree(v) for v in range(g.n)]
+    for _ in range(3):
+        colours = [
+            (colours[v], tuple(sorted(colours[u] for u in bits(g.adj[v]))))
+            for v in range(g.n)
+        ]
+    return colour_classes(colours)
+
+
+def colour_classes(colours):
+    return sorted(
+        tuple(v for v, c in enumerate(colours) if c == x) for x in set(colours)
+    )
+
+
+class TestRefinement:
+    def test_stopping_early_keeps_the_classes(self):
+        # A round that splits no class leaves every later round unsplit too.
+        graphs = list(itertools.chain(*all_classes(6)))
+        graphs += [g for pair in REFINEMENT_BLIND.values() for g in pair()]
+        table = {}
+        for g in graphs:
+            want = three_round_classes(g)
+            assert colour_classes(ramsey._refined_colours(g)) == want
+            assert colour_classes(ramsey._refined_colours(g, table)) == want
 
 
 class TestIsomorphismAgainstBruteForce:
@@ -469,7 +502,10 @@ class TestAgainstWholeGraphSearch:
                         want.lower_witness
                     )
 
-    @pytest.mark.parametrize("r, t, n_cap", [(3, 2, 9), (3, 3, 9), (4, 2, 9), (4, 3, 9), (5, 2, 9), (5, 3, 7)])
+    @pytest.mark.parametrize("r, t, n_cap", [
+        (3, 2, 9), (3, 3, 9), (4, 2, 9), (4, 3, 9), (5, 2, 9), (5, 3, 7),
+        (6, 3, 7), (4, 4, 6), (5, 4, 6),
+    ])
     def test_cliques(self, r, t, n_cap):
         members = (complete(r),)
         got = ramsey_exact(RamseyQuery(t=t, family=explicit_family(members)), n_cap=n_cap)
@@ -498,6 +534,74 @@ class TestAnchoredSearch:
                 assert ramsey._orbit_representatives(g) == (
                     automorphism_orbit_representatives(g)
                 ), graph6_encode(g)
+
+
+def unpruned_extensions(parent, t):
+    """The extension step without pruning, as an oracle: every one of the
+    2^k neighbour masks in increasing order, kept when the parent vertices
+    outside it hold no independent (t-1)-set."""
+    k = parent.n
+    for mask in range(1 << k):
+        if _lex_set(parent.adj, parent.full_mask & ~mask, t - 1, -1) is None:
+            adj = list(parent.adj) + [mask]
+            for u in bits(mask):
+                adj[u] |= 1 << k
+            yield Graph(k + 1, adj)
+
+
+PRUNING_CASES = {
+    "R(3,4)": lambda: (3, explicit_family([complete(4)]), 9),
+    "R(4,4) to 6": lambda: (4, explicit_family([complete(4)]), 6),
+    "C5 - x, t=3": lambda: (3, family_minus_vertex(cycle(5)), 9),
+    "K23 - x, t=3": lambda: (3, family_minus_vertex(complete_bipartite(2, 3)), 9),
+    "C6 - ebar, t=3": lambda: (3, family_minus_ebar(cycle(6)), 9),
+    "K33 - ebar, t=4": lambda: (4, family_minus_ebar(complete_bipartite(3, 3)), 7),
+}
+
+
+class TestTwinPruning:
+    """``_extensions`` enumerates only admissible masks and skips the
+    twin-symmetric ones; level by level it must leave ``_dedupe`` with the
+    same labelled survivors, in the same order, as the unpruned step."""
+
+    @pytest.mark.parametrize("name", sorted(PRUNING_CASES))
+    def test_levels_match_unpruned(self, name):
+        t, family, n_cap = PRUNING_CASES[name]()
+        plans = ramsey._anchored_plans(family.members)
+        survivors = [build(0, [])]
+        for _ in range(n_cap):
+            pruned, oracle = [], []
+            for parent in survivors:
+                kept = list(ramsey._extensions(parent, t))
+                every = list(unpruned_extensions(parent, t))
+                masks = [g.adj[-1] for g in kept]
+                assert masks == sorted(masks)
+                assert set(masks) <= {g.adj[-1] for g in every}
+                for child in every:
+                    mask = child.adj[-1]
+                    if mask not in masks:
+                        earlier = [g for g in kept if g.adj[-1] < mask]
+                        assert any(is_isomorphic(child, g) for g in earlier), (
+                            graph6_encode(parent), mask
+                        )
+                pruned += [g for g in kept if ramsey._is_good(g, plans)]
+                oracle += [g for g in every if ramsey._is_good(g, plans)]
+            level = ramsey._dedupe(pruned)
+            assert [g.adj for g in level] == [g.adj for g in ramsey._dedupe(oracle)]
+            if not level:
+                break
+            survivors = level
+
+    def test_twins_skipped(self):
+        # Four false twins (the empty graph): only the masks 0, {0}, {0,1},
+        # ... remain; four true twins (K4) give the same; a star's three
+        # leaves are false twins, so its centre doubles those four.
+        assert [g.adj[-1] for g in ramsey._extensions(empty(4), 9)] == [0, 1, 3, 7, 15]
+        assert [g.adj[-1] for g in ramsey._extensions(complete(4), 9)] == [0, 1, 3, 7, 15]
+        star = build(4, [(0, 1), (0, 2), (0, 3)])
+        assert [g.adj[-1] for g in ramsey._extensions(star, 9)] == [
+            0, 1, 2, 3, 6, 7, 14, 15
+        ]
 
 
 class TestLevels:
