@@ -85,17 +85,28 @@ def _lex_set(adj: Sequence[int], universe: int, size: int, flip: int) -> Optiona
     an independent set (``flip`` = -1) of ``adj``, as a bitmask, or None.
 
     XOR with -1 complements a row, so both searches recurse on the same
-    candidate masks without building complement rows.
+    candidate masks without building complement rows. Sizes 1 and 2 are
+    leaves: the least vertex, or the first ``low`` whose compatible later
+    vertices ``rest`` are not empty together with the least of them, which
+    saves one call per candidate at the deepest level.
     """
     if size <= 0:
         return 0
     cand = universe
+    if size == 1:
+        return (cand & -cand) or None
+    if size == 2:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            rest = cand & (adj[low.bit_length() - 1] ^ flip)
+            if rest:
+                return low | (rest & -rest)
+        return None
     while cand:
         if cand.bit_count() < size:
             return None
         low = cand & -cand
-        if size == 1:
-            return low
         cand ^= low
         sub = _lex_set(adj, cand & (adj[low.bit_length() - 1] ^ flip), size - 1, flip)
         if sub is not None:
@@ -301,11 +312,21 @@ def mask_has_induced_k2t(
     """The only induced-K_{2,t} scan, on a raw adjacency list: the first
     non-adjacent pair (a, b), a < b in lexicographic order, whose common
     neighbourhood holds an independent t-set, as (a, b, lex-least t-side
-    mask); None when the graph has no induced K_{2,t}."""
+    mask); None when the graph has no induced K_{2,t}.
+
+    For t >= 2 a partner b needs at least two common neighbours with a, so
+    the partners of a are cut to ``two_common_neighbours`` of N(a) first;
+    the pairs dropped could never qualify, so the first hit is unchanged.
+    The mask costs one row visit per neighbour of a and saves one per
+    dropped partner, so it is built only when a has more candidate
+    partners than neighbours: sparse hosts such as the polarity graphs
+    skip most pairs, while dense hosts and K_n pay nothing."""
     full = (1 << n) - 1
     for a in range(n - 1):
         na = adj[a]
         non = ~na & full & ~((1 << (a + 1)) - 1)
+        if t >= 2 and non.bit_count() > na.bit_count():
+            non &= two_common_neighbours(adj, na)
         while non:
             low = non & -non
             non ^= low
@@ -316,6 +337,22 @@ def mask_has_induced_k2t(
                 if side is not None:
                     return a, b, side
     return None
+
+
+def two_common_neighbours(adj: Sequence[int], row: int) -> int:
+    """The vertices adjacent to at least two vertices of ``row``: with
+    ``row`` the neighbourhood of a, those with two or more common
+    neighbours with a (a itself included when it has two neighbours).
+    Two ORs per vertex of ``row``: ``once`` collects the vertices seen in
+    some neighbour's row, ``twice`` those seen again."""
+    once = twice = 0
+    while row:
+        low = row & -row
+        row ^= low
+        nbrs = adj[low.bit_length() - 1]
+        twice |= once & nbrs
+        once |= nbrs
+    return twice
 
 
 def _mask_lex_independent_tset(

@@ -13,6 +13,17 @@ missing edge with a large common neighbourhood S, and finally either
     it would need, and beta^2 n).
 
 Every certificate can be re-validated from scratch with verify_trace.
+
+``ledger`` builds all per-vertex entries in one pass. m_v comes from a
+single sweep over the edges (each edge uw adds |N(u) & N(w)| at both ends,
+which sums to twice the edges inside each neighbourhood), and gamma_v from
+a greedy packing that resumes each search after the least vertex of the
+part it just took, since no t-set can start below it any more. Both give
+exactly what ``missing_pairs`` and ``greedy_packing`` give vertex by
+vertex; those stay as the plain per-vertex oracles, and ``verify_trace``
+recounts every m_v with ``missing_pairs``. ``pigeonhole_edge`` skips the
+partners with fewer than two common neighbours once a pair with one is
+known, as they can no longer win.
 """
 
 from __future__ import annotations
@@ -119,15 +130,52 @@ def missing_pairs(adj: Sequence[int], subset: int) -> int:
 
 def ledger(g: Graph, t: int) -> list[VertexLedger]:
     """Per-vertex degree, missing-edge count inside the neighbourhood,
-    greedy packing size, and its q lower bound."""
+    greedy packing size, and its q lower bound; the same entries as
+    ``greedy_packing`` and ``missing_pairs`` give vertex by vertex.
+
+    m_v is C(d_v, 2) - e(N(v)). Each edge vw inside N(v) is counted once
+    from each end by |N(v) & N(w)| summed over the neighbours w of v, so
+    one sweep over the edges uw, u < w, adding |N(u) & N(w)| to both ends,
+    leaves 2 e(N(v)) at every v: E popcounts instead of 2E.
+
+    gamma_v is the size of the greedy packing, taken on masks. After each
+    part the residual is cut to the vertices above the part's least
+    vertex: no independent t-set of the residual starts at a vertex below
+    it, and the residual only shrinks, so none ever will, and the next
+    lex-least t-set, found without rescanning them, is the same.
+    """
+    if t < 2:
+        raise GraphError(f"need t >= 2, got t={t}")
+    adj = g.adj
+    n = g.n
+    inside = [0] * n
+    for u in range(n):
+        row = adj[u]
+        later = row & ~((1 << (u + 1)) - 1)
+        while later:
+            low = later & -later
+            later ^= low
+            w = low.bit_length() - 1
+            common = (row & adj[w]).bit_count()
+            inside[u] += common
+            inside[w] += common
     out = []
-    for v in range(g.n):
-        gamma = greedy_packing(g, v, t).gamma
+    for v in range(n):
+        row = adj[v]
+        degree = row.bit_count()
+        gamma = 0
+        residual = row
+        while True:
+            part = detect._independent_set_mask(g, residual, t)
+            if part is None:
+                break
+            gamma += 1
+            residual &= ~part & -(part & -part)
         out.append(
             VertexLedger(
                 v=v,
-                degree=g.degree(v),
-                m_v=missing_pairs(g.adj, g.adj[v]),
+                degree=degree,
+                m_v=degree * (degree - 1) // 2 - inside[v] // 2,
                 gamma_v=gamma,
                 q_of_gamma=forced_missing_edges(gamma, t),
             )
@@ -140,17 +188,26 @@ def pigeonhole_edge(
 ) -> tuple[tuple[int, int], frozenset[int]]:
     """The missing edge whose common neighbourhood S is largest (ties:
     lexicographically least edge). Averaging guarantees
-    |S| * |M| >= sum m_v, which is checked exactly."""
+    |S| * |M| >= sum m_v, which is checked exactly; |M| = C(n, 2) - e(G).
+
+    Once the best pair has |S| >= 1, only a pair with a strictly larger S,
+    so at least two common neighbours, can replace it: the partners of u
+    are then cut to ``detect.two_common_neighbours`` of N(u), under the
+    same cost rule as ``detect.mask_has_induced_k2t`` (built only when u
+    has more candidate partners than neighbours)."""
+    adj = g.adj
     full = g.full_mask
     best_edge = None
     best_common = 0
     best_size = -1
-    missing_total = 0
+    missing_total = g.n * (g.n - 1) // 2 - g.edge_count
     for u in range(g.n):
-        non = ~g.adj[u] & full & ~((1 << (u + 1)) - 1)
+        row = adj[u]
+        non = ~row & full & ~((1 << (u + 1)) - 1)
+        if best_size >= 1 and non.bit_count() > row.bit_count():
+            non &= detect.two_common_neighbours(adj, row)
         for w in bits(non):
-            missing_total += 1
-            common = g.adj[u] & g.adj[w]
+            common = row & adj[w]
             size = common.bit_count()
             if size > best_size:
                 best_edge = (u, w)

@@ -1,4 +1,5 @@
 import itertools
+import random
 import subprocess
 import sys
 from math import comb
@@ -16,10 +17,19 @@ from conftest import (
     naive_has_subgraph,
     naive_max_clique_size,
 )
-from k2tlab.constructions import complete, complete_bipartite, cycle, empty, path
+from k2tlab.constructions import (
+    complete,
+    complete_bipartite,
+    cycle,
+    empty,
+    path,
+    polarity_graph,
+    random_gnp,
+)
 from k2tlab.detect import (
     Embedding,
     InducedK2tCertificate,
+    _lex_set,
     _mask_lex_independent_tset,
     contains_family_member,
     contains_subgraph,
@@ -257,11 +267,37 @@ def first_induced_k2t(g, t):
     for a, b in itertools.combinations(range(g.n), 2):
         if g.has_edge(a, b):
             continue
-        common = [v for v in range(g.n) if g.has_edge(a, v) and g.has_edge(b, v)]
-        side = first_independent_subset(g, common, t)
+        side = first_independent_subset(g, g.neighbours(a) & g.neighbours(b), t)
         if side is not None:
             return a, b, mask_of(side)
     return None
+
+
+def naive_lex_set(g, universe, size, clique):
+    """First ``size``-subset of ``universe`` in itertools order that is a
+    clique (or an independent set), as a mask; None when there is none."""
+    for sub in itertools.combinations(bits(universe), size):
+        if all(g.has_edge(u, v) == clique for u, v in itertools.combinations(sub, 2)):
+            return mask_of(sub)
+    return None
+
+
+def sparse_hosts():
+    """Mid-size hosts where most pairs have fewer than two common
+    neighbours: G(30, p) for small p, the polarity graphs ER_q (no K_{2,2}
+    at all), and ER_q with one chord added."""
+    hosts = [pytest.param(random_gnp(30, p, seed), id=f"G(30,{p}) seed {seed}")
+             for p in (0.1, 0.2, 0.3) for seed in (1, 2, 3)]
+    rng = random.Random(13)
+    for q in (3, 5, 7, 11):
+        er = polarity_graph(q)
+        hosts.append(pytest.param(er, id=f"ER_{q}"))
+        non = [(u, v) for u, v in itertools.combinations(range(er.n), 2)
+               if not er.has_edge(u, v)]
+        for u, v in rng.sample(non, 2):
+            chorded = build(er.n, list(er.edges()) + [(u, v)])
+            hosts.append(pytest.param(chorded, id=f"ER_{q} + {u}-{v}"))
+    return hosts
 
 
 def check_mask_kernels(g):
@@ -297,6 +333,32 @@ class TestMaskKernels:
     @settings(max_examples=150, deadline=None)
     def test_drawn_graphs_up_to_seven_vertices(self, nm):
         check_mask_kernels(graph_from_mask(*nm))
+
+    def test_lex_set_sizes_up_to_four_on_twelve_vertices(self):
+        # Lex-least cliques and independent sets of sizes 0-4 inside
+        # random universes: pins the size-1 and size-2 leaves of _lex_set.
+        rng = random.Random(7)
+        for trial in range(400):
+            n = rng.randrange(0, 13)
+            g = random_gnp(n, rng.choice((0.2, 0.5, 0.8)), trial)
+            universe = rng.getrandbits(n) if trial % 2 else g.full_mask
+            for size in range(5):
+                for flip, clique in ((0, True), (-1, False)):
+                    expected = naive_lex_set(g, universe, size, clique)
+                    assert _lex_set(g.adj, universe, size, flip) == expected
+
+    @pytest.mark.parametrize("g", sparse_hosts())
+    def test_sparse_mid_size_hosts(self, g):
+        # The two-common-neighbour prefilter drops most pairs here; the
+        # certificate must still be the lex-least one.
+        for t in (2, 3):
+            found = mask_has_induced_k2t(g.adj, g.n, t)
+            assert found == first_induced_k2t(g, t)
+            cert = find_induced_k2t(g, t)
+            assert (cert is None) == (found is None)
+            if found is not None:
+                a, b, side = found
+                assert (cert.a, cert.b, cert.t_side) == (a, b, frozenset(bits(side)))
 
 
 SELF_CHECK_SCRIPT = """

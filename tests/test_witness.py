@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import random
 from math import comb
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_mask
-from k2tlab.constructions import complete, cycle, empty, random_gnp
+from k2tlab.constructions import complete, cycle, empty, polarity_graph, random_gnp
 from k2tlab.detect import (
     Embedding,
     InducedK2tCertificate,
@@ -20,10 +22,12 @@ from k2tlab.witness import (
     OUTCOME_HYPOTHESIS_NOT_MET,
     OUTCOME_INDUCED_K2T,
     BoundaryDegenerateError,
+    VertexLedger,
     extract,
     forced_missing_edges,
     greedy_packing,
     ledger,
+    missing_pairs,
     pigeonhole_edge,
     verify_trace,
 )
@@ -32,6 +36,35 @@ from k2tlab.witness import (
 def k5_minus_edge():
     return build(5, [(u, v) for u in range(5) for v in range(u + 1, 5)
                      if (u, v) != (0, 1)])
+
+
+def co_bipartite(half, seed):
+    """Two cliques of ``half`` vertices joined by a random half of the
+    cross pairs: no independent 3-set, so no induced K_{2,3}."""
+    rng = random.Random(seed)
+    n = 2 * half
+    cross = {(u, v) for u in range(half) for v in range(half, n) if rng.random() < 0.5}
+    return build(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                     if (u, v) not in cross])
+
+
+def mid_size_hosts():
+    """Seeded (host, t) cases for the differential tests of the one-pass
+    ledger and the pigeonhole prefilter: G(n, p) for n in 20..60 over the
+    whole density range, co-bipartite(40) at t = 3 (every packing search
+    fails), and the polarity graphs ER_q (no K_{2,2})."""
+    cases = []
+    for n in (20, 30, 45, 60):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            g = random_gnp(n, p, 100 + n)
+            for t in (2, 3, 4):
+                cases.append(pytest.param(g, t, id=f"G({n},{p}) t={t}"))
+    for seed in (1, 2):
+        cases.append(pytest.param(co_bipartite(20, seed), 3, id=f"co-bipartite(40) #{seed} t=3"))
+    for q in (5, 7, 11):
+        for t in (2, 3, 4):
+            cases.append(pytest.param(polarity_graph(q), t, id=f"ER_{q} t={t}"))
+    return cases
 
 
 @st.composite
@@ -128,6 +161,38 @@ class TestLedger:
         for entry in ledger(g, t):
             assert entry.m_v >= entry.q_of_gamma
 
+    @pytest.mark.parametrize("g, t", mid_size_hosts())
+    def test_matches_per_vertex_oracles(self, g, t):
+        # The one-pass ledger (edge-sweep m_v, resumable packing) against
+        # greedy_packing and missing_pairs, vertex by vertex.
+        entries = ledger(g, t)
+        assert [e.v for e in entries] == list(range(g.n))
+        for entry in entries:
+            v = entry.v
+            gamma = greedy_packing(g, v, t).gamma
+            assert entry == VertexLedger(
+                v=v,
+                degree=g.degree(v),
+                m_v=missing_pairs(g.adj, g.adj[v]),
+                gamma_v=gamma,
+                q_of_gamma=forced_missing_edges(gamma, t),
+            )
+
+    def test_rejects_t_one(self):
+        with pytest.raises(GraphError):
+            ledger(cycle(5), 1)
+
+
+def brute_force_pigeonhole(g):
+    """The non-edge (u, w), u < w, least by (-|S|, u, w), with S its common
+    neighbourhood; None on a complete graph."""
+    pairs = [(u, w) for u, w in itertools.combinations(range(g.n), 2)
+             if not g.has_edge(u, w)]
+    if not pairs:
+        return None
+    u, w = min(pairs, key=lambda e: (-len(g.neighbours(e[0]) & g.neighbours(e[1])), e))
+    return (u, w), frozenset(g.neighbours(u) & g.neighbours(w))
+
 
 class TestPigeonholeEdge:
     def test_k5_minus_edge(self):
@@ -159,6 +224,22 @@ class TestPigeonholeEdge:
         missing = comb(n, 2) - g.edge_count
         assert len(s) * missing >= sum(e.m_v for e in entries)
         assert not g.has_edge(*edge)
+
+    @pytest.mark.parametrize("g, t", mid_size_hosts())
+    def test_matches_brute_force(self, g, t):
+        assert pigeonhole_edge(g, ledger(g, t)) == brute_force_pigeonhole(g)
+
+    @given(graph_masks(min_n=1))
+    @settings(max_examples=150)
+    def test_small_graphs_match_brute_force(self, nm):
+        n, mask = nm
+        g = graph_from_mask(n, mask)
+        expected = brute_force_pigeonhole(g)
+        if expected is None:
+            with pytest.raises(BoundaryDegenerateError):
+                pigeonhole_edge(g, ledger(g, 2))
+        else:
+            assert pigeonhole_edge(g, ledger(g, 2)) == expected
 
 
 class TestExtract:
