@@ -6,6 +6,13 @@ All searches are deterministic: candidates are explored in increasing
 vertex order, so returned certificates are reproducible across runs and
 platforms. Every certificate is checked against the host graph before it
 is returned; a failed check raises ``SelfCheckError``.
+
+Clique and independent-set searches share one kernel, ``_lex_set``. A
+search for 3 or more vertices whose first branch fails stops as soon as a
+greedy cover of the remaining candidates by pairwise incompatible classes
+has fewer classes than the size asked for, so a search that must fail,
+such as an independent 3-set among two cliques, can end after one linear
+pass instead of trying every pair.
 """
 
 from __future__ import annotations
@@ -89,6 +96,14 @@ def _lex_set(adj: Sequence[int], universe: int, size: int, flip: int) -> Optiona
     leaves: the least vertex, or the first ``low`` whose compatible later
     vertices ``rest`` are not empty together with the least of them, which
     saves one call per candidate at the deepest level.
+
+    From size 3 up, once the branch on the least candidate has failed, the
+    remaining candidates are split greedily into classes of pairwise
+    incompatible vertices (cliques when ``flip`` = -1, independent sets
+    when ``flip`` = 0), one AND per vertex. A compatible set meets each
+    class at most once, so fewer than ``size`` classes means no set is
+    left and the search stops. Searches that succeed on their first
+    branch never build the cover, which would slow them.
     """
     if size <= 0:
         return 0
@@ -103,6 +118,7 @@ def _lex_set(adj: Sequence[int], universe: int, size: int, flip: int) -> Optiona
             if rest:
                 return low | (rest & -rest)
         return None
+    covered = False
     while cand:
         if cand.bit_count() < size:
             return None
@@ -111,7 +127,30 @@ def _lex_set(adj: Sequence[int], universe: int, size: int, flip: int) -> Optiona
         sub = _lex_set(adj, cand & (adj[low.bit_length() - 1] ^ flip), size - 1, flip)
         if sub is not None:
             return low | sub
+        if not covered:
+            covered = True
+            if _fewer_classes(adj, cand, size, ~flip):
+                return None
     return None
+
+
+def _fewer_classes(adj: Sequence[int], cand: int, size: int, clash: int) -> bool:
+    """True iff the greedy split of ``cand`` into classes of pairwise
+    incompatible vertices, where v clashes with the vertices of
+    ``adj[v] ^ clash``, ends with fewer than ``size`` classes. Each class
+    starts at the least vertex left and keeps only what clashes with every
+    vertex taken into it so far."""
+    classes = 0
+    while cand:
+        classes += 1
+        if classes >= size:
+            return False
+        avail = cand
+        while avail:
+            low = avail & -avail
+            cand ^= low
+            avail = (avail ^ low) & (adj[low.bit_length() - 1] ^ clash)
+    return True
 
 
 def _independent_set_mask(g: Graph, universe: int, t: int) -> Optional[int]:

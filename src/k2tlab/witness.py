@@ -18,10 +18,12 @@ Every certificate can be re-validated from scratch with verify_trace.
 single sweep over the edges (each edge uw adds |N(u) & N(w)| at both ends,
 which sums to twice the edges inside each neighbourhood), and gamma_v from
 a greedy packing that resumes each search after the least vertex of the
-part it just took, since no t-set can start below it any more. Both give
-exactly what ``missing_pairs`` and ``greedy_packing`` give vertex by
-vertex; those stay as the plain per-vertex oracles, and ``verify_trace``
-recounts every m_v with ``missing_pairs``. ``pigeonhole_edge`` skips the
+part it just took, since no t-set can start below it any more; when G
+itself holds no independent t-set, no neighbourhood does, so one search
+on the whole vertex set sets every gamma_v to 0 and no per-vertex search
+runs. Both give exactly what ``missing_pairs`` and ``greedy_packing``
+give vertex by vertex; those stay as the plain per-vertex oracles, and
+``verify_trace`` recounts every m_v with ``missing_pairs``. ``pigeonhole_edge`` skips the
 partners with fewer than two common neighbours once a pair with one is
 known, as they can no longer win.
 """
@@ -142,7 +144,10 @@ def ledger(g: Graph, t: int) -> list[VertexLedger]:
     part the residual is cut to the vertices above the part's least
     vertex: no independent t-set of the residual starts at a vertex below
     it, and the residual only shrinks, so none ever will, and the next
-    lex-least t-set, found without rescanning them, is the same.
+    lex-least t-set, found without rescanning them, is the same. One search
+    on the whole vertex set comes first: an independent t-set inside N(v)
+    is one of G, so when G has none every gamma_v is 0 without a search
+    (the co-bipartite hosts at t = 3, two cliques with alpha(G) = 2).
     """
     if t < 2:
         raise GraphError(f"need t >= 2, got t={t}")
@@ -159,14 +164,15 @@ def ledger(g: Graph, t: int) -> list[VertexLedger]:
             common = (row & adj[w]).bit_count()
             inside[u] += common
             inside[w] += common
+    packs = detect._lex_set(adj, g.full_mask, t, -1) is not None
     out = []
     for v in range(n):
         row = adj[v]
         degree = row.bit_count()
         gamma = 0
-        residual = row
-        while True:
-            part = detect._independent_set_mask(g, residual, t)
+        residual = row if packs else 0
+        while residual:
+            part = detect._lex_set(adj, residual, t, -1)
             if part is None:
                 break
             gamma += 1

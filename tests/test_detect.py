@@ -347,6 +347,32 @@ class TestMaskKernels:
                     expected = naive_lex_set(g, universe, size, clique)
                     assert _lex_set(g.adj, universe, size, flip) == expected
 
+    @pytest.mark.parametrize("size", [3, 4, 5])
+    def test_lex_set_on_unions_of_cliques(self, size):
+        # k cliques joined by random chords, labels shuffled on odd trials,
+        # and their complements: alpha (omega of the complement) is at most
+        # k, so for k < size the class-cover bound may stop the search,
+        # while for k = size the largest set often has exactly size
+        # vertices and the bound must not fire.
+        rng = random.Random(size)
+        exact = 0
+        for trial in range(60):
+            k = rng.randint(1, size)
+            block = [i for i in range(k) for _ in range(rng.randint(1, 3))]
+            n = len(block)
+            label = list(range(n))
+            if trial % 2:
+                rng.shuffle(label)
+            g = build(n, [(label[u], label[v]) for u, v in itertools.combinations(range(n), 2)
+                          if block[u] == block[v] or rng.random() < 0.15])
+            for host, flip, clique in ((g, -1, False), (g.complement(), 0, True)):
+                for universe in (host.full_mask, rng.getrandbits(n)):
+                    expected = naive_lex_set(host, universe, size, clique)
+                    assert _lex_set(host.adj, universe, size, flip) == expected
+                    assert k == size or expected is None
+            exact += naive_lex_set(g, g.full_mask, size, False) is not None
+        assert exact >= 5
+
     @pytest.mark.parametrize("g", sparse_hosts())
     def test_sparse_mid_size_hosts(self, g):
         # The two-common-neighbour prefilter drops most pairs here; the

@@ -38,14 +38,34 @@ def k5_minus_edge():
                      if (u, v) != (0, 1)])
 
 
-def co_bipartite(half, seed):
-    """Two cliques of ``half`` vertices joined by a random half of the
-    cross pairs: no independent 3-set, so no induced K_{2,3}."""
+def co_partite(k, part, seed):
+    """k cliques of ``part`` vertices joined by a random half of the cross
+    pairs: no independent (k + 1)-set, so no induced K_{2,k+1}."""
     rng = random.Random(seed)
-    n = 2 * half
-    cross = {(u, v) for u in range(half) for v in range(half, n) if rng.random() < 0.5}
+    n = k * part
+    cross = {(u, v) for u, v in itertools.combinations(range(n), 2)
+             if u // part != v // part and rng.random() < 0.5}
     return build(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
                      if (u, v) not in cross])
+
+
+def threshold_hosts():
+    """Seeded (host, t) cases for the ledger's whole-graph shortcut: k = t - 1
+    cliques as in ``co_partite`` (alpha = t - 1, so no neighbourhood holds
+    an independent t-set), and the same host plus a vertex x adjacent to a
+    random half of it but to none of its lex-least independent
+    (t - 1)-set, so alpha = t."""
+    cases = []
+    for t in (2, 3, 4):
+        for seed in (1, 2, 3):
+            g = co_partite(t - 1, 8, seed)
+            cases.append(pytest.param(g, t, t - 1, id=f"co-{t - 1}-partite({g.n}) #{seed} t={t}"))
+            rng = random.Random(seed)
+            apart = find_independent_set(g, t - 1)
+            x_nbrs = [u for u in range(g.n) if u not in apart and rng.random() < 0.5]
+            plus = build(g.n + 1, list(g.edges()) + [(u, g.n) for u in x_nbrs])
+            cases.append(pytest.param(plus, t, t, id=f"co-{t - 1}-partite({g.n}) + x #{seed} t={t}"))
+    return cases
 
 
 def mid_size_hosts():
@@ -60,7 +80,7 @@ def mid_size_hosts():
             for t in (2, 3, 4):
                 cases.append(pytest.param(g, t, id=f"G({n},{p}) t={t}"))
     for seed in (1, 2):
-        cases.append(pytest.param(co_bipartite(20, seed), 3, id=f"co-bipartite(40) #{seed} t=3"))
+        cases.append(pytest.param(co_partite(2, 20, seed), 3, id=f"co-bipartite(40) #{seed} t=3"))
     for q in (5, 7, 11):
         for t in (2, 3, 4):
             cases.append(pytest.param(polarity_graph(q), t, id=f"ER_{q} t={t}"))
@@ -126,6 +146,24 @@ class TestGreedyPacking:
             assert find_independent_set(sub.graph, t) is None
 
 
+def assert_matches_oracles(g, t):
+    """Every ledger entry equals the one built from degree, missing_pairs
+    and greedy_packing; returns the gamma_v."""
+    entries = ledger(g, t)
+    assert [e.v for e in entries] == list(range(g.n))
+    for entry in entries:
+        v = entry.v
+        gamma = greedy_packing(g, v, t).gamma
+        assert entry == VertexLedger(
+            v=v,
+            degree=g.degree(v),
+            m_v=missing_pairs(g.adj, g.adj[v]),
+            gamma_v=gamma,
+            q_of_gamma=forced_missing_edges(gamma, t),
+        )
+    return [e.gamma_v for e in entries]
+
+
 class TestLedger:
     def test_k4(self):
         for entry in ledger(complete(4), 2):
@@ -165,18 +203,16 @@ class TestLedger:
     def test_matches_per_vertex_oracles(self, g, t):
         # The one-pass ledger (edge-sweep m_v, resumable packing) against
         # greedy_packing and missing_pairs, vertex by vertex.
-        entries = ledger(g, t)
-        assert [e.v for e in entries] == list(range(g.n))
-        for entry in entries:
-            v = entry.v
-            gamma = greedy_packing(g, v, t).gamma
-            assert entry == VertexLedger(
-                v=v,
-                degree=g.degree(v),
-                m_v=missing_pairs(g.adj, g.adj[v]),
-                gamma_v=gamma,
-                q_of_gamma=forced_missing_edges(gamma, t),
-            )
+        assert_matches_oracles(g, t)
+
+    @pytest.mark.parametrize("g, t, alpha", threshold_hosts())
+    def test_alpha_at_the_shortcut_threshold(self, g, t, alpha):
+        # At alpha = t - 1 every gamma_v is 0 from one whole-graph search;
+        # at alpha = t the per-vertex packings run.
+        assert find_independent_set(g, alpha) is not None
+        assert find_independent_set(g, alpha + 1) is None
+        gammas = assert_matches_oracles(g, t)
+        assert (max(gammas) > 0) == (alpha == t)
 
     def test_rejects_t_one(self):
         with pytest.raises(GraphError):
