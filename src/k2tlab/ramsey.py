@@ -18,9 +18,14 @@ swapping twins is an automorphism of the parent that fixes the new
 vertex, so a skipped mask always has a smaller mask of the same parent
 whose child is isomorphic and just as good. A skipped candidate is thus
 never first in its isomorphism class, and the survivors of each level,
-their order and the witness bytes are those of the unpruned step. A
-candidate's rows are symmetric by construction, so it is built through
-``Graph._trusted`` without re-validation. Levels are deduplicated by exact
+their order and the witness bytes are those of the unpruned step. When
+the family has a complete member K_r (the least r if several), a mask
+that holds a K_{r-1} of the parent is skipped as well, before its
+candidate is built: that candidate has a K_r through the new vertex.
+The member search then covers only the other members. A candidate's rows
+are symmetric by construction, so it is built through ``Graph._trusted``
+without re-validation; the vertices of a row of a graph on at most 10
+vertices are read from one table. Levels are deduplicated by exact
 isomorphism tests inside cheap-invariant buckets: each graph's colours
 are refined once, to small ints through one table per level, until a
 round splits no colour class, and the test backtracks over bitmasks of
@@ -106,6 +111,18 @@ class RamseyResult:
 # Isomorphism
 # ---------------------------------------------------------------------------
 
+# _ROW_VERTICES[row]: the vertices of ``row`` in increasing order, for every
+# row of a graph on at most _TABLE_N vertices (a fixed size, not a cap).
+_TABLE_N = 10
+_ROW_VERTICES: tuple = ((),)
+for _v in range(_TABLE_N):
+    _ROW_VERTICES += tuple(vs + (_v,) for vs in _ROW_VERTICES)
+
+
+def _vertices(n: int):
+    """Row -> its vertices in increasing order, for rows of n-vertex graphs."""
+    return _ROW_VERTICES.__getitem__ if n <= _TABLE_N else lambda r: tuple(bits(r))
+
 
 def _refined_colours(g: Graph, table: Optional[dict] = None) -> list:
     """Iterated colour refinement from the degrees: each round renames
@@ -117,7 +134,7 @@ def _refined_colours(g: Graph, table: Optional[dict] = None) -> list:
     keeps graphs that stop at different rounds apart. Without a table a
     signature becomes its rank among g's own signatures of the round,
     offset by round * n, which is an isomorphism invariant of g alone."""
-    nbrs = [list(bits(row)) for row in g.adj]
+    nbrs = list(map(_vertices(g.n), g.adj))
     colours = [len(vs) for vs in nbrs]
     classes = len(set(colours))
     for r in range(3):
@@ -313,8 +330,9 @@ def _anchored_plans(members: tuple[Graph, ...]) -> tuple:
 def _is_good(g: Graph, plans: tuple) -> bool:
     """Good = no independent t-set and no family member as subgraph, for an
     extension of a good graph from ``_extensions``. Those have no
-    independent t-set, and a member copy must use the new (last) vertex,
-    so only copies anchored there are searched."""
+    independent t-set (nor a K_r, under its clique rule), and a member copy
+    must use the new (last) vertex, so only copies anchored there of the
+    members in ``plans`` are searched."""
     v = g.n - 1
     return not any(
         n <= g.n and e <= g.edge_count and embeds_at(g, plan, v)
@@ -322,13 +340,15 @@ def _is_good(g: Graph, plans: tuple) -> bool:
     )
 
 
-def _extensions(parent: Graph, t: int):
+def _extensions(parent: Graph, t: int, clique: Optional[int] = None):
     """The one-vertex extensions of ``parent`` (which has no independent
     t-set) that have none either, new vertex last, in increasing order of
     the new vertex's neighbour mask, less those the twin rule of the module
     docstring skips. The parent vertices outside the mask must hold no
     independent (t-1)-set, so these complements S are grown one vertex at
-    a time: u joins S when S minus N(u) holds no independent (t-2)-set."""
+    a time: u joins S when S minus N(u) holds no independent (t-2)-set.
+    With ``clique`` = r, masks that hold a K_{r-1} are skipped too, so no
+    extension has a K_r."""
     k = parent.n
     adj = parent.adj
     # twin_prev[v]: the bit of the previous vertex in v's twin class, or 0.
@@ -351,10 +371,13 @@ def _extensions(parent: Graph, t: int):
     full = parent.full_mask
     bit_k = 1 << k
     edges = parent.edge_count
+    vertices = _vertices(k)
     for mask in sorted(full ^ s for s in sets):
+        if clique is not None and _lex_set(adj, mask, clique - 1, 0) is not None:
+            continue
         rows = list(adj)
         rows.append(mask)
-        for u in bits(mask):
+        for u in vertices(mask):
             rows[u] |= bit_k
         yield Graph._trusted(k + 1, rows, edges + mask.bit_count())
 
@@ -378,14 +401,17 @@ def ramsey_exact(query: RamseyQuery, n_cap: int = DEFAULT_RAMSEY_CAP) -> RamseyR
     if not 1 <= n_cap <= MAX_RAMSEY_CAP:
         raise GraphError(f"n_cap must be in 1..{MAX_RAMSEY_CAP}, got {n_cap}")
     t = query.t
-    plans = _anchored_plans(members)
+    # K_r members are left to _extensions' clique rule: the least r covers all.
+    cliques = [m for m in members if 2 * m.edge_count == m.n * (m.n - 1)]
+    clique = min((m.n for m in cliques), default=None)
+    plans = _anchored_plans(tuple(m for m in members if m not in cliques))
 
     survivors = [build(0, [])]
     for n in range(1, n_cap + 1):
         level = _dedupe(
             cand
             for parent in survivors
-            for cand in _extensions(parent, t)
+            for cand in _extensions(parent, t, clique)
             if _is_good(cand, plans)
         )
         if not level:

@@ -551,6 +551,19 @@ def run_triangle_theorem(
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _turan_bounds(n: int, t: int, omega: int) -> Optional[tuple]:
+    """The bounds below which an n-vertex graph with clique number omega and
+    no induced K_{2,t} must stay, or None; built once per process."""
+    r_value = known_ramsey(t, omega)
+    if r_value is None:
+        return None
+    reports = induced_turan_upper(n, t, v_h=omega + 1, ramsey_value=r_value)
+    return tuple(r for r in reports if r.formula_id == "ramsey-sqrt") + tuple(
+        induced_turan_upper(n, t - 1, v_h=omega + 1)
+    )
+
+
 def _turan_shard(args: tuple) -> dict:
     n, t_values, lo, hi = args
     pairs = math.comb(n, 2)
@@ -558,19 +571,9 @@ def _turan_shard(args: tuple) -> dict:
         suite="turan-upper", params={}, details={"skipped_no_exact_ramsey": 0}
     )
 
-    @functools.cache
-    def bounds_for(t: int, omega: int):
-        r_value = known_ramsey(t, omega)
-        if r_value is None:
-            return None
-        reports = induced_turan_upper(n, t, v_h=omega + 1, ramsey_value=r_value)
-        merged = [r for r in reports if r.formula_id == "ramsey-sqrt"]
-        merged.extend(induced_turan_upper(n, t - 1, v_h=omega + 1))
-        return merged
-
     def visit(g: Graph, t: int):
         omega = len(detect.max_clique(g))
-        for entry in bounds_for(t, omega):
+        for entry in _turan_bounds(n, t, omega):
             if g.edge_count >= entry.bound:
                 out.add_violation(
                     f"turan-upper {entry.formula_id} n={n} t={t} omega={omega}",
@@ -593,7 +596,7 @@ def _turan_shard(args: tuple) -> dict:
                 graphs = free & at_least[omega] & ~at_least[omega + 1]
                 if not graphs:
                     continue
-                entries = bounds_for(t, omega)
+                entries = _turan_bounds(n, t, omega)
                 if entries is None:
                     out.details["skipped_no_exact_ramsey"] += graphs.bit_count()
                     continue

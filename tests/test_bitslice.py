@@ -6,6 +6,7 @@ every indicator bit and every suite result must agree with them.
 """
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -353,6 +354,10 @@ class TestForcedViolations:
             ]
 
         monkeypatch.setattr(suites, "induced_turan_upper", lowered)
+        # A fresh cache, so the shard reads the lowered bounds.
+        monkeypatch.setattr(
+            suites, "_turan_bounds", functools.cache(suites._turan_bounds.__wrapped__)
+        )
         for i in range(3):
             got, want = run_both(
                 suites._turan_shard, reference_turan_shard, 5, (i, 3), turan_result

@@ -17,6 +17,7 @@ from conftest import (
     naive_has_subgraph,
     naive_max_clique_size,
 )
+from k2tlab import detect
 from k2tlab.constructions import (
     complete,
     complete_bipartite,
@@ -372,6 +373,31 @@ class TestMaskKernels:
                     assert k == size or expected is None
             exact += naive_lex_set(g, g.full_mask, size, False) is not None
         assert exact >= 5
+
+    @pytest.mark.parametrize("clique", [False, True])
+    def test_failing_size_three_searches_stop_on_the_cover(self, monkeypatch, clique):
+        # An independent 3-set among two disjoint m-cliques, and a 3-clique
+        # in K_{m,m}: after the first branch fails, the two-class cover must
+        # end the search, so the number of _lex_set calls (recursion
+        # included) does not grow with m and the work stays linear in n.
+        calls = 0
+        kernel = detect._lex_set
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(detect, "_lex_set", counted)
+        counts = []
+        for m in (10, 40, 160):
+            host = complete_bipartite(m, m)
+            if not clique:
+                host = host.complement()
+            calls = 0
+            assert detect._lex_set(host.adj, host.full_mask, 3, 0 if clique else -1) is None
+            counts.append(calls)
+        assert counts == [2, 2, 2]
 
     @pytest.mark.parametrize("g", sparse_hosts())
     def test_sparse_mid_size_hosts(self, g):

@@ -604,13 +604,56 @@ class TestTwinPruning:
         ]
 
 
+class TestCliqueMasks:
+    """With a complete member K_r, ``_extensions(parent, t, r)`` drops every
+    mask that holds a K_{r-1} before a candidate is built; it must yield
+    exactly the candidates of the plain step that the anchored K_r search
+    passes, as the same labelled graphs in the same order."""
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    def test_matches_anchored_search(self, t):
+        for r in range(1, 6):
+            plans = ramsey._anchored_plans((complete(r),))
+            survivors = [build(0, [])]
+            while survivors and survivors[0].n < 7:
+                level = []
+                for parent in survivors:
+                    want = [g for g in ramsey._extensions(parent, t) if ramsey._is_good(g, plans)]
+                    got = list(ramsey._extensions(parent, t, r))
+                    assert [g.adj for g in got] == [g.adj for g in want], (
+                        r, graph6_encode(parent)
+                    )
+                    level += got
+                survivors = ramsey._dedupe(level)
+
+    def test_parent_wider_than_the_row_table(self):
+        # Rows of graphs above 10 vertices are read through ``bits``.
+        assert list(ramsey._extensions(complete(11), 2)) == [complete(12)]
+        assert list(ramsey._extensions(complete(11), 2, 13)) == [complete(12)]
+        assert list(ramsey._extensions(complete(11), 2, 12)) == []
+
+    @pytest.mark.parametrize("t, members", [
+        (3, (complete(4), cycle(5))),
+        (3, (complete(5), cycle(4))),
+        (3, (complete(4), complete(3), cycle(4))),
+        (3, (path(4), complete(3))),
+        (2, (complete(1), cycle(4))),
+    ])
+    def test_mixed_families(self, t, members):
+        family = explicit_family(members)
+        got = ramsey_exact(RamseyQuery(t=t, family=family))
+        want = reference_ramsey(t, family.members)
+        assert got == want
+        assert graph6_encode(got.lower_witness) == graph6_encode(want.lower_witness)
+
+
 class TestLevels:
     """Survivors per level, counted as the traced benchmark counts them:
     candidates that ``_is_good`` passes at each vertex count, less those
     that ``is_isomorphic`` finds a duplicate of inside ramsey_exact."""
 
     @staticmethod
-    def levels(monkeypatch, t, r):
+    def levels(monkeypatch, t, r, n_cap=ramsey.DEFAULT_RAMSEY_CAP):
         good, dup = {}, {}
 
         def counted(fn, tally):
@@ -625,7 +668,7 @@ class TestLevels:
         monkeypatch.setattr(ramsey, "_is_good", counted(ramsey._is_good, good))
         family = explicit_family([complete(r)])
         monkeypatch.setattr(ramsey, "is_isomorphic", counted(ramsey.is_isomorphic, dup))
-        ramsey_exact(RamseyQuery(t=t, family=family))
+        ramsey_exact(RamseyQuery(t=t, family=family), n_cap=n_cap)
         return [good[n] - dup.get(n, 0) for n in sorted(good)]
 
     def test_r33(self, monkeypatch):
@@ -634,3 +677,11 @@ class TestLevels:
     def test_r34(self, monkeypatch):
         # The final 3 is the number of (3,4)-critical graphs on 8 vertices.
         assert self.levels(monkeypatch, 3, 4) == [1, 2, 3, 6, 9, 15, 9, 3]
+
+    @pytest.mark.parametrize("t, r", [(3, 5), (5, 3)])
+    def test_r35_to_the_cap(self, monkeypatch, t, r):
+        # R(3,5) = 14: both orientations count the same classes, level by
+        # level, up to the vertex cap.
+        assert self.levels(monkeypatch, t, r, n_cap=10) == [
+            1, 2, 3, 7, 13, 32, 71, 179, 290, 313
+        ]
