@@ -11,13 +11,18 @@ not take, and inputs above the caps (``constructions.ENUMERATION_CAP`` for
 the exhaustive suites, ``graphs.MAX_VERTEX_PAIRS`` for generated graphs,
 ``detect.MAX_PATTERN_VERTICES`` for family members). An internal error is a
 failed certificate self-check, ``detect.SelfCheckError``. Every command
-reports through ``_emit``, which builds the JSON envelope and stamps
-``runtime_ms``. The K2TLAB_THREADS environment variable sets the
-default worker count for the sharded suites.
+reports through ``_emit``, which builds the JSON envelope (at
+``SCHEMA_VERSION``) and stamps ``runtime_ms``. Reports are deterministic
+apart from runtime_ms: keys are sorted and violation lists arrive
+pre-sorted from the suites, so two clean runs of the same command give
+byte-identical JSON modulo runtime_ms. The K2TLAB_THREADS environment
+variable sets the default worker count for the sharded suites.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import sys
 import time
 from dataclasses import asdict
@@ -25,7 +30,7 @@ from fractions import Fraction
 
 import click
 
-from . import constructions, detect, report, suites, witness
+from . import constructions, detect, suites, witness
 from .bounds import clique_guarantee, clique_lower_report, induced_turan_upper
 from .graphs import (
     Graph,
@@ -42,6 +47,9 @@ from .ramsey import (
     family_minus_vertex,
     ramsey_exact,
 )
+
+
+SCHEMA_VERSION = 3
 
 
 class CommandError(click.ClickException):
@@ -83,11 +91,15 @@ def _emit(
     since ``main`` dispatched it, to ``json_path`` or stdout."""
     ctx = click.get_current_context()
     runtime_ms = int(1000 * (time.monotonic() - ctx.meta[_STARTED]))
-    text = report.report_json(
-        report.make_report(
-            ctx.command.name, inputs, results, violations, runtime_ms=runtime_ms
-        )
-    )
+    envelope = {
+        "schema_version": SCHEMA_VERSION,
+        "command": ctx.command.name,
+        "inputs": inputs,
+        "results": results,
+        "violations": violations or [],
+        "runtime_ms": runtime_ms,
+    }
+    text = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
     if json_path:
         with open(json_path, "w") as fh:
             fh.write(text)
@@ -186,9 +198,10 @@ def cmd_bounds(n_list, alpha_list, t_list, v_h, ramsey_value, json_path, csv_pat
             "n", "alpha", "t", "formula_id", "value",
             "integer_guarantee", "applicable", "threshold_note",
         ]
-        report.write_csv(
-            csv_path, header, [[row[h] for h in header] for row in rows]
-        )
+        with open(csv_path, "w") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([row[h] for h in header] for row in rows)
     inputs = {
         "n": ns,
         "alpha": [float(a) for a in alphas],

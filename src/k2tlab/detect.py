@@ -354,18 +354,12 @@ def mask_has_induced_k2t(
     mask); None when the graph has no induced K_{2,t}.
 
     For t >= 2 a partner b needs at least two common neighbours with a, so
-    the partners of a are cut to ``two_common_neighbours`` of N(a) first;
-    the pairs dropped could never qualify, so the first hit is unchanged.
-    The mask costs one row visit per neighbour of a and saves one per
-    dropped partner, so it is built only when a has more candidate
-    partners than neighbours: sparse hosts such as the polarity graphs
-    skip most pairs, while dense hosts and K_n pay nothing."""
+    the partners of a are cut by ``later_partners``; the pairs dropped
+    could never qualify, so the first hit is unchanged."""
     full = (1 << n) - 1
     for a in range(n - 1):
         na = adj[a]
-        non = ~na & full & ~((1 << (a + 1)) - 1)
-        if t >= 2 and non.bit_count() > na.bit_count():
-            non &= two_common_neighbours(adj, na)
+        non = later_partners(adj, full, a, t >= 2)
         while non:
             low = non & -non
             non ^= low
@@ -376,6 +370,21 @@ def mask_has_induced_k2t(
                 if side is not None:
                     return a, b, side
     return None
+
+
+def later_partners(adj: Sequence[int], full: int, u: int, cut: bool) -> int:
+    """The non-neighbours of u above u, the partners of u in a pair scan;
+    with ``cut``, where only partners with two or more common neighbours
+    can count, cut to ``two_common_neighbours`` of N(u). That mask costs
+    one row visit per neighbour of u and saves one per dropped partner, so
+    it is built only when u has more partners than neighbours: sparse
+    hosts such as the polarity graphs skip most pairs, while dense hosts
+    and K_n pay nothing."""
+    row = adj[u]
+    non = ~row & full & ~((1 << (u + 1)) - 1)
+    if cut and non.bit_count() > row.bit_count():
+        non &= two_common_neighbours(adj, row)
+    return non
 
 
 def two_common_neighbours(adj: Sequence[int], row: int) -> int:

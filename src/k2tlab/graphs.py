@@ -28,13 +28,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def _turned_is_transposed(adj: Sequence[int], n: int) -> bool:
     """Whether the adjacency matrix turned by 180 degrees (rows[i][j] is bit
     n-1-j of adj[n-1-i]) equals its transpose, that is, whether the matrix
@@ -389,9 +382,3 @@ def parse_edge_text(text: str) -> Graph:
             f"edge text has {n} vertices; the cap is {MAX_EDGE_TEXT_VERTICES}"
         )
     return build(n, edges)
-
-
-def format_edge_text(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"

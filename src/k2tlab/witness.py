@@ -26,6 +26,12 @@ give vertex by vertex; those stay as the plain per-vertex oracles, and
 ``verify_trace`` recounts every m_v with ``missing_pairs``. ``pigeonhole_edge`` skips the
 partners with fewer than two common neighbours once a pair with one is
 known, as they can no longer win.
+
+``extract`` builds one trace. A complete host returns early as
+boundary-degenerate; otherwise one if/elif chain picks the outcome and
+its certificate (an independent t-set in S first; the family {H - x} is
+built only when that search fails), one self-check covers whichever
+certificate was found, and one ``ProofTrace`` is returned.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import Optional, Sequence, Union
 from . import detect
 from .bounds import beta
 from .detect import Embedding, InducedK2tCertificate
-from .graphs import Graph, GraphError, bits, density, induced_subgraph
+from .graphs import Graph, GraphError, InducedSubgraph, bits, density, induced_subgraph
 from .ramsey import RamseyQuery, family_minus_vertex, ramsey_exact
 
 OUTCOME_H_EMBEDDED = "h-embedded"
@@ -74,7 +80,10 @@ class VertexLedger:
 
 @dataclass(frozen=True)
 class SlackInfo:
-    """How far the run sat from the applicability frontier."""
+    """How far the run sat from the applicability frontier. On
+    hypothesis-not-met, ``ramsey_threshold`` is R(K_t, {H - x}), of
+    ``threshold_kind`` "exact" or, when the search only brackets it,
+    "upper-bound"."""
 
     s_size: int
     beta_sq_n: float
@@ -198,9 +207,8 @@ def pigeonhole_edge(
 
     Once the best pair has |S| >= 1, only a pair with a strictly larger S,
     so at least two common neighbours, can replace it: the partners of u
-    are then cut to ``detect.two_common_neighbours`` of N(u), under the
-    same cost rule as ``detect.mask_has_induced_k2t`` (built only when u
-    has more candidate partners than neighbours)."""
+    are then cut by ``detect.later_partners``, as in the induced K_{2,t}
+    scan."""
     adj = g.adj
     full = g.full_mask
     best_edge = None
@@ -209,10 +217,7 @@ def pigeonhole_edge(
     missing_total = g.n * (g.n - 1) // 2 - g.edge_count
     for u in range(g.n):
         row = adj[u]
-        non = ~row & full & ~((1 << (u + 1)) - 1)
-        if best_size >= 1 and non.bit_count() > row.bit_count():
-            non &= detect.two_common_neighbours(adj, row)
-        for w in bits(non):
+        for w in bits(detect.later_partners(adj, full, u, best_size >= 1)):
             common = row & adj[w]
             size = common.bit_count()
             if size > best_size:
@@ -240,9 +245,7 @@ def _family_threshold(t: int, h: Graph) -> tuple[int, str]:
     return result.upper, "upper-bound"
 
 
-def extract(
-    g: Graph, h: Graph, t: int, ramsey_threshold: Optional[int] = None
-) -> ProofTrace:
+def extract(g: Graph, h: Graph, t: int) -> ProofTrace:
     """Run the full constructive argument on (g, h, t).
 
     All failure modes are outcome tags, never exceptions: a complete host
@@ -259,81 +262,47 @@ def extract(
     try:
         edge, s_vertices = pigeonhole_edge(g, list(ledgers))
     except BoundaryDegenerateError:
-        return ProofTrace(
-            t=t,
-            ledgers=ledgers,
-            selected_edge=None,
-            s_vertices=None,
-            outcome=OUTCOME_BOUNDARY_DEGENERATE,
-            certificate=None,
-            slack=None,
-        )
+        return ProofTrace(t, ledgers, None, None, OUTCOME_BOUNDARY_DEGENERATE, None, None)
     a, b = edge
-    beta_sq_n = beta(density(g).alpha, t).beta ** 2 * g.n
     sub = induced_subgraph(g, s_vertices)
-
     t_set = detect.find_independent_set(sub.graph, t)
+    threshold = kind = None
     if t_set is not None:
+        outcome = OUTCOME_INDUCED_K2T
         cert = InducedK2tCertificate(
             a=a, b=b, t_side=frozenset(sub.to_parent(i) for i in t_set)
         )
-        detect.require(cert.check(g), "extract: invalid induced-K_(2,t) certificate")
-        return ProofTrace(
-            t=t,
-            ledgers=ledgers,
-            selected_edge=edge,
-            s_vertices=s_vertices,
-            outcome=OUTCOME_INDUCED_K2T,
-            certificate=cert,
-            slack=SlackInfo(s_size=len(s_vertices), beta_sq_n=beta_sq_n),
-        )
+    elif (cert := _lift_member(sub, h, a)) is not None:
+        outcome = OUTCOME_H_EMBEDDED
+    else:
+        outcome = OUTCOME_HYPOTHESIS_NOT_MET
+        threshold, kind = _family_threshold(t, h)
+    detect.require(cert is None or cert.check(g), f"extract: invalid {outcome} certificate")
+    beta_sq_n = beta(density(g).alpha, t).beta ** 2 * g.n
+    slack = SlackInfo(len(s_vertices), beta_sq_n, threshold, kind)
+    return ProofTrace(t, ledgers, edge, s_vertices, outcome, cert, slack)
 
+
+def _lift_member(sub: InducedSubgraph, h: Graph, a: int) -> Optional[Embedding]:
+    """H in the host: the first member of {H - x} found in S = ``sub``,
+    with x mapped to ``a``, the lesser endpoint of the missing edge (both
+    endpoints see all of S); None when S holds no member. The family is
+    built only here, after the independent t-set search has failed."""
     family = family_minus_vertex(h)
     emb = detect.contains_family_member(sub.graph, family.members)
-    if emb is not None:
-        idx = family.members.index(emb.pattern)
-        prov = family.provenance[idx]
-        mapping = [-1] * h.n
-        for j, original in enumerate(prov.kept):
-            mapping[original] = sub.to_parent(emb.mapping[j])
-        # Both endpoints of the missing edge see all of S; use the lesser.
-        mapping[prov.removed[0]] = a
-        full_emb = Embedding(pattern=h, mapping=tuple(mapping))
-        detect.require(full_emb.check(g), "extract: invalid embedding of H")
-        return ProofTrace(
-            t=t,
-            ledgers=ledgers,
-            selected_edge=edge,
-            s_vertices=s_vertices,
-            outcome=OUTCOME_H_EMBEDDED,
-            certificate=full_emb,
-            slack=SlackInfo(s_size=len(s_vertices), beta_sq_n=beta_sq_n),
-        )
-
-    if ramsey_threshold is None:
-        threshold, kind = _family_threshold(t, h)
-    else:
-        threshold, kind = ramsey_threshold, "caller-supplied"
-    return ProofTrace(
-        t=t,
-        ledgers=ledgers,
-        selected_edge=edge,
-        s_vertices=s_vertices,
-        outcome=OUTCOME_HYPOTHESIS_NOT_MET,
-        certificate=None,
-        slack=SlackInfo(
-            s_size=len(s_vertices),
-            beta_sq_n=beta_sq_n,
-            ramsey_threshold=threshold,
-            threshold_kind=kind,
-        ),
-    )
+    if emb is None:
+        return None
+    prov = family.provenance[family.members.index(emb.pattern)]
+    mapping = [a] * h.n
+    for j, original in enumerate(prov.kept):
+        mapping[original] = sub.to_parent(emb.mapping[j])
+    return Embedding(pattern=h, mapping=tuple(mapping))
 
 
 def verify_trace(g: Graph, trace: ProofTrace, h: Graph, t: int) -> bool:
     """Re-validate a trace from scratch against g using only detector
     primitives and direct recounts. True iff everything checks out."""
-    if trace.t != t or len(trace.ledgers) != g.n:
+    if trace.t != t or [entry.v for entry in trace.ledgers] != list(range(g.n)):
         return False
     for entry in trace.ledgers:
         row = g.adj[entry.v]
@@ -347,10 +316,7 @@ def verify_trace(g: Graph, trace: ProofTrace, h: Graph, t: int) -> bool:
             return False
 
     if trace.outcome == OUTCOME_BOUNDARY_DEGENERATE:
-        return (
-            trace.selected_edge is None
-            and g.edge_count == g.n * (g.n - 1) // 2
-        )
+        return trace.selected_edge is None and g.edge_count == g.n * (g.n - 1) // 2
 
     if trace.selected_edge is None or trace.s_vertices is None:
         return False
@@ -360,16 +326,11 @@ def verify_trace(g: Graph, trace: ProofTrace, h: Graph, t: int) -> bool:
     if trace.s_vertices != frozenset(bits(g.adj[a] & g.adj[b])):
         return False
 
+    cert = trace.certificate
     if trace.outcome == OUTCOME_H_EMBEDDED:
-        cert = trace.certificate
-        return (
-            isinstance(cert, Embedding)
-            and cert.pattern == h
-            and cert.check(g)
-        )
+        return isinstance(cert, Embedding) and cert.pattern == h and cert.check(g)
 
     if trace.outcome == OUTCOME_INDUCED_K2T:
-        cert = trace.certificate
         return (
             isinstance(cert, InducedK2tCertificate)
             and len(cert.t_side) == t
@@ -385,8 +346,6 @@ def verify_trace(g: Graph, trace: ProofTrace, h: Graph, t: int) -> bool:
         family = family_minus_vertex(h)
         if detect.contains_family_member(sub.graph, family.members) is not None:
             return False
-        return trace.slack is not None and trace.slack.s_size == len(
-            trace.s_vertices
-        )
+        return trace.slack is not None and trace.slack.s_size == len(trace.s_vertices)
 
     return False

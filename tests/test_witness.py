@@ -422,6 +422,21 @@ class TestVerifyTrace:
         bad = dataclasses.replace(trace, outcome=OUTCOME_INDUCED_K2T)
         assert not verify_trace(g, bad, complete(3), 2)
 
+    @pytest.mark.parametrize(
+        "relabel",
+        [lambda v: 0, lambda v: v - 5, lambda v: v + 5],
+        ids=["all v = 0", "v - 5", "v + 5"],
+    )
+    def test_rejects_forged_ledger_vertices(self, relabel):
+        # C5 is vertex-transitive, so every entry but its v matches any
+        # vertex's row: entry i must name vertex i, and an id out of range
+        # is a rejection, not an IndexError.
+        g = cycle(5)
+        trace = extract(g, complete(3), 2)
+        entries = tuple(dataclasses.replace(e, v=relabel(e.v)) for e in trace.ledgers)
+        bad = dataclasses.replace(trace, ledgers=entries)
+        assert not verify_trace(g, bad, complete(3), 2)
+
     def test_rejects_fake_boundary(self):
         g = cycle(5)
         trace = extract(g, complete(3), 2)
