@@ -26,11 +26,13 @@ The member search then covers only the other members. A candidate's rows
 are symmetric by construction, so it is built through ``Graph._trusted``
 without re-validation; the vertices of a row of a graph on at most 10
 vertices are read from one table. Levels are deduplicated by exact
-isomorphism tests inside cheap-invariant buckets: each graph's colours
-are refined once, to small ints through one table per level, until a
-round splits no colour class, and the test backtracks over bitmasks of
-colour classes. This keeps the n = 9 refutations (e.g. for R(3,4)) at
-interactive speed.
+isomorphism tests inside cheap-invariant buckets: each graph is coloured
+by one refinement round (degree, sorted neighbour degrees), to small ints
+through one table per level, and the test is an iterative depth-first
+search over bitmasks of colour classes. Most bucket mates are duplicates
+whose proof is nearly linear, so further rounds would cost more than the
+few non-isomorphic bucket mates they split off. This keeps the n = 9
+refutations (e.g. for R(3,4)) at interactive speed.
 
 All three family constructors go through one builder, which checks sizes
 before it builds a deletion or hashes an invariant: a member above the
@@ -124,11 +126,13 @@ def _vertices(n: int):
     return _ROW_VERTICES.__getitem__ if n <= _TABLE_N else lambda r: tuple(bits(r))
 
 
-def _refined_colours(g: Graph, table: Optional[dict] = None) -> list:
+def _refined_colours(
+    g: Graph, table: Optional[dict] = None, rounds: int = 3
+) -> list:
     """Iterated colour refinement from the degrees: each round renames
     every vertex's (round, colour, sorted neighbour colours) signature to a
     small int, and the refinement stops after the first round that splits
-    no colour class, or after three rounds. Graphs refined through one
+    no colour class, or after ``rounds`` rounds. Graphs refined through one
     shared ``table`` get equal colours exactly for equal signatures, so
     their colours compare with each other; the round in each signature
     keeps graphs that stop at different rounds apart. Without a table a
@@ -136,10 +140,11 @@ def _refined_colours(g: Graph, table: Optional[dict] = None) -> list:
     offset by round * n, which is an isomorphism invariant of g alone."""
     nbrs = list(map(_vertices(g.n), g.adj))
     colours = [len(vs) for vs in nbrs]
-    classes = len(set(colours))
-    for r in range(3):
+    classes = len(set(colours)) if rounds > 1 else 0
+    for r in range(rounds):
+        colour_of = colours.__getitem__
         sigs = [
-            (r, colours[v], tuple(sorted([colours[u] for u in vs])))
+            (r, colours[v], tuple(sorted(map(colour_of, vs))))
             for v, vs in enumerate(nbrs)
         ]
         if table is None:
@@ -147,10 +152,11 @@ def _refined_colours(g: Graph, table: Optional[dict] = None) -> list:
             colours = [rank[sig] for sig in sigs]
         else:
             colours = [table.setdefault(sig, len(table)) for sig in sigs]
-        split = len(set(colours))
-        if split == classes:
-            break
-        classes = split
+        if r + 1 < rounds:
+            split = len(set(colours))
+            if split == classes:
+                break
+            classes = split
     return colours
 
 
@@ -166,10 +172,12 @@ def invariant_key(g: Graph, colours: Optional[list] = None) -> tuple:
 def is_isomorphic(a: Graph, b: Graph, colours: Optional[tuple] = None) -> bool:
     """Exact backtracking isomorphism test for desk-scale graphs.
 
-    ``colours`` is the pair of refined colours of a and b, through one
-    table, when the caller already has them. Comparing their sorted values
-    is only a quick reject (the backtracking alone decides), so it is
-    skipped then: the dedupe passes colours whose invariant keys are equal."""
+    ``colours`` is the pair of isomorphism-invariant colours of a and b,
+    through one table, when the caller already has them; the dedupe passes
+    its one-round colours of two graphs with equal invariant keys. Without
+    them a and b are refined for up to three rounds through one table, and
+    unequal sorted colours reject at once. Either way only the
+    colour-preserving map decides a True."""
     if a.n != b.n or a.edge_count != b.edge_count:
         return False
     if colours is None:
@@ -182,44 +190,56 @@ def is_isomorphic(a: Graph, b: Graph, colours: Optional[tuple] = None) -> bool:
 
 def _colour_preserving_map(a: Graph, b: Graph, ca: list, cb: list) -> bool:
     """True iff some isomorphism a -> b maps every vertex to one of the
-    same colour: backtracking over vertices of a, rare colours first. The
-    candidates for a vertex are the unused vertices of b in its colour
-    class, and one (b-row & used) compare checks all edges back to the
-    vertices already mapped."""
+    same colour: an iterative depth-first search over the vertices of a,
+    rare colours first. Depth i holds the unused vertices of b in the
+    colour class of its vertex v (``free``) and the bits of b and of a
+    mapped above it (``used``, ``done``). The images of v's neighbours
+    among ``done`` form the want mask, and a candidate fits when its b-row
+    meets ``used`` in exactly that mask, which checks every edge and
+    non-edge back to the vertices already mapped."""
     n = a.n
+    if not n:
+        return True
     classes: dict = {}
     for w, c in enumerate(cb):
         classes[c] = classes.get(c, 0) | 1 << w
-    freq: dict = {}
-    for c in ca:
-        freq[c] = freq.get(c, 0) + 1
-    order = sorted(range(n), key=lambda v: (freq[ca[v]], ca[v], v))
-    cands = [classes.get(ca[v], 0) for v in order]
-    # back[i]: the steps before i whose vertices are a-neighbours of step i's.
+    # Rare colours first, by class size in b: a colour that b lacks comes
+    # first, with no candidates, and ends the search at once.
+    sizes = [(classes.get(c, 0).bit_count(), c, v) for v, c in enumerate(ca)]
+    order = [v for _, _, v in sorted(sizes)]
     aadj = a.adj
-    back = [
-        [j for j in range(i) if aadj[v] >> order[j] & 1] for i, v in enumerate(order)
-    ]
-    image = [0] * n  # image[i]: the bit of the b-vertex that step i maps to
     badj = b.adj
-
-    def rec(i: int, used: int) -> bool:
+    vertices = _vertices(n)
+    image = [0] * n  # image[v]: the bit of the b-vertex that a-vertex v maps to
+    free = [0] * n
+    used = [0] * n
+    done = [0] * n
+    want = [0] * n
+    free[0] = classes.get(ca[order[0]], 0)
+    i = 0
+    while i >= 0:
+        f = free[i]
+        if not f:
+            i -= 1
+            continue
+        low = f & -f
+        free[i] = f ^ low
+        if badj[low.bit_length() - 1] & used[i] != want[i]:
+            continue
+        v = order[i]
+        image[v] = low
+        i += 1
         if i == n:
             return True
-        want = 0
-        for j in back[i]:
-            want |= image[j]
-        free = cands[i] & ~used
-        while free:
-            low = free & -free
-            free ^= low
-            if badj[low.bit_length() - 1] & used == want:
-                image[i] = low
-                if rec(i + 1, used | low):
-                    return True
-        return False
-
-    return rec(0, 0)
+        used[i] = mapped = used[i - 1] | low
+        done[i] = seen = done[i - 1] | 1 << v
+        v = order[i]
+        w = 0
+        for u in vertices(aadj[v] & seen):
+            w |= image[u]
+        want[i] = w
+        free[i] = classes.get(ca[v], 0) & ~mapped
+    return False
 
 
 def _orbit_representatives(g: Graph) -> list[int]:
@@ -245,14 +265,18 @@ def _orbit_representatives(g: Graph) -> list[int]:
 def _dedupe(items, graph=lambda item: item) -> list:
     """The items, in order, whose ``graph(item)`` is the first of its
     isomorphism class: exact tests inside cheap-invariant buckets. Each
-    graph's colours are refined once, through one table for the whole call;
-    the buckets keep the representatives' colours for the tests."""
+    graph is coloured by one refinement round (degree, sorted neighbour
+    degrees) through one table for the whole call; the colours key its
+    bucket and steer the tests, and the buckets keep the representatives'
+    colours. A bucket may hold several classes, since one round splits
+    less than three, so a test can fail; each dropped duplicate still
+    costs exactly one True test, against its class's representative."""
     table: dict = {}
     buckets: dict = {}
     out = []
     for item in items:
         g = graph(item)
-        colours = _refined_colours(g, table)
+        colours = _refined_colours(g, table, rounds=1)
         bucket = buckets.setdefault(invariant_key(g, colours), [])
         if not any(is_isomorphic(g, rep, (colours, seen)) for rep, seen in bucket):
             bucket.append((g, colours))

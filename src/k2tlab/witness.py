@@ -301,7 +301,10 @@ def _lift_member(sub: InducedSubgraph, h: Graph, a: int) -> Optional[Embedding]:
 
 def verify_trace(g: Graph, trace: ProofTrace, h: Graph, t: int) -> bool:
     """Re-validate a trace from scratch against g using only detector
-    primitives and direct recounts. True iff everything checks out."""
+    primitives and direct recounts. True iff everything checks out. The
+    slack must be the one ``extract`` reports: |S| and beta^2 n recomputed
+    from g, with R(K_t, {H - x}) and its kind on hypothesis-not-met only,
+    and no slack at all on boundary-degenerate."""
     if trace.t != t or [entry.v for entry in trace.ledgers] != list(range(g.n)):
         return False
     for entry in trace.ledgers:
@@ -316,7 +319,11 @@ def verify_trace(g: Graph, trace: ProofTrace, h: Graph, t: int) -> bool:
             return False
 
     if trace.outcome == OUTCOME_BOUNDARY_DEGENERATE:
-        return trace.selected_edge is None and g.edge_count == g.n * (g.n - 1) // 2
+        return (
+            trace.selected_edge is None
+            and trace.slack is None
+            and g.edge_count == g.n * (g.n - 1) // 2
+        )
 
     if trace.selected_edge is None or trace.s_vertices is None:
         return False
@@ -327,25 +334,28 @@ def verify_trace(g: Graph, trace: ProofTrace, h: Graph, t: int) -> bool:
         return False
 
     cert = trace.certificate
+    threshold = (None, None)
     if trace.outcome == OUTCOME_H_EMBEDDED:
-        return isinstance(cert, Embedding) and cert.pattern == h and cert.check(g)
-
-    if trace.outcome == OUTCOME_INDUCED_K2T:
-        return (
+        if not (isinstance(cert, Embedding) and cert.pattern == h and cert.check(g)):
+            return False
+    elif trace.outcome == OUTCOME_INDUCED_K2T:
+        if not (
             isinstance(cert, InducedK2tCertificate)
             and len(cert.t_side) == t
             and {cert.a, cert.b} == {a, b}
             and cert.t_side <= trace.s_vertices
             and cert.check(g)
-        )
-
-    if trace.outcome == OUTCOME_HYPOTHESIS_NOT_MET:
+        ):
+            return False
+    elif trace.outcome == OUTCOME_HYPOTHESIS_NOT_MET:
         sub = induced_subgraph(g, trace.s_vertices)
         if detect.find_independent_set(sub.graph, t) is not None:
             return False
         family = family_minus_vertex(h)
         if detect.contains_family_member(sub.graph, family.members) is not None:
             return False
-        return trace.slack is not None and trace.slack.s_size == len(trace.s_vertices)
-
-    return False
+        threshold = _family_threshold(t, h)
+    else:
+        return False
+    beta_sq_n = beta(density(g).alpha, t).beta ** 2 * g.n
+    return trace.slack == SlackInfo(len(trace.s_vertices), beta_sq_n, *threshold)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,25 @@ REFINEMENT_BLIND = {
     "Shrikhande / rook": lambda: (shrikhande(), rook_4x4()),  # both srg(16,6,2,2)
 }
 
+# Pairs that one refinement round, the colouring ``_dedupe`` buckets by,
+# cannot split but three rounds can: they share a dedupe bucket, so the
+# backtracking must refute them there, which three-round buckets never ask.
+ONE_ROUND_BLIND = {
+    # Both: two leaves, two vertices next to a leaf, three other vertices
+    # of degree 2. Two of those three are next to a leaf's neighbour in P7,
+    # none in P4 + K3.
+    "P7 / P4 + K3": lambda: (
+        path(7), build(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4)])
+    ),
+}
+
+
+def assert_dedupe_keeps_first_copies(a, b, rng):
+    """``_dedupe`` on a, b and relabelled copies of each keeps a and b only."""
+    copies = [a, b] + [relabel(g, shuffled(g.n, rng)) for _ in range(3) for g in (b, a)]
+    kept = ramsey._dedupe(enumerate(copies), itemgetter(1))
+    assert [i for i, _ in kept] == [0, 1]
+
 
 class TestRelabellingInvariance:
     """``invariant_key`` (each colour a rank among the graph's own
@@ -220,6 +240,17 @@ class TestIsomorphismAgainstBruteForce:
         assert not is_isomorphic(a, b) and not is_isomorphic(b, a)
         perm = shuffled(a.n, random.Random(16))
         assert is_isomorphic(a, relabel(a, perm)) and is_isomorphic(b, relabel(b, perm))
+        assert_dedupe_keeps_first_copies(a, b, random.Random(16))
+
+    @pytest.mark.parametrize("name", sorted(ONE_ROUND_BLIND))
+    def test_one_round_blind_pairs(self, name):
+        a, b = ONE_ROUND_BLIND[name]()
+        assert invariant_key(a) != invariant_key(b)
+        table = {}
+        ca, cb = (ramsey._refined_colours(g, table, rounds=1) for g in (a, b))
+        assert invariant_key(a, ca) == invariant_key(b, cb)
+        assert not is_isomorphic(a, b, (ca, cb)) and not is_isomorphic(b, a, (cb, ca))
+        assert_dedupe_keeps_first_copies(a, b, random.Random(17))
 
 
 class TestFamilies:

@@ -444,3 +444,37 @@ class TestVerifyTrace:
             trace, outcome=OUTCOME_BOUNDARY_DEGENERATE, selected_edge=None
         )
         assert not verify_trace(g, bad, complete(3), 2)
+
+    def test_rejects_forged_threshold_slack(self):
+        # Every recounted part of the trace is right; only the slack lies.
+        g = cycle(5)
+        trace = extract(g, complete(3), 2)
+        slack = trace.slack
+        forged = dataclasses.replace(
+            slack, ramsey_threshold=99, threshold_kind="made-up", beta_sq_n=-1.0
+        )
+        for change in (
+            forged,
+            dataclasses.replace(slack, ramsey_threshold=99),
+            dataclasses.replace(slack, threshold_kind="made-up"),
+            dataclasses.replace(slack, beta_sq_n=-1.0),
+            dataclasses.replace(slack, s_size=slack.s_size + 1),
+        ):
+            bad = dataclasses.replace(trace, slack=change)
+            assert not verify_trace(g, bad, complete(3), 2), change
+
+    def test_rejects_missing_or_extra_slack(self):
+        g = cycle(4)
+        trace = extract(g, complete(3), 2)
+        assert trace.outcome == OUTCOME_INDUCED_K2T
+        bad = dataclasses.replace(trace, slack=None)
+        assert not verify_trace(g, bad, complete(3), 2)
+        # A threshold belongs to hypothesis-not-met only.
+        extra = dataclasses.replace(trace.slack, ramsey_threshold=2, threshold_kind="exact")
+        assert not verify_trace(g, dataclasses.replace(trace, slack=extra), complete(3), 2)
+        # And boundary-degenerate has no slack at all.
+        k6 = complete(6)
+        boundary = extract(k6, complete(3), 2)
+        assert verify_trace(k6, boundary, complete(3), 2)
+        bad = dataclasses.replace(boundary, slack=trace.slack)
+        assert not verify_trace(k6, bad, complete(3), 2)
