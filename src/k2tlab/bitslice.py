@@ -10,8 +10,13 @@ AND, OR and XOR, so one big-int operation evaluates the whole window.
 
 The graph at index i has edge k when bit k of its Gray mask i ^ (i >> 1)
 is set, that is when X_k ^ X_{k+1} is set, X_k being bit k of the index.
-Inside an aligned block the index bits below ``BLOCK_BITS`` run through 16
-fixed patterns and the bits above are constant.
+When 2^k is at least the window's width, bit k flips at most once inside
+the window, so X_k is bit k of lo up to that place and its complement
+after it; below that, X_k is cut from its block-wide pattern, masked to
+the window's bits before it is shifted.
+Counts come from carry-save adders. Building a window costs the same for 2
+graphs as for 2^16, so it is paid per window, not per graph: it shows in
+narrow windows (sharded runs, n <= 6), not in runs of whole blocks.
 """
 
 from __future__ import annotations
@@ -71,17 +76,19 @@ def _any_set(acc: int, cands: list, size: int, rel: list) -> int:
     if size == 0:
         return acc
     out = 0
-    if size == 1:
-        for _, ind in cands:
-            out |= ind
-        return acc & out
     for i in range(len(cands) - size + 1):
         u, ind = cands[i]
         nxt = (acc ^ out) & ind
         if nxt:
             row = rel[u]
-            rest = [(v, y) for v, x in cands[i + 1:] if (y := x & row[v])]
-            out |= _any_set(nxt, rest, size - 1, rel)
+            if size == 2:
+                y = 0
+                for v, x in cands[i + 1:]:
+                    y |= x & row[v]
+                out |= nxt & y
+            else:
+                rest = [(v, y) for v, x in cands[i + 1:] if (y := x & row[v])]
+                out |= _any_set(nxt, rest, size - 1, rel)
             if out == acc:
                 break
     return out
@@ -96,15 +103,19 @@ class Window:
         if not (0 <= lo < hi and (hi - 1) // BLOCK == lo // BLOCK):
             raise ValueError(f"window [{lo}, {hi}) is empty or crosses a block")
         self.n, self.lo, self.hi = n, lo, hi
-        self.all = (1 << (hi - lo)) - 1
+        width = hi - lo
+        self.all = (1 << width) - 1
         low = _index_bits()
-        offset = lo % BLOCK
         pairs = pair_order(n)
-        x = [
-            (low[k] >> offset) & self.all if k < BLOCK_BITS
-            else self.all if (lo >> k) & 1 else 0
-            for k in range(len(pairs))
-        ]
+        x = []
+        for k in range(len(pairs)):
+            if width <= 1 << k:
+                flip = -lo % (1 << k)
+                before = (1 << flip) - 1 if 0 < flip < width else self.all
+                x.append(before if (lo >> k) & 1 else self.all ^ before)
+            else:
+                s = lo % (2 << k)
+                x.append((low[k] & ((1 << (s + width)) - 1)) >> s)
         x.append(0)
         self.edge = [[0] * n for _ in range(n)]
         self.non_edge = [[self.all] * n for _ in range(n)]
@@ -119,11 +130,9 @@ class Window:
         n, e = self.n, self.edge
         found = 0
         for a, b in combinations(range(n), 2):
-            common = [
-                (s, e[a][s] & e[b][s]) for s in range(n) if s != a and s != b
-            ]
             acc = self.non_edge[a][b] & ~found
             if acc:
+                common = [(s, e[a][s] & e[b][s]) for s in range(n) if s not in (a, b)]
                 found |= _any_set(acc, common, t, self.non_edge)
         return found
 
@@ -202,8 +211,9 @@ class Window:
             take = self.all
             for u in s:
                 take &= left[u]
-            for a, b in combinations(s, 2):
-                take &= self.non_edge[a][b]
+            if take:
+                for a, b in combinations(s, 2):
+                    take &= self.non_edge[a][b]
             if take:
                 for u in s:
                     left[u] &= ~take
@@ -227,21 +237,21 @@ class Window:
 
 
 def count_digits(indicators: list[int]) -> list[int]:
-    """An adder tree over bitsliced 0/1 values: the binary digits, least
-    significant first, of how many ``indicators`` hold each position."""
-    if len(indicators) <= 1:
-        return list(indicators)
-    mid = len(indicators) // 2
-    x, y = count_digits(indicators[:mid]), count_digits(indicators[mid:])
-    out, carry = [], 0
-    for j in range(max(len(x), len(y))):
-        a = x[j] if j < len(x) else 0
-        b = y[j] if j < len(y) else 0
-        out.append(a ^ b ^ carry)
-        carry = (a & b) | (carry & (a ^ b))
-    if carry:
-        out.append(carry)
-    return out
+    """The binary digits, least significant first (possibly ending in
+    zeros), of how many ``indicators`` hold each position: a carry-save
+    adder (Wallace 1964), whose full adders turn three values of one weight
+    into a sum of that weight and a carry of the next."""
+    digits, column = [], list(indicators)
+    while column:
+        carries = []
+        while len(column) > 1:
+            a, b = column.pop(), column.pop()
+            c = column.pop() if column else 0
+            column.append(a ^ b ^ c)
+            carries.append(a & b | c & (a ^ b))
+        digits.append(column[0])
+        column = carries
+    return digits
 
 
 def count_max(digits: list[int], among: int) -> Optional[int]:

@@ -139,8 +139,10 @@ def default_workers() -> int:
 
 def _pool_size(requested: int, shards: int) -> int:
     """Worker processes to start for ``shards`` tasks: the requested count,
-    but never more than the CPUs or the shards, and at least one."""
-    return max(1, min(requested, os.cpu_count() or 1, shards))
+    but never more than the CPUs or the shards, and at least one. The CPUs
+    are counted only when more than one worker is asked for."""
+    size = min(requested, shards)
+    return max(1, min(size, os.cpu_count() or 1) if size > 1 else size)
 
 
 def _run_shards(fn, args_list, workers: int) -> list[dict]:

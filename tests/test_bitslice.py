@@ -8,6 +8,7 @@ every indicator bit and every suite result must agree with them.
 import dataclasses
 import functools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,34 @@ class TestIndicators:
     )
     def test_sampled_windows(self, n, lo, hi):
         check_window(n, lo, hi)
+
+    @pytest.mark.parametrize("k", [12, 13, 14, 15])
+    def test_narrow_windows_across_index_bit_flips(self, k):
+        # The flip of index bit k, up (3 * 2^k) and down (6 * 2^k; for
+        # k = 15 a block bound), falls at every position of windows of
+        # widths 1, 2 and 3, and at the ends and middle of width 65.
+        for flip in (3 * bitslice.BLOCK + 3 * (1 << k), 3 * bitslice.BLOCK + 6 * (1 << k)):
+            for width in (1, 2, 3, 65):
+                for before in sorted({0, 1, width // 2, width - 1, width}):
+                    check_window(7, flip - before, flip - before + width)
+
+    def test_narrow_windows_at_a_block_end(self):
+        for width in (1, 2, 3, 65):
+            check_window(7, 2 * bitslice.BLOCK - width, 2 * bitslice.BLOCK)
+
+    def test_count_digits_matches_popcounts(self):
+        rng = random.Random(18)
+        width = 70
+        for count in range(41):
+            for zeros in (False, True):
+                values = [
+                    0 if zeros or rng.random() < 0.2 else rng.getrandbits(width)
+                    for _ in range(count)
+                ]
+                digits = bitslice.count_digits(values)
+                for p in range(width):
+                    got = sum(((d >> p) & 1) << j for j, d in enumerate(digits))
+                    assert got == sum((x >> p) & 1 for x in values), (count, p)
 
     def test_windows_tile_the_interval_at_block_bounds(self):
         got = [(w.lo, w.hi) for w in bitslice.windows(7, 100, 3 * bitslice.BLOCK + 5)]
@@ -322,6 +351,31 @@ class TestSuitesMatchReference:
         cases = [(5, complete(4), 2), (5, cycle(5), 2), (5, path(4), 3), (6, complete(4), 2)]
         for n, h, t in cases:
             assert delta_max(n, h, t) == reference_delta_max(n, h, t)
+
+
+# (checked, boundary_cases, violation_count) of each engine suite at
+# n_max = 7, t = (2, 3).
+FULL_N7 = {
+    suites.run_clique_exhaustive: (2_575_102, 12, 0),
+    suites.run_proof_inequalities: (2_131_018, 0, 0),
+    suites.run_turan_upper: (2_540_633, 0, 0),
+}
+
+
+@pytest.mark.parametrize("run", FULL_N7, ids=lambda run: run.__name__)
+def test_odd_shards_add_up_to_the_full_run(run):
+    def counts(results):
+        return tuple(
+            sum(getattr(r, key) for r in results)
+            for key in ("checked", "boundary_cases", "violation_count")
+        )
+
+    shards = [run(n_max=7, workers=1, shard=(i, 97)) for i in range(97)]
+    full = run(n_max=7, workers=1)
+    assert counts(shards) == counts([full]) == FULL_N7[run]
+    if run is suites.run_turan_upper:
+        skipped = [r.details["skipped_no_exact_ramsey"] for r in shards]
+        assert sum(skipped) == full.details["skipped_no_exact_ramsey"] == 34_481
 
 
 class TestForcedViolations:

@@ -144,6 +144,15 @@ class TestPoolSize:
         assert _pool_size(1, 5) == 1
         assert _pool_size(5, 0) == 1
 
+    def test_serial_runs_count_no_cpus(self, monkeypatch):
+        def refuse():
+            raise AssertionError("os.cpu_count called for a serial run")
+
+        monkeypatch.setattr(os, "cpu_count", refuse)
+        assert _pool_size(1, 5) == 1
+        assert _pool_size(8, 1) == 1
+        assert _pool_size(5, 0) == 1
+
     def test_unknown_cpu_count_runs_serial(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _pool_size(8, 8) == 1
