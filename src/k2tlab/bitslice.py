@@ -102,6 +102,8 @@ class Window:
     def __init__(self, n: int, lo: int, hi: int):
         if not (0 <= lo < hi and (hi - 1) // BLOCK == lo // BLOCK):
             raise ValueError(f"window [{lo}, {hi}) is empty or crosses a block")
+        if hi > 1 << math.comb(n, 2):
+            raise ValueError(f"window [{lo}, {hi}) ends past the {n}-vertex graphs")
         self.n, self.lo, self.hi = n, lo, hi
         width = hi - lo
         self.all = (1 << width) - 1

@@ -112,7 +112,7 @@ def ramsey_upper(t: int, r: int, method: str = ES) -> Union[int, float]:
     if t < 2 or r < 1:
         raise BoundError(f"need t >= 2 and r >= 1, got t={t}, r={r}")
     if method == ES:
-        return math.comb(r + t - 2, t - 1)
+        return _es_ramsey(t, r)
     if method == SHEARER:
         if t != 3:
             raise BoundError("the shearer bound applies to t = 3 only")
@@ -130,6 +130,7 @@ RamseyFn = Callable[[int, int], Optional[Union[int, float]]]
 
 
 def _es_ramsey(t: int, r: int) -> int:
+    """The Erdos-Szekeres bound R(t, r) <= C(r + t - 2, t - 1)."""
     return math.comb(r + t - 2, t - 1)
 
 

@@ -43,11 +43,11 @@ search. Members are deduplicated up to isomorphism in construction order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
+from .bounds import _es_ramsey
 from .detect import (
     MAX_PATTERN_VERTICES,
     _lex_set,
@@ -446,7 +446,7 @@ def ramsey_exact(query: RamseyQuery, n_cap: int = DEFAULT_RAMSEY_CAP) -> RamseyR
 
     lower = n_cap + 1
     vmin = min(m.n for m in members)
-    upper = math.comb(vmin + t - 2, t - 1)
+    upper = _es_ramsey(t, vmin)
     require(
         upper >= lower,
         f"Erdos-Szekeres bound {upper} below the certified lower bound {lower}",

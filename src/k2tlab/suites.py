@@ -14,8 +14,11 @@ payloads; a flag the recheck does not confirm raises
 ``detect.SelfCheckError``. Heavy suites fan out over index-interval
 shards of the enumeration; results merge order-independently. Worker
 count comes from the K2TLAB_THREADS environment variable unless given
-explicitly. A suite does not repeat a check the library already
-requires: ``ramsey_exact`` validates its own witnesses.
+explicitly; an n_max above ``constructions.ENUMERATION_CAP`` is refused
+before any work. Each suite id is stated once, with its runner and the
+options it takes, in ``_SUITES``. A suite does not repeat a check the
+library already requires: ``ramsey_exact`` validates its own witnesses,
+and ramsey-small re-proves the verified table ``known_ramsey``.
 """
 
 from __future__ import annotations
@@ -59,16 +62,6 @@ from .ramsey import (
 from .witness import extract, forced_missing_edges, ledger, verify_trace
 
 VIOLATION_LIMIT = 100
-
-SUITE_IDS = (
-    "beta",
-    "clique-exhaustive",
-    "proof-ineq",
-    "ramsey-small",
-    "polarity",
-    "triangle-thm",
-    "turan-upper",
-)
 
 
 @dataclass
@@ -165,15 +158,21 @@ def _apply_shard(
 
 
 def _require_n_and_t(n_max: int, t_values: tuple[int, ...]) -> None:
-    """Refuse an n_max below 2, which checks no graph, and any t below 2."""
+    """Refuse an n_max below 2, which checks no graph, any t below 2, and an
+    n_max above the enumeration cap, before any work is done."""
     if n_max < 2 or any(t < 2 for t in t_values):
         raise ValueError(
             f"need n_max >= 2 and t >= 2, got n_max = {n_max}, t = {list(t_values)}"
         )
+    if n_max > ENUMERATION_CAP:
+        raise ValueError(
+            f"the exhaustive suites enumerate every labelled graph and cap at "
+            f"n = {ENUMERATION_CAP}, got n_max = {n_max}"
+        )
 
 
 def _run_exhaustive(
-    result: SuiteResult,
+    suite: str,
     body,
     n_max: int,
     t_values: tuple[int, ...],
@@ -182,25 +181,16 @@ def _run_exhaustive(
 ) -> SuiteResult:
     """The one shard loop of the exhaustive suites: stream the ``shard`` slice
     of every labelled graph on 2..n_max vertices through the shard
-    ``body`` and merge its results into ``result``. The n_max slice is
-    split over up to ``workers`` processes (default K2TLAB_THREADS), at
-    most one per ``bitslice.BLOCK`` block of it, so a slice of one block
-    starts no pool."""
+    ``body`` and merge its results into one ``suite`` result. The n_max
+    slice is split over up to ``workers`` processes (default
+    K2TLAB_THREADS), at most one per ``bitslice.BLOCK`` block of it, so a
+    slice of one block starts no pool."""
     _require_n_and_t(n_max, t_values)
-    if n_max > ENUMERATION_CAP:
-        raise ValueError(
-            f"the exhaustive suites enumerate every labelled graph and cap at "
-            f"n = {ENUMERATION_CAP}, got n_max = {n_max}"
-        )
     workers = default_workers() if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    result.params.update(
-        n_max=n_max,
-        t_values=list(t_values),
-        workers=workers,
-        shard=list(shard) if shard else None,
-    )
+    result = SuiteResult(suite, {"n_max": n_max, "t_values": list(t_values)})
+    result.params.update(workers=workers, shard=list(shard) if shard else None)
     for n in range(2, n_max + 1):
         lo, hi = _apply_shard(1 << math.comb(n, 2), shard)
         blocks = bitslice.block_count(lo, hi)
@@ -340,10 +330,7 @@ def run_clique_exhaustive(
     """Criterion: every labelled graph (n <= n_max) with no induced
     K_{2,t} and alpha < 1 meets every applicable integer clique guarantee;
     alpha = 1 boundary cases are recorded, never checked."""
-    return _run_exhaustive(
-        SuiteResult(suite="clique-exhaustive", params={}),
-        _clique_shard, n_max, t_values, workers, shard,
-    )
+    return _run_exhaustive("clique-exhaustive", _clique_shard, n_max, t_values, workers, shard)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +385,7 @@ def run_proof_inequalities(
     """Criterion: the packing debt m_v >= q(gamma_v) at every vertex of
     every induced-K_{2,t}-free graph, gamma_v being the size of the greedy
     packing of N(v) and m_v the missing edges inside N(v)."""
-    return _run_exhaustive(
-        SuiteResult(suite="proof-ineq", params={}),
-        _proof_shard, n_max, t_values, workers, shard,
-    )
+    return _run_exhaustive("proof-ineq", _proof_shard, n_max, t_values, workers, shard)
 
 
 # ---------------------------------------------------------------------------
@@ -410,44 +394,29 @@ def run_proof_inequalities(
 
 
 def run_ramsey_small(include_r34: bool = True) -> SuiteResult:
-    """R(3,3) = 6 with the 5-cycle as its unique critical graph, R(2,r) = r
-    for r <= 8, and (optionally) R(3,4) = 9. ``ramsey_exact`` itself
-    requires every witness to have no independent t-set and no family
-    member, so only the values and the pentagon are checked here."""
+    """Re-prove the verified table ``known_ramsey``: R(3,3) with the 5-cycle
+    as its unique critical graph, R(2,r) for r <= 8, and (optionally)
+    R(3,4). ``ramsey_exact`` itself requires every witness to have no
+    independent t-set and no family member, so only the values and the
+    pentagon are checked here."""
     result = SuiteResult(
         suite="ramsey-small", params={"include_r34": include_r34}
     )
+    queries = [(3, 3)] + [(2, r) for r in range(1, 9)] + [(3, 4)] * include_r34
     values = {}
-
-    r33 = ramsey_exact(RamseyQuery(t=3, family=explicit_family([complete(3)])))
-    values["R(3,3)"] = r33.exact
-    result.checked += 1
-    if r33.exact != 6:
-        result.add_violation("ramsey R(3,3)", r33.exact, 6)
-    elif not is_isomorphic(r33.lower_witness, cycle(5)):
-        result.add_violation(
-            "ramsey R(3,3) witness",
-            graph6_encode(r33.lower_witness),
-            "a 5-cycle",
-        )
-
-    for r in range(1, 9):
-        res = ramsey_exact(
-            RamseyQuery(t=2, family=explicit_family([complete(r)]))
-        )
-        values[f"R(2,{r})"] = res.exact
+    for t, r in queries:
+        res = ramsey_exact(RamseyQuery(t=t, family=explicit_family([complete(r)])))
+        values[f"R({t},{r})"] = res.exact
         result.checked += 1
-        if res.exact != r:
-            result.add_violation(f"ramsey R(2,{r})", res.exact, r)
-
-    if include_r34:
-        r34 = ramsey_exact(
-            RamseyQuery(t=3, family=explicit_family([complete(4)])), n_cap=9
-        )
-        values["R(3,4)"] = r34.exact
-        result.checked += 1
-        if r34.exact != 9:
-            result.add_violation("ramsey R(3,4)", r34.exact, 9)
+        want = known_ramsey(t, r)
+        if res.exact != want:
+            result.add_violation(f"ramsey R({t},{r})", res.exact, want)
+        elif (t, r) == (3, 3) and not is_isomorphic(res.lower_witness, cycle(5)):
+            result.add_violation(
+                "ramsey R(3,3) witness",
+                graph6_encode(res.lower_witness),
+                "a 5-cycle",
+            )
     result.details["values"] = values
     return result
 
@@ -515,9 +484,7 @@ def run_triangle_theorem(
         )
         return result
     r_value = ramsey_ebar.exact
-    deltas = {}
-    for n in range(2, n_max + 1):
-        deltas[n] = delta_max(n, h, t)
+    deltas = {n: delta_max(n, h, t) for n in range(2, n_max + 1)}
     result.details["ramsey_ebar"] = r_value
     result.details["delta"] = deltas
 
@@ -556,19 +523,19 @@ def run_triangle_theorem(
 @functools.cache
 def _turan_bounds(n: int, t: int, omega: int) -> Optional[tuple]:
     """The bounds below which an n-vertex graph with clique number omega and
-    no induced K_{2,t} must stay, or None; built once per process."""
+    no induced K_{2,t} must stay, or None; built once per process. With
+    H = K_{omega+1}: ramsey-sqrt at R(K_t, {H - x}) = R(t, omega), then the
+    power bounds of t - 1, whose hypothesis is no induced K_{2,t}."""
     r_value = known_ramsey(t, omega)
     if r_value is None:
         return None
-    reports = induced_turan_upper(n, t, v_h=omega + 1, ramsey_value=r_value)
-    return tuple(r for r in reports if r.formula_id == "ramsey-sqrt") + tuple(
+    return tuple(induced_turan_upper(n, t, ramsey_value=r_value)) + tuple(
         induced_turan_upper(n, t - 1, v_h=omega + 1)
     )
 
 
 def _turan_shard(args: tuple) -> dict:
     n, t_values, lo, hi = args
-    pairs = math.comb(n, 2)
     out = SuiteResult(
         suite="turan-upper", params={}, details={"skipped_no_exact_ramsey": 0}
     )
@@ -603,10 +570,10 @@ def _turan_shard(args: tuple) -> dict:
                     out.details["skipped_no_exact_ramsey"] += graphs.bit_count()
                     continue
                 out.checked += graphs.bit_count()
-                for entry in entries:
-                    for e in range(pairs + 1):
-                        if e >= entry.bound:
-                            bad[t] |= graphs & edges[e]
+                # An integer edge count e reaches a bound iff e >= its ceiling.
+                least = math.ceil(min(entry.bound for entry in entries))
+                for over in edges[least:]:
+                    bad[t] |= graphs & over
         _recheck(out, w, bad, visit)
     return out.as_shard()
 
@@ -620,12 +587,7 @@ def run_turan_upper(
     """Criterion: every labelled graph (n <= n_max) with no induced K_{2,t}
     (H = the smallest clique it misses) sits strictly below each applicable
     induced-Turan upper bound with repo-exact Ramsey values."""
-    return _run_exhaustive(
-        SuiteResult(
-            suite="turan-upper", params={}, details={"skipped_no_exact_ramsey": 0}
-        ),
-        _turan_shard, n_max, t_values, workers, shard,
-    )
+    return _run_exhaustive("turan-upper", _turan_shard, n_max, t_values, workers, shard)
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +677,20 @@ def run_triangle_formula() -> SuiteResult:
 # Registry for the CLI
 # ---------------------------------------------------------------------------
 
+_ENGINE_OPTIONS = ("shard", "workers", "n_max", "t")
+
+# Suite id -> (runner, the ``run_suite`` options it takes), in CLI order.
+_SUITES = {
+    "beta": (run_beta, ()),
+    "clique-exhaustive": (run_clique_exhaustive, _ENGINE_OPTIONS),
+    "proof-ineq": (run_proof_inequalities, _ENGINE_OPTIONS),
+    "ramsey-small": (run_ramsey_small, ()),
+    "polarity": (run_polarity, ()),
+    "triangle-thm": (run_triangle_theorem, ("n_max", "t")),
+    "turan-upper": (run_turan_upper, _ENGINE_OPTIONS),
+}
+SUITE_IDS = tuple(_SUITES)
+
 
 def run_suite(
     suite_id: str,
@@ -723,39 +699,22 @@ def run_suite(
     workers: Optional[int] = None,
     shard: Optional[tuple[int, int]] = None,
 ) -> SuiteResult:
-    """Run one suite by id. An option the suite does not take raises
-    ValueError: ``shard`` and ``workers`` outside the exhaustive suites,
-    ``n_max`` and ``t`` for beta, ramsey-small and polarity."""
-    if suite_id not in SUITE_IDS:
+    """Run one suite by id; an option left as None keeps the runner's
+    default. An option the suite does not take raises ValueError naming its
+    command-line flag: ``shard`` and ``workers`` outside the exhaustive
+    suites, ``n_max`` and ``t`` for beta, ramsey-small and polarity."""
+    if suite_id not in _SUITES:
         raise ValueError(
             f"unknown suite {suite_id!r}; choose from {', '.join(SUITE_IDS)}"
         )
-    exhaustive = {
-        "clique-exhaustive": run_clique_exhaustive,
-        "proof-ineq": run_proof_inequalities,
-        "turan-upper": run_turan_upper,
-    }
-    plain = {"beta": run_beta, "ramsey-small": run_ramsey_small, "polarity": run_polarity}
-    refused = [
-        option
-        for option, value, taken in (
-            ("--shard", shard, suite_id in exhaustive),
-            ("--workers", workers, suite_id in exhaustive),
-            ("--nmax", n_max, suite_id not in plain),
-            ("--t", t, suite_id not in plain),
-        )
-        if value is not None and not taken
-    ]
+    run, takes = _SUITES[suite_id]
+    given = {"shard": shard, "workers": workers, "n_max": n_max, "t": t}
+    given = {option: value for option, value in given.items() if value is not None}
+    # Each option's flag is its name without underscores: n_max is --nmax.
+    refused = [f"--{option.replace('_', '')}" for option in given if option not in takes]
     if refused:
         raise ValueError(f"suite {suite_id} does not take {', '.join(refused)}")
-    if suite_id in exhaustive:
-        t_values = (2, 3) if t is None else (t,)
-        return exhaustive[suite_id](
-            n_max=7 if n_max is None else n_max,
-            t_values=t_values, workers=workers, shard=shard,
-        )
-    if suite_id == "triangle-thm":
-        return run_triangle_theorem(
-            n_max=6 if n_max is None else n_max, t=2 if t is None else t
-        )
-    return plain[suite_id]()
+    if "t" in given and "shard" in takes:
+        # The exhaustive (sharded) suites take a tuple of t values.
+        given["t_values"] = (given.pop("t"),)
+    return run(**given)

@@ -145,6 +145,14 @@ class TestIndicators:
         with pytest.raises(ValueError):
             bitslice.Window(7, bitslice.BLOCK - 1, bitslice.BLOCK + 1)
 
+    def test_window_ends_at_the_last_graph(self):
+        # 3 vertices have 2^3 = 8 labelled graphs.
+        with pytest.raises(ValueError, match="past the 3-vertex graphs"):
+            bitslice.Window(3, 0, 16)
+        w = bitslice.Window(3, 0, 8)
+        assert w.all.bit_count() == 8
+        assert len(list(w.graphs(w.all))) == 8
+
     def test_count_max(self):
         w = bitslice.Window(5, 0, space(5))
         digits = w.triangle_digits()

@@ -88,6 +88,16 @@ class TestRamseySmall:
         assert result.details["values"]["R(3,3)"] == 6
         assert result.details["values"]["R(2,8)"] == 8
 
+    def test_flags_a_wrong_table_entry(self, monkeypatch):
+        def wrong(t, r):
+            return 7 if (t, r) == (3, 3) else known_ramsey(t, r)
+
+        monkeypatch.setattr(suites, "known_ramsey", wrong)
+        result = run_ramsey_small(include_r34=False)
+        assert result.violations == [
+            {"claim": "ramsey R(3,3)", "graph6": None, "observed": "6", "required": "7"}
+        ]
+
 
 class TestPolaritySuite:
     def test_clean(self):
@@ -102,6 +112,15 @@ class TestTriangleTheoremSuite:
         assert result.passed
         assert result.details["ramsey_ebar"] == 2
         assert set(result.details["delta"].values()) == {0}
+
+    def test_refuses_n_above_cap_before_any_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the cap check")
+
+        monkeypatch.setattr(suites, "ramsey_exact", refuse)
+        monkeypatch.setattr(suites, "delta_max", refuse)
+        with pytest.raises(ValueError, match="cap at n = 7, got n_max = 8"):
+            run_triangle_theorem(n_max=8)
 
 
 class TestTuranUpper:
@@ -235,3 +254,37 @@ class TestRegistry:
     def test_exhaustive_suites_refuse_n_above_cap(self, suite_id):
         with pytest.raises(ValueError, match="cap at n = 7"):
             run_suite(suite_id, n_max=8)
+
+    # The run_suite options each suite refuses, by command-line flag.
+    REFUSED = {
+        "beta": ["--shard", "--workers", "--nmax", "--t"],
+        "clique-exhaustive": [],
+        "proof-ineq": [],
+        "ramsey-small": ["--shard", "--workers", "--nmax", "--t"],
+        "polarity": ["--shard", "--workers", "--nmax", "--t"],
+        "triangle-thm": ["--shard", "--workers"],
+        "turan-upper": [],
+    }
+    # One value per option that a suite taking it rejects before any work.
+    INVALID = {
+        "--shard": {"shard": (5, 3)},
+        "--workers": {"workers": 0},
+        "--nmax": {"n_max": 1},
+        "--t": {"t": 1},
+    }
+
+    @pytest.mark.parametrize("suite_id", REFUSED)
+    @pytest.mark.parametrize("flag", INVALID)
+    def test_option_matrix(self, suite_id, flag):
+        with pytest.raises(ValueError) as err:
+            run_suite(suite_id, **self.INVALID[flag])
+        refusal = f"suite {suite_id} does not take {flag}"
+        assert (str(err.value) == refusal) == (flag in self.REFUSED[suite_id])
+
+    @pytest.mark.parametrize("suite_id", [s for s, flags in REFUSED.items() if flags])
+    def test_refusals_named_in_flag_order(self, suite_id):
+        everything = {"n_max": 3, "t": 2, "workers": 1, "shard": (0, 1)}
+        with pytest.raises(ValueError) as err:
+            run_suite(suite_id, **everything)
+        refused = ", ".join(self.REFUSED[suite_id])
+        assert str(err.value) == f"suite {suite_id} does not take {refused}"
