@@ -41,6 +41,7 @@ from .graphs import (
     parse_edge_text,
 )
 from .ramsey import (
+    DEFAULT_RAMSEY_CAP,
     RamseyQuery,
     explicit_family,
     family_minus_ebar,
@@ -323,7 +324,7 @@ def cmd_generate(kind, params, seed, out_path, json_path):
 @click.option("--r", type=int, default=None, help="clique target: family {K_r}")
 @click.option("--h", "h_path", type=click.Path(exists=True), default=None, help="family {H - x} from this graph")
 @click.option("--ebar", is_flag=True, default=False, help="use {H - ebar} instead of {H - x}")
-@click.option("--cap", type=int, default=9, show_default=True)
+@click.option("--cap", type=int, default=DEFAULT_RAMSEY_CAP, show_default=True)
 @click.option("--json", "json_path", type=click.Path())
 def cmd_ramsey(t, r, h_path, ebar, cap, json_path):
     """Exact small Ramsey number for K_t versus a clique or a deletion

@@ -259,12 +259,19 @@ def plan_embedding(h: Graph, first: Optional[int] = None) -> tuple:
     """The search plan for embedding ``h``: one step per pattern vertex,
     ``first`` (when given) and then the rest by descending degree, each step
     holding (vertex, degree, neighbours placed by earlier steps)."""
-    order = sorted(range(h.n), key=lambda v: (v != first, -h.degree(v), v))
-    position = {v: i for i, v in enumerate(order)}
-    return tuple(
-        (v, h.degree(v), tuple(u for u in bits(h.adj[v]) if position[u] < position[v]))
-        for v in order
-    )
+    adj = h.adj
+    degree = [row.bit_count() for row in adj]
+    # Descending degree; a reversed sort keeps ties in increasing order.
+    order = sorted(range(h.n), key=degree.__getitem__, reverse=True)
+    if first is not None:
+        order.remove(first)
+        order.insert(0, first)
+    steps = []
+    placed = 0
+    for v in order:
+        steps.append((v, degree[v], tuple(bits(adj[v] & placed))))
+        placed |= 1 << v
+    return tuple(steps)
 
 
 def _embed(

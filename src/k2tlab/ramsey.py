@@ -27,12 +27,17 @@ are symmetric by construction, so it is built through ``Graph._trusted``
 without re-validation; the vertices of a row of a graph on at most 10
 vertices are read from one table. Levels are deduplicated by exact
 isomorphism tests inside cheap-invariant buckets: each graph is coloured
-by one refinement round (degree, sorted neighbour degrees), to small ints
-through one table per level, and the test is an iterative depth-first
-search over bitmasks of colour classes. Most bucket mates are duplicates
-whose proof is nearly linear, so further rounds would cost more than the
-few non-isomorphic bucket mates they split off. This keeps the n = 9
-refutations (e.g. for R(3,4)) at interactive speed.
+by one refinement round (degree, sorted neighbour degrees), read straight
+from its rows as one int per vertex (the degree plus a packed histogram of
+the neighbour degrees, in fields too wide to carry). Most bucket mates are
+duplicates whose proof is nearly linear, so further rounds would cost more
+than the few non-isomorphic bucket mates they split off, and the cost of a
+proof is mostly its set-up. So each bucket representative keeps a proof
+plan, built the first time it is compared: its vertices, rare colours
+first, each with its colour and its earlier neighbours. A proof maps the
+representative onto the candidate by an iterative depth-first search over
+bitmasks, and builds only the candidate's colour classes. This keeps the
+n = 9 refutations (e.g. for R(3,4)) at interactive speed.
 
 All three family constructors go through one builder, which checks sizes
 before it builds a deletion or hashes an invariant: a member above the
@@ -126,13 +131,11 @@ def _vertices(n: int):
     return _ROW_VERTICES.__getitem__ if n <= _TABLE_N else lambda r: tuple(bits(r))
 
 
-def _refined_colours(
-    g: Graph, table: Optional[dict] = None, rounds: int = 3
-) -> list:
+def _refined_colours(g: Graph, table: Optional[dict] = None) -> list:
     """Iterated colour refinement from the degrees: each round renames
     every vertex's (round, colour, sorted neighbour colours) signature to a
     small int, and the refinement stops after the first round that splits
-    no colour class, or after ``rounds`` rounds. Graphs refined through one
+    no colour class, or after three rounds. Graphs refined through one
     shared ``table`` get equal colours exactly for equal signatures, so
     their colours compare with each other; the round in each signature
     keeps graphs that stop at different rounds apart. Without a table a
@@ -140,8 +143,8 @@ def _refined_colours(
     offset by round * n, which is an isomorphism invariant of g alone."""
     nbrs = list(map(_vertices(g.n), g.adj))
     colours = [len(vs) for vs in nbrs]
-    classes = len(set(colours)) if rounds > 1 else 0
-    for r in range(rounds):
+    classes = len(set(colours))
+    for r in range(3):
         colour_of = colours.__getitem__
         sigs = [
             (r, colours[v], tuple(sorted(map(colour_of, vs))))
@@ -152,32 +155,52 @@ def _refined_colours(
             colours = [rank[sig] for sig in sigs]
         else:
             colours = [table.setdefault(sig, len(table)) for sig in sigs]
-        if r + 1 < rounds:
-            split = len(set(colours))
-            if split == classes:
-                break
-            classes = split
+        split = len(set(colours))
+        if split == classes:
+            break
+        classes = split
     return colours
+
+
+def _signatures(g: Graph) -> list:
+    """One refinement round as one int per vertex: its degree, plus in
+    field d (bits d * w and up) the number of its neighbours of degree d.
+    No count or degree exceeds n - 1 < 2^w, with w = (n - 1).bit_length(),
+    so no field carries into the next: two vertices of graphs on n vertices
+    get one int exactly when they have one degree and one multiset of
+    neighbour degrees, the partition of the (degree, sorted neighbour
+    degrees) signature, with no table. Each neighbour u adds
+    1 + 2^(w * deg u), so the degree field counts the neighbours."""
+    adj = g.adj
+    width = (g.n - 1).bit_length()
+    field = [1 + (1 << width * row.bit_count()) for row in adj].__getitem__
+    vertices = _vertices(g.n)
+    return [sum(map(field, vertices(row))) for row in adj]
 
 
 def invariant_key(g: Graph, colours: Optional[list] = None) -> tuple:
     """A cheap isomorphism invariant used to bucket candidates; ``colours``
-    are g's refined colours when the caller already has them (keys compare
-    only if their colours came through one table)."""
+    are isomorphism-invariant colours of g when the caller already has them
+    (keys compare only if their colours do: ``_signatures`` of graphs on
+    one n, or refined colours through one table)."""
     if colours is None:
         colours = _refined_colours(g)
     return (g.n, g.edge_count, tuple(sorted(colours)))
 
 
-def is_isomorphic(a: Graph, b: Graph, colours: Optional[tuple] = None) -> bool:
+def is_isomorphic(
+    a: Graph, b: Graph, colours: Optional[tuple] = None, plan: Optional[tuple] = None
+) -> bool:
     """Exact backtracking isomorphism test for desk-scale graphs.
 
-    ``colours`` is the pair of isomorphism-invariant colours of a and b,
-    through one table, when the caller already has them; the dedupe passes
-    its one-round colours of two graphs with equal invariant keys. Without
-    them a and b are refined for up to three rounds through one table, and
-    unequal sorted colours reject at once. Either way only the
-    colour-preserving map decides a True."""
+    ``colours`` is the pair of isomorphism-invariant colours of a and b
+    that compare with each other, when the caller already has them; the
+    dedupe passes the signatures of two graphs with equal invariant keys,
+    and b's ``plan`` from ``_proof_plan(b, colours[1])``, which it keeps
+    for the next test against b. Without colours a and b are refined for
+    up to three rounds through one table, and unequal sorted colours
+    reject at once. Either way only the colour-preserving map decides a
+    True."""
     if a.n != b.n or a.edge_count != b.edge_count:
         return False
     if colours is None:
@@ -185,37 +208,50 @@ def is_isomorphic(a: Graph, b: Graph, colours: Optional[tuple] = None) -> bool:
         colours = (_refined_colours(a, table), _refined_colours(b, table))
         if sorted(colours[0]) != sorted(colours[1]):
             return False
-    return _colour_preserving_map(a, b, *colours)
+    if plan is None:
+        plan = _proof_plan(b, colours[1])
+    return _maps_onto(plan, a, colours[0])
 
 
-def _colour_preserving_map(a: Graph, b: Graph, ca: list, cb: list) -> bool:
-    """True iff some isomorphism a -> b maps every vertex to one of the
-    same colour: an iterative depth-first search over the vertices of a,
-    rare colours first. Depth i holds the unused vertices of b in the
-    colour class of its vertex v (``free``) and the bits of b and of a
-    mapped above it (``used``, ``done``). The images of v's neighbours
-    among ``done`` form the want mask, and a candidate fits when its b-row
-    meets ``used`` in exactly that mask, which checks every edge and
-    non-edge back to the vertices already mapped."""
-    n = a.n
+def _proof_plan(b: Graph, cb: list) -> tuple:
+    """The steps of a colour-preserving map from b: b's vertices, rare
+    colours first, each step as (its colour, the vertex, the row mask of
+    its neighbours among the earlier steps). It depends on b alone, so one
+    plan serves every test against b."""
+    sizes: dict = {}
+    for c in cb:
+        sizes[c] = sizes.get(c, 0) + 1
+    adj = b.adj
+    steps = []
+    done = 0
+    for _, c, v in sorted(zip(map(sizes.__getitem__, cb), cb, range(b.n))):
+        steps.append((c, v, adj[v] & done))
+        done |= 1 << v
+    return tuple(steps)
+
+
+def _maps_onto(plan: tuple, a: Graph, ca: list) -> bool:
+    """True iff the plan's graph b has an isomorphism onto a that maps
+    every vertex to one of the same colour: an iterative depth-first
+    search over the steps. Depth i holds the unused vertices of a in the
+    colour class of step i (``free``) and the bits of a mapped above it
+    (``used``). The images of the step's earlier neighbours form the want
+    mask, and a candidate fits when its a-row meets ``used`` in exactly
+    that mask, which checks every edge and non-edge back to the steps
+    already mapped. Only a's colour classes are built."""
+    n = len(plan)
     if not n:
         return True
     classes: dict = {}
-    for w, c in enumerate(cb):
+    for w, c in enumerate(ca):
         classes[c] = classes.get(c, 0) | 1 << w
-    # Rare colours first, by class size in b: a colour that b lacks comes
-    # first, with no candidates, and ends the search at once.
-    sizes = [(classes.get(c, 0).bit_count(), c, v) for v, c in enumerate(ca)]
-    order = [v for _, _, v in sorted(sizes)]
-    aadj = a.adj
-    badj = b.adj
+    adj = a.adj
     vertices = _vertices(n)
-    image = [0] * n  # image[v]: the bit of the b-vertex that a-vertex v maps to
+    image = [0] * n  # image[v]: the bit of the a-vertex that b-vertex v maps to
     free = [0] * n
     used = [0] * n
-    done = [0] * n
     want = [0] * n
-    free[0] = classes.get(ca[order[0]], 0)
+    free[0] = classes.get(plan[0][0], 0)
     i = 0
     while i >= 0:
         f = free[i]
@@ -224,40 +260,50 @@ def _colour_preserving_map(a: Graph, b: Graph, ca: list, cb: list) -> bool:
             continue
         low = f & -f
         free[i] = f ^ low
-        if badj[low.bit_length() - 1] & used[i] != want[i]:
+        if adj[low.bit_length() - 1] & used[i] != want[i]:
             continue
-        v = order[i]
-        image[v] = low
+        image[plan[i][1]] = low
         i += 1
         if i == n:
             return True
         used[i] = mapped = used[i - 1] | low
-        done[i] = seen = done[i - 1] | 1 << v
-        v = order[i]
+        colour, _, earlier = plan[i]
         w = 0
-        for u in vertices(aadj[v] & seen):
+        for u in vertices(earlier):
             w |= image[u]
         want[i] = w
-        free[i] = classes.get(ca[v], 0) & ~mapped
+        free[i] = classes.get(colour, 0) & ~mapped
     return False
 
 
 def _orbit_representatives(g: Graph) -> list[int]:
     """The least vertex of each orbit of Aut(g). Vertices x and v share an
-    orbit iff some automorphism maps x to v: a colour-preserving map once
-    x and v are pinned with a colour of their own (-1; refined colours are
-    ranks, so never negative)."""
-    colours = _refined_colours(g)
+    orbit iff some automorphism maps x to v. Twins (one open or one closed
+    neighbourhood) do, by the swap of the two; otherwise a colour-preserving
+    map decides, once x and v are pinned with a colour of their own (-1;
+    signatures are never negative). Only vertices with one signature are
+    compared, and each representative's pinned plan is built once."""
+    colours = _signatures(g)
+    adj = g.adj
 
     def pinned(x: int) -> list:
-        return [-1 if v == x else c for v, c in enumerate(colours)]
+        out = colours.copy()
+        out[x] = -1
+        return out
 
     reps: list[int] = []
-    for v in range(g.n):
-        if not any(
-            colours[x] == colours[v] and _colour_preserving_map(g, g, pinned(x), pinned(v))
-            for x in reps
-        ):
+    plans: dict = {}
+    for v, c in enumerate(colours):
+        for x in reps:
+            if colours[x] != c:
+                continue
+            if adj[x] & ~(1 << v) == adj[v] & ~(1 << x):
+                break
+            if x not in plans:
+                plans[x] = _proof_plan(g, pinned(x))
+            if _maps_onto(plans[x], g, pinned(v)):
+                break
+        else:
             reps.append(v)
     return reps
 
@@ -265,21 +311,27 @@ def _orbit_representatives(g: Graph) -> list[int]:
 def _dedupe(items, graph=lambda item: item) -> list:
     """The items, in order, whose ``graph(item)`` is the first of its
     isomorphism class: exact tests inside cheap-invariant buckets. Each
-    graph is coloured by one refinement round (degree, sorted neighbour
-    degrees) through one table for the whole call; the colours key its
-    bucket and steer the tests, and the buckets keep the representatives'
-    colours. A bucket may hold several classes, since one round splits
-    less than three, so a test can fail; each dropped duplicate still
-    costs exactly one True test, against its class's representative."""
-    table: dict = {}
+    graph's ``_signatures`` (one refinement round) key its bucket and
+    steer the tests. A bucket keeps each representative with its
+    signatures, and with its proof plan once a test has needed one; a
+    test then builds only the candidate's colour classes. A bucket may
+    hold several classes, since one round splits less than three, so a
+    test can fail; each dropped duplicate still costs exactly one True
+    test, against its class's representative."""
     buckets: dict = {}
     out = []
     for item in items:
         g = graph(item)
-        colours = _refined_colours(g, table, rounds=1)
+        colours = _signatures(g)
         bucket = buckets.setdefault(invariant_key(g, colours), [])
-        if not any(is_isomorphic(g, rep, (colours, seen)) for rep, seen in bucket):
-            bucket.append((g, colours))
+        for entry in bucket:
+            rep, seen, plan = entry
+            if plan is None:
+                entry[2] = plan = _proof_plan(rep, seen)
+            if is_isomorphic(g, rep, (colours, seen), plan):
+                break
+        else:
+            bucket.append([g, colours, None])
             out.append(item)
     return out
 

@@ -313,9 +313,10 @@ def verify_trace(g: Graph, trace: ProofTrace, h: Graph, t: int) -> bool:
             return False
         if entry.m_v != missing_pairs(g.adj, row):
             return False
-        if entry.gamma_v < 0 or entry.q_of_gamma != forced_missing_edges(
-            entry.gamma_v, t
-        ):
+        # gamma_v disjoint independent t-sets must fit in the neighbourhood.
+        if entry.gamma_v < 0 or entry.gamma_v * t > entry.degree:
+            return False
+        if entry.q_of_gamma != forced_missing_edges(entry.gamma_v, t):
             return False
 
     if trace.outcome == OUTCOME_BOUNDARY_DEGENERATE:

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from k2tlab import ramsey
 from k2tlab.cli import load_graph, main
 from k2tlab.constructions import complete, cycle
 from k2tlab.graphs import graph6_decode, graph6_encode
@@ -346,6 +347,11 @@ class TestRamseyCommand:
         assert rep["results"]["exact"] == 6
         witness = graph6_decode(rep["results"]["witness"])
         assert witness.n == 5 and witness.edge_count == 5
+
+    def test_cap_defaults_to_the_library_cap(self, runner):
+        result = runner.invoke(main, ["ramsey", "--t", "2", "--r", "3"])
+        assert result.exit_code == 0
+        assert report_of(result)["inputs"]["cap"] == ramsey.DEFAULT_RAMSEY_CAP
 
     def test_family_from_h_file(self, runner, tmp_path):
         k4 = write_graph6(tmp_path, "k4.g6", complete(4))

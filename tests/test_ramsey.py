@@ -246,11 +246,88 @@ class TestIsomorphismAgainstBruteForce:
     def test_one_round_blind_pairs(self, name):
         a, b = ONE_ROUND_BLIND[name]()
         assert invariant_key(a) != invariant_key(b)
-        table = {}
-        ca, cb = (ramsey._refined_colours(g, table, rounds=1) for g in (a, b))
+        ca, cb = (ramsey._signatures(g) for g in (a, b))
         assert invariant_key(a, ca) == invariant_key(b, cb)
         assert not is_isomorphic(a, b, (ca, cb)) and not is_isomorphic(b, a, (cb, ca))
         assert_dedupe_keeps_first_copies(a, b, random.Random(17))
+
+
+def canonical_form(g):
+    """The least sorted edge list over every relabelling of g."""
+    edges = list(g.edges())
+    return min(
+        tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
+        for p in itertools.permutations(range(g.n))
+    )
+
+
+def one_round_classes(g):
+    return colour_classes([
+        (g.degree(v), tuple(sorted(g.degree(u) for u in bits(g.adj[v]))))
+        for v in range(g.n)
+    ])
+
+
+def carry_pair_host():
+    """55 vertices; x = 0 has 16 neighbours of degree 1 and one (z = 17) of
+    degree 3, y = 20 has 17 neighbours of degree 2. Packed in fixed 4-bit
+    fields both read 17 + 16 * 16^1 + 16^3 = 17 + 17 * 16^2."""
+    edges = [(0, u) for u in range(1, 18)] + [(17, 18), (17, 19)]
+    edges += [(20, u) for u in range(21, 38)] + [(u, u + 17) for u in range(21, 38)]
+    return build(55, edges)
+
+
+class TestDedupeContract:
+    """``_dedupe`` keeps the first item of each isomorphism class, in order,
+    and pays for each dropped item with exactly one True test through the
+    module's ``is_isomorphic``, called positionally."""
+
+    @staticmethod
+    def stream(seed):
+        rng = random.Random(seed)
+        bases = [g for pair in (
+            ONE_ROUND_BLIND["P7 / P4 + K3"](),
+            REFINEMENT_BLIND["C6 / 2K3"](),
+            REFINEMENT_BLIND["K33 / prism"](),
+        ) for g in pair]
+        bases += [graph_from_mask(n, rng.getrandbits(math.comb(n, 2))) for n in (4, 5, 5, 6)]
+        copies = [relabel(g, shuffled(g.n, rng)) for g in bases for _ in range(3)]
+        rng.shuffle(copies)
+        return copies
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_keeps_first_of_each_class(self, monkeypatch, seed):
+        items = list(enumerate(self.stream(seed)))
+        true_tests = []
+
+        def counted(*args):
+            result = is_isomorphic(*args)
+            if result:
+                true_tests.append(args[0])
+            return result
+
+        monkeypatch.setattr(ramsey, "is_isomorphic", counted)
+        kept = ramsey._dedupe(items, itemgetter(1))
+        firsts = {}
+        for i, g in items:
+            firsts.setdefault(canonical_form(g), i)
+        assert [i for i, _ in kept] == sorted(firsts.values())
+        assert len(true_tests) == len(items) - len(kept)
+
+    def test_signatures_split_like_one_round_past_four_bit_fields(self):
+        # At n >= 17 a count or degree can reach 16, which a fixed 4-bit
+        # field carries into the next field; the width taken from n keeps
+        # every field apart.
+        g = carry_pair_host()
+        four_bit = [
+            g.degree(v) + sum(16 ** g.degree(u) for u in bits(g.adj[v]))
+            for v in range(g.n)
+        ]
+        assert four_bit[0] == four_bit[20]
+        assert colour_classes(four_bit) != one_round_classes(g)
+        assert colour_classes(ramsey._signatures(g)) == one_round_classes(g)
+        for h in itertools.chain(*all_classes(6), (shrikhande(), rook_4x4())):
+            assert colour_classes(ramsey._signatures(h)) == one_round_classes(h)
 
 
 class TestFamilies:
@@ -545,12 +622,15 @@ def automorphism_orbit_representatives(g):
 
 
 class TestAnchoredSearch:
-    def test_orbit_representatives(self):
-        for n in range(1, 6):
-            for g in nonisomorphic_graphs(n):
-                assert ramsey._orbit_representatives(g) == (
-                    automorphism_orbit_representatives(g)
-                ), graph6_encode(g)
+    def test_orbit_representatives(self, monkeypatch):
+        # The traced benchmark counts every True is_isomorphic inside a
+        # search as a duplicate, so the orbit search must not call it.
+        graphs = [g for n in range(1, 6) for g in nonisomorphic_graphs(n)]
+        monkeypatch.setattr(ramsey, "is_isomorphic", None)
+        for g in graphs:
+            assert ramsey._orbit_representatives(g) == (
+                automorphism_orbit_representatives(g)
+            ), graph6_encode(g)
 
 
 def unpruned_extensions(parent, t):

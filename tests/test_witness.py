@@ -416,6 +416,24 @@ class TestVerifyTrace:
         bad = dataclasses.replace(trace, ledgers=tuple(entries))
         assert not verify_trace(g, bad, complete(4), 2)
 
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_rejects_packing_that_cannot_fit(self, t):
+        # gamma_v disjoint independent t-sets need gamma_v * t neighbours; a
+        # ledger entry claiming more, with the q that matches its claim,
+        # must not verify.
+        g = polarity_graph(7)
+        h = complete(4)
+        trace = extract(g, h, t)
+        assert verify_trace(g, trace, h, t)
+        entries = list(trace.ledgers)
+        assert entries[0].degree == 8
+        for gamma in (8 // t + 1, 9):
+            entries[0] = dataclasses.replace(
+                entries[0], gamma_v=gamma, q_of_gamma=forced_missing_edges(gamma, t)
+            )
+            bad = dataclasses.replace(trace, ledgers=tuple(entries))
+            assert not verify_trace(g, bad, h, t), gamma
+
     def test_rejects_wrong_outcome_tag(self):
         g = cycle(5)
         trace = extract(g, complete(3), 2)
