@@ -317,16 +317,17 @@ def graph6_decode(text: str) -> Graph:
         )
     if "1" in stream[nbits:]:
         raise GraphError("nonzero padding bits in graph6 string")
-    # Column c, padded to n, is column c of the upper triangle. Row v is
-    # column v (bits below v) followed by row v of the padded columns'
-    # transpose (bits above v).
-    columns = []
-    start = 0
-    for c in range(n):
-        columns.append(stream[start : start + c])
-        start += c
-    upper = ["".join(row) for row in zip(*(col.ljust(n, "0") for col in columns))]
-    adj = [int((columns[v] + upper[v][v:])[::-1], 2) for v in range(n)]
+    # Column c of the upper triangle, padded with zeros to n bits, fills
+    # bits c * n .. c * n + n - 1 of ``padded``. Row v is column v (its
+    # bits below v) followed by every n-th bit from v * n + v: the zero
+    # on the diagonal, then bit v of each later column.
+    padded = "".join(
+        [stream[c * (c - 1) // 2 : c * (c + 1) // 2].ljust(n, "0") for c in range(n)]
+    )
+    adj = [
+        int((padded[v * n : v * n + v] + padded[v * n + v :: n])[::-1], 2)
+        for v in range(n)
+    ]
     return Graph._trusted(n, adj, stream.count("1"))
 
 

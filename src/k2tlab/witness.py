@@ -17,21 +17,24 @@ Every certificate can be re-validated from scratch with verify_trace.
 ``ledger`` builds all per-vertex entries in one pass. m_v comes from a
 single sweep over the edges (each edge uw adds |N(u) & N(w)| at both ends,
 which sums to twice the edges inside each neighbourhood), and gamma_v from
-a greedy packing that resumes each search after the least vertex of the
-part it just took, since no t-set can start below it any more; when G
-itself holds no independent t-set, no neighbourhood does, so one search
-on the whole vertex set sets every gamma_v to 0 and no per-vertex search
-runs. Both give exactly what ``missing_pairs`` and ``greedy_packing``
-give vertex by vertex; those stay as the plain per-vertex oracles, and
-``verify_trace`` recounts every m_v with ``missing_pairs``. ``pigeonhole_edge`` skips the
-partners with fewer than two common neighbours once a pair with one is
-known, as they can no longer win.
+one increasing scan of N(v): each vertex either starts the next part, with
+the lex-least independent (t - 1)-set among its later non-neighbours still
+free, or is passed over for good, since no t-set can start at it any more;
+when G itself holds no independent t-set, no neighbourhood does, so one
+search on the whole vertex set sets every gamma_v to 0 and no scan runs.
+Both give exactly what ``missing_pairs`` and ``greedy_packing`` give
+vertex by vertex; those stay as the plain per-vertex oracles, and
+``verify_trace`` recounts every m_v with ``missing_pairs``.
+``pigeonhole_edge`` skips the partners with fewer than two common
+neighbours once a pair with one is known, as they can no longer win.
 
 ``extract`` builds one trace. A complete host returns early as
 boundary-degenerate; otherwise one if/elif chain picks the outcome and
 its certificate (an independent t-set in S first; the family {H - x} is
-built only when that search fails), one self-check covers whichever
-certificate was found, and one ``ProofTrace`` is returned.
+needed only when that search fails), one self-check covers whichever
+certificate was found, and one ``ProofTrace`` is returned. {H - x} is
+built at most once per H: ``extract``, ``verify_trace`` and the cached
+Ramsey threshold R(K_t, {H - x}) share it through ``_family``.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from . import detect
 from .bounds import beta
 from .detect import Embedding, InducedK2tCertificate
 from .graphs import Graph, GraphError, InducedSubgraph, bits, density, induced_subgraph
-from .ramsey import RamseyQuery, family_minus_vertex, ramsey_exact
+from .ramsey import GraphFamily, RamseyQuery, family_minus_vertex, ramsey_exact
 
 OUTCOME_H_EMBEDDED = "h-embedded"
 OUTCOME_INDUCED_K2T = "induced-k2t-found"
@@ -147,52 +150,58 @@ def ledger(g: Graph, t: int) -> list[VertexLedger]:
     m_v is C(d_v, 2) - e(N(v)). Each edge vw inside N(v) is counted once
     from each end by |N(v) & N(w)| summed over the neighbours w of v, so
     one sweep over the edges uw, u < w, adding |N(u) & N(w)| to both ends,
-    leaves 2 e(N(v)) at every v: E popcounts instead of 2E.
+    leaves 2 e(N(v)) at every v: E popcounts instead of 2E. The sweep runs
+    in the same loop as the packing, since every edge into v from below is
+    swept before v is reached.
 
-    gamma_v is the size of the greedy packing, taken on masks. After each
-    part the residual is cut to the vertices above the part's least
-    vertex: no independent t-set of the residual starts at a vertex below
-    it, and the residual only shrinks, so none ever will, and the next
-    lex-least t-set, found without rescanning them, is the same. One search
-    on the whole vertex set comes first: an independent t-set inside N(v)
-    is one of G, so when G has none every gamma_v is 0 without a search
-    (the co-bipartite hosts at t = 3, two cliques with alpha(G) = 2).
+    gamma_v is the size of the greedy packing, built in one increasing scan
+    of the residual of N(v). Each vertex u of it either starts the next
+    part, with the lex-least independent (t - 1)-set among its later
+    non-neighbours in the residual (for t = 2 the least such vertex), or
+    leaves the residual for good. The lex-least independent t-set of the
+    residual starts at the least vertex that starts any, and a vertex that
+    starts none never will, since the residual only shrinks, so each part
+    is the one a fresh search would take. One search on the whole vertex
+    set comes first: an independent t-set inside N(v) is one of G, so when
+    G has none every gamma_v is 0 without a scan (the co-bipartite hosts
+    at t = 3, two cliques with alpha(G) = 2).
     """
     if t < 2:
         raise GraphError(f"need t >= 2, got t={t}")
     adj = g.adj
-    n = g.n
-    inside = [0] * n
-    for u in range(n):
-        row = adj[u]
-        later = row & ~((1 << (u + 1)) - 1)
+    inside = [0] * g.n
+    lex_set = detect._lex_set
+    packs = lex_set(adj, g.full_mask, t, -1) is not None
+    out = []
+    for v, row in enumerate(adj):
+        total = 0
+        later = row >> (v + 1)  # bit i is vertex v + 1 + i
         while later:
             low = later & -later
             later ^= low
-            w = low.bit_length() - 1
+            w = low.bit_length() + v
             common = (row & adj[w]).bit_count()
-            inside[u] += common
+            total += common
             inside[w] += common
-    packs = detect._lex_set(adj, g.full_mask, t, -1) is not None
-    out = []
-    for v in range(n):
-        row = adj[v]
-        degree = row.bit_count()
         gamma = 0
-        residual = row if packs else 0
-        while residual:
-            part = detect._lex_set(adj, residual, t, -1)
-            if part is None:
-                break
-            gamma += 1
-            residual &= ~part & -(part & -part)
+        rest = row if packs else 0
+        # Fewer than t vertices left hold no part; the count pays from t = 3.
+        while rest and (t == 2 or rest.bit_count() >= t):
+            low = rest & -rest
+            rest ^= low
+            free = rest & ~adj[low.bit_length() - 1]
+            part = free & -free if t == 2 else lex_set(adj, free, t - 1, -1)
+            if part:
+                gamma += 1
+                rest ^= part
+        degree = row.bit_count()
         out.append(
             VertexLedger(
-                v=v,
-                degree=degree,
-                m_v=degree * (degree - 1) // 2 - inside[v] // 2,
-                gamma_v=gamma,
-                q_of_gamma=forced_missing_edges(gamma, t),
+                v,
+                degree,
+                degree * (degree - 1) // 2 - (inside[v] + total) // 2,
+                gamma,
+                forced_missing_edges(gamma, t),
             )
         )
     return out
@@ -217,7 +226,11 @@ def pigeonhole_edge(
     missing_total = g.n * (g.n - 1) // 2 - g.edge_count
     for u in range(g.n):
         row = adj[u]
-        for w in bits(detect.later_partners(adj, full, u, best_size >= 1)):
+        partners = detect.later_partners(adj, full, u, best_size >= 1)
+        while partners:
+            low = partners & -partners
+            partners ^= low
+            w = low.bit_length() - 1
             common = row & adj[w]
             size = common.bit_count()
             if size > best_size:
@@ -236,10 +249,17 @@ def pigeonhole_edge(
 
 
 @lru_cache(maxsize=None)
+def _family(h: Graph) -> GraphFamily:
+    """{H - x}, built at most once per H for ``extract``, ``verify_trace``
+    and ``_family_threshold``."""
+    return family_minus_vertex(h)
+
+
+@lru_cache(maxsize=None)
 def _family_threshold(t: int, h: Graph) -> tuple[int, str]:
     """R(K_t, {H - x}) as an exact repo value when the search resolves,
     else the certified upper end of its bracket."""
-    result = ramsey_exact(RamseyQuery(t=t, family=family_minus_vertex(h)))
+    result = ramsey_exact(RamseyQuery(t=t, family=_family(h)))
     if result.exact is not None:
         return result.exact, "exact"
     return result.upper, "upper-bound"
@@ -250,7 +270,9 @@ def extract(g: Graph, h: Graph, t: int) -> ProofTrace:
 
     All failure modes are outcome tags, never exceptions: a complete host
     is boundary-degenerate, and a common neighbourhood too small to force
-    anything yields hypothesis-not-met with the quantitative slack.
+    anything yields hypothesis-not-met with the quantitative slack. {H - x}
+    comes from the per-H cache ``_family``, which ``verify_trace`` shares,
+    so a run over many hosts with one H builds it once.
     """
     if t < 2:
         raise GraphError(f"need t >= 2, got t={t}")
@@ -287,8 +309,8 @@ def _lift_member(sub: InducedSubgraph, h: Graph, a: int) -> Optional[Embedding]:
     """H in the host: the first member of {H - x} found in S = ``sub``,
     with x mapped to ``a``, the lesser endpoint of the missing edge (both
     endpoints see all of S); None when S holds no member. The family is
-    built only here, after the independent t-set search has failed."""
-    family = family_minus_vertex(h)
+    first needed here, after the independent t-set search has failed."""
+    family = _family(h)
     emb = detect.contains_family_member(sub.graph, family.members)
     if emb is None:
         return None
@@ -352,8 +374,7 @@ def verify_trace(g: Graph, trace: ProofTrace, h: Graph, t: int) -> bool:
         sub = induced_subgraph(g, trace.s_vertices)
         if detect.find_independent_set(sub.graph, t) is not None:
             return False
-        family = family_minus_vertex(h)
-        if detect.contains_family_member(sub.graph, family.members) is not None:
+        if detect.contains_family_member(sub.graph, _family(h).members) is not None:
             return False
         threshold = _family_threshold(t, h)
     else:

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from fractions import Fraction
 from math import comb
@@ -293,6 +294,26 @@ class TestGraph6:
         g = graph6_decode(text)
         assert time.perf_counter() - started < 1.0
         assert g == complete(2896) and g.edge_count == comb(2896, 2)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 258, 259, 1000])
+    def test_roundtrip_against_build(self, n):
+        # Both sides of the switch from a one- to a four-byte vertex count,
+        # the smallest n, and larger hosts: the decoded graph equals the one
+        # ``build`` checked, edge count included, sparse to dense.
+        rng = random.Random(n)
+        for p in (0.1, 0.5, 0.9):
+            g = build(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            decoded = graph6_decode(graph6_encode(g))
+            assert decoded == g and decoded.edge_count == g.edge_count
+
+    def test_roundtrip_seeded_random(self):
+        rng = random.Random(6)
+        for _ in range(80):
+            n = rng.randrange(130)
+            p = rng.random()
+            g = build(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            decoded = graph6_decode(graph6_encode(g))
+            assert decoded == g and decoded.edge_count == g.edge_count
 
     def test_large_n_header(self):
         g = build(63, [(0, 62)])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_mask
+from k2tlab import ramsey, witness
 from k2tlab.constructions import complete, cycle, empty, polarity_graph, random_gnp
 from k2tlab.detect import (
     Embedding,
@@ -68,21 +69,23 @@ def threshold_hosts():
     return cases
 
 
-def mid_size_hosts():
-    """Seeded (host, t) cases for the differential tests of the one-pass
-    ledger and the pigeonhole prefilter: G(n, p) for n in 20..60 over the
-    whole density range, co-bipartite(40) at t = 3 (every packing search
-    fails), and the polarity graphs ER_q (no K_{2,2})."""
+def mid_size_hosts(ts=(2, 3, 4)):
+    """Seeded (host, t) cases, t in ``ts``, for the differential tests of
+    the one-pass ledger and the pigeonhole prefilter: G(n, p) for n in
+    20..60 over the whole density range, co-bipartite(40) (from t = 3 every
+    packing search fails), and the polarity graphs ER_q (no K_{2,2})."""
     cases = []
     for n in (20, 30, 45, 60):
         for p in (0.1, 0.3, 0.5, 0.7, 0.9):
             g = random_gnp(n, p, 100 + n)
-            for t in (2, 3, 4):
+            for t in ts:
                 cases.append(pytest.param(g, t, id=f"G({n},{p}) t={t}"))
     for seed in (1, 2):
-        cases.append(pytest.param(co_partite(2, 20, seed), 3, id=f"co-bipartite(40) #{seed} t=3"))
-    for q in (5, 7, 11):
-        for t in (2, 3, 4):
+        g = co_partite(2, 20, seed)
+        for t in ts:
+            cases.append(pytest.param(g, t, id=f"co-bipartite(40) #{seed} t={t}"))
+    for q in (5, 7, 11, 13):
+        for t in ts:
             cases.append(pytest.param(polarity_graph(q), t, id=f"ER_{q} t={t}"))
     return cases
 
@@ -199,9 +202,9 @@ class TestLedger:
         for entry in ledger(g, t):
             assert entry.m_v >= entry.q_of_gamma
 
-    @pytest.mark.parametrize("g, t", mid_size_hosts())
+    @pytest.mark.parametrize("g, t", mid_size_hosts(ts=(2, 3, 4, 5)))
     def test_matches_per_vertex_oracles(self, g, t):
-        # The one-pass ledger (edge-sweep m_v, resumable packing) against
+        # The one-pass ledger (edge-sweep m_v, one-scan packing) against
         # greedy_packing and missing_pairs, vertex by vertex.
         assert_matches_oracles(g, t)
 
@@ -316,6 +319,26 @@ class TestExtract:
         trace = extract(g, complete(5), 3)
         assert trace.outcome == OUTCOME_H_EMBEDDED
         assert verify_trace(g, trace, complete(5), 3)
+
+    def test_family_built_once_per_h(self, monkeypatch):
+        # An h-embedded and a hypothesis-not-met host with one H, each
+        # extracted and verified, build {H - x} once between them.
+        calls = []
+
+        def counting(h):
+            calls.append(h)
+            return ramsey.family_minus_vertex(h)
+
+        monkeypatch.setattr(witness, "family_minus_vertex", counting)
+        witness._family.cache_clear()
+        witness._family_threshold.cache_clear()
+        h = complete(4)
+        for g, outcome in ((k5_minus_edge(), OUTCOME_H_EMBEDDED),
+                           (cycle(5), OUTCOME_HYPOTHESIS_NOT_MET)):
+            trace = extract(g, h, 2)
+            assert trace.outcome == outcome
+            assert verify_trace(g, trace, h, 2)
+        assert calls == [h]
 
     def test_rejects_tiny_h(self):
         with pytest.raises(GraphError):
