@@ -17,6 +17,14 @@ the window's bits before it is shifted.
 Counts come from carry-save adders. Building a window costs the same for 2
 graphs as for 2^16, so it is paid per window, not per graph: it shows in
 narrow windows (sharded runs, n <= 6), not in runs of whole blocks.
+
+The induced-K_{2,t} filter and the clique number come as ladders, one pass
+per window each. ``Window.induced_k2t`` visits each non-adjacent pair
+(a, b) once for all t: at each first t-side vertex u the later common
+neighbours not adjacent to u are listed once, and every t searches that
+list. An induced C4 is found from its diagonal through its least vertex
+alone, so t = 2 tries only u > a. ``Window.clique_ladder`` gives omega >= k
+for every k from one depth-first pass over the cliques.
 """
 
 from __future__ import annotations
@@ -73,22 +81,18 @@ def _any_set(acc: int, cands: list, size: int, rel: list) -> int:
     (vertex, indicator), of: acc AND the indicators of S AND rel[u][v]
     for every pair u, v of S. Sets share their prefixes, and positions
     already found are not searched again."""
-    if size == 0:
-        return acc
     out = 0
+    if size == 1:
+        for _, x in cands:
+            out |= x
+        return acc & out
     for i in range(len(cands) - size + 1):
         u, ind = cands[i]
         nxt = (acc ^ out) & ind
         if nxt:
             row = rel[u]
-            if size == 2:
-                y = 0
-                for v, x in cands[i + 1:]:
-                    y |= x & row[v]
-                out |= nxt & y
-            else:
-                rest = [(v, y) for v, x in cands[i + 1:] if (y := x & row[v])]
-                out |= _any_set(nxt, rest, size - 1, rel)
+            rest = [(v, y) for v, x in cands[i + 1:] if (y := x & row[v])]
+            out |= _any_set(nxt, rest, size - 1, rel)
             if out == acc:
                 break
     return out
@@ -126,22 +130,53 @@ class Window:
             self.edge[u][v] = self.edge[v][u] = e
             self.non_edge[u][v] = self.non_edge[v][u] = self.all ^ e
 
-    def has_induced_k2t(self, t: int) -> int:
-        """Graphs with a non-adjacent pair (a, b) whose common neighbourhood
-        holds an independent t-set."""
-        n, e = self.n, self.edge
-        found = 0
+    def induced_k2t(self, t_values) -> dict[int, int]:
+        """{t: graphs with a non-adjacent pair (a, b) whose common
+        neighbourhood holds an independent t-set} for each t >= 2 of
+        ``t_values``; a pair stops once every t is saturated."""
+        n, e, non = self.n, self.edge, self.non_edge
+        found = dict.fromkeys(t_values, 0)
         for a, b in combinations(range(n), 2):
-            acc = self.non_edge[a][b] & ~found
-            if acc:
-                common = [(s, e[a][s] & e[b][s]) for s in range(n) if s not in (a, b)]
-                found |= _any_set(acc, common, t, self.non_edge)
+            # left[t]: the positions this pair may still add to found[t].
+            left = {t: x for t, f in found.items() if (x := non[a][b] & ~f)}
+            if not left:
+                continue
+            # e[a][a] = e[b][b] = 0, so a and b are left out.
+            common = [(s, x) for s in range(n) if (x := e[a][s] & e[b][s])]
+            live, last = len(left), len(common)
+            for i, (u, ind) in enumerate(common[: last - min(left) + 1]):
+                rest = []
+                for t, acc in left.items():
+                    if i > last - t or (t == 2 and u < a) or not (nxt := acc & ind):
+                        continue
+                    rest = rest or [(v, y) for v, x in common[i + 1:] if (y := x & non[u][v])]
+                    if hit := _any_set(nxt, rest, t - 1, non):
+                        found[t] |= hit
+                        left[t] = acc ^ hit
+                        live -= acc == hit
+                if not live:
+                    break
         return found
 
-    def clique_at_least(self, k: int) -> int:
-        """Graphs with a clique of k vertices (omega >= k)."""
-        cands = [(v, self.all) for v in range(self.n)]
-        return _any_set(self.all, cands, k, self.edge)
+    def clique_ladder(self) -> list[int]:
+        """at[k]: graphs with a clique of k vertices (omega >= k), for
+        k = 0 .. max omega + 1, the last entry being 0. A branch drops the
+        positions already known to reach the largest clique it could make."""
+        at = [self.all] + [0] * (self.n + 1)
+
+        def grow(acc: int, cands: list, size: int) -> None:
+            for i, (u, ind) in enumerate(cands):
+                if not (live := acc & ~at[size + len(cands) - i]):
+                    break
+                if x := live & ind:
+                    at[size + 1] |= x
+                    row = self.edge[u]
+                    rest = [(v, y) for v, c in cands[i + 1:] if (y := c & row[v])]
+                    if rest:
+                        grow(x, rest, size + 1)
+
+        grow(self.all, [(v, self.all) for v in range(self.n)], 0)
+        return at[: at.index(0) + 1]
 
     def contains_pattern(self, h: Graph) -> int:
         """Graphs with a (not necessarily induced) copy of h."""
@@ -207,21 +242,24 @@ class Window:
         t-set of what is left of N(v) until none is left; the t-sets it
         passes over never qualify later, so this is one pass over the
         t-sets in ``combinations`` order taking each one that qualifies."""
-        left = list(self.edge[v])
+        left, non = list(self.edge[v]), self.non_edge
         levels = [0] * ((self.n - 1) // t)
         for s in combinations([u for u in range(self.n) if u != v], t):
             take = self.all
             for u in s:
-                take &= left[u]
-            if take:
+                if not (take := take & left[u]):
+                    break
+            else:
                 for a, b in combinations(s, 2):
-                    take &= self.non_edge[a][b]
-            if take:
-                for u in s:
-                    left[u] &= ~take
-                for j in reversed(range(1, len(levels))):
-                    levels[j] |= levels[j - 1] & take
-                levels[0] |= take
+                    if not (take := take & non[a][b]):
+                        break
+                else:
+                    keep = ~take
+                    for u in s:
+                        left[u] &= keep
+                    for j in reversed(range(1, len(levels))):
+                        levels[j] |= levels[j - 1] & take
+                    levels[0] |= take
         return levels
 
     def graphs(self, indicator: int) -> Iterator[tuple[int, Graph]]:
@@ -286,6 +324,6 @@ def delta_max(n: int, h: Graph, t: int) -> int:
         raise GraphError(f"need t >= 2, got t={t}")
     best = 0
     for w in windows(n, 0, 1 << math.comb(n, 2)):
-        allowed = w.all & ~w.has_induced_k2t(t) & ~w.contains_pattern(h)
+        allowed = w.all & ~w.induced_k2t((t,))[t] & ~w.contains_pattern(h)
         best = max(best, count_max(w.triangle_digits(), allowed) or 0)
     return best

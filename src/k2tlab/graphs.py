@@ -247,17 +247,17 @@ def triangle_count(g: Graph) -> int:
 # the upper triangle is the low c bits of row c, lowest row first.
 # ---------------------------------------------------------------------------
 
-_GROUP_BITS = {o: format(o - 63, "06b") for o in range(63, 127)}
-_BITS_GROUP = {bits: chr(o) for o, bits in _GROUP_BITS.items()}
+_GROUP_BITS = [format(o - 63, "06b") if 63 <= o <= 126 else None for o in range(256)]
+_BITS_GROUP = {bits: chr(o) for o, bits in enumerate(_GROUP_BITS) if bits}
 
 
 def _group_bits(text: str) -> str:
     """The 6-bit groups of graph6 characters as one '0'/'1' string."""
-    out = text.translate(_GROUP_BITS)
-    if len(out) != 6 * len(text):
-        bad = next(ch for ch in text if ord(ch) not in _GROUP_BITS)
-        raise GraphError(f"byte {ord(bad)} outside graph6 range 63..126")
-    return out
+    try:
+        return "".join(map(_GROUP_BITS.__getitem__, text.encode("latin-1")))
+    except (UnicodeEncodeError, TypeError):
+        bad = next(ch for ch in text if not 63 <= ord(ch) <= 126)
+        raise GraphError(f"byte {ord(bad)} outside graph6 range 63..126") from None
 
 
 def _encode_n(n: int) -> str:

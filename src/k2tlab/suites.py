@@ -306,17 +306,18 @@ def _clique_shard(args: tuple) -> dict:
 
     for w in bitslice.windows(n, lo, hi):
         edges = w.edge_classes()
-        clique_at_least = functools.cache(w.clique_at_least)
+        at_least = w.clique_ladder()
+        k2t = w.induced_k2t(t_values)
         bad = {}
         for t in t_values:
-            free = w.all ^ w.has_induced_k2t(t)
+            free = w.all ^ k2t[t]
             out.boundary_cases += (free & edges[pairs]).bit_count()
             out.checked += (free & ~edges[pairs]).bit_count()
             bad[t] = 0
             for e in range(pairs):
                 need = tables[t][e][1]
                 if need > 1:
-                    bad[t] |= free & edges[e] & ~clique_at_least(need)
+                    bad[t] |= free & edges[e] & ~at_least[min(need, len(at_least) - 1)]
         _recheck(out, w, bad, visit)
     return out.as_shard()
 
@@ -347,6 +348,7 @@ def _proof_tables(n: int, t: int) -> list[int]:
 def _proof_shard(args: tuple) -> dict:
     n, t_values, lo, hi = args
     tables = {t: _proof_tables(n, t) for t in t_values}
+    qs = {q for table in tables.values() for q in table if q > 0}
     out = SuiteResult(suite="proof-ineq", params={})
 
     def visit(g: Graph, t: int):
@@ -362,16 +364,18 @@ def _proof_shard(args: tuple) -> dict:
     for w in bitslice.windows(n, lo, hi):
         out.checked += w.all.bit_count()
         m_digits = [bitslice.count_digits(w.missing_terms(v)) for v in range(n)]
+        debts = [{q: w.count_less(digits, q) for q in qs} for digits in m_digits]
+        k2t = w.induced_k2t(t_values)
         bad = {}
         for t in t_values:
-            free = w.all ^ w.has_induced_k2t(t)
+            free = w.all ^ k2t[t]
             bad[t] = 0
             for v in range(n):
                 # levels[gamma]: the greedy packing has at least gamma parts.
                 levels = [w.all] + w.packing_levels(v, t) + [0]
                 for gamma, q in enumerate(tables[t]):
-                    debt = w.count_less(m_digits[v], q)
-                    bad[t] |= free & levels[gamma] & ~levels[gamma + 1] & debt
+                    if q > 0:
+                        bad[t] |= free & levels[gamma] & ~levels[gamma + 1] & debts[v][q]
         _recheck(out, w, bad, visit)
     return out.as_shard()
 
@@ -509,7 +513,7 @@ def run_triangle_theorem(
             for e in range(pairs + 1):
                 if condition[e]:
                     meets |= edges[e]
-            free = meets & ~w.has_induced_k2t(t)
+            free = meets & ~w.induced_k2t((t,))[t]
             result.checked += free.bit_count()
             _recheck(result, w, {t: free & ~w.contains_pattern(h)}, visit)
     return result
@@ -553,13 +557,11 @@ def _turan_shard(args: tuple) -> dict:
 
     for w in bitslice.windows(n, lo, hi):
         edges = w.edge_classes()
-        # at_least[k]: omega >= k; omega is at least 1 on n >= 1 vertices.
-        at_least = [w.all, w.all]
-        while at_least[-1]:
-            at_least.append(w.clique_at_least(len(at_least)))
+        at_least = w.clique_ladder()
+        k2t = w.induced_k2t(t_values)
         bad = {}
         for t in t_values:
-            free = w.all ^ w.has_induced_k2t(t)
+            free = w.all ^ k2t[t]
             bad[t] = 0
             for omega in range(1, len(at_least) - 1):
                 graphs = free & at_least[omega] & ~at_least[omega + 1]

@@ -43,8 +43,9 @@ def shard_bounds(n, i, k):
 
 def check_window(n, lo, hi):
     for w in bitslice.windows(n, lo, hi):
-        k2t = {t: w.has_induced_k2t(t) for t in (2, 3, 4)}
-        cliques = {k: w.clique_at_least(k) for k in range(n + 2)}
+        k2t = w.induced_k2t((2, 3, 4))
+        ladder = w.clique_ladder()
+        omega_max = 0
         copies = [w.contains_pattern(h) for h in PATTERNS]
         edges, tri_digits = w.edge_classes(), w.triangle_digits()
         missing = [bitslice.count_digits(w.missing_terms(v)) for v in range(n)]
@@ -73,14 +74,17 @@ def check_window(n, lo, hi):
                 want = mask_has_induced_k2t(adj, n, t) is not None
                 assert (indicator >> p) & 1 == want, (n, mask, t)
             omega = _max_clique_size(adj, (1 << n) - 1)
-            for k, indicator in cliques.items():
-                assert (indicator >> p) & 1 == (omega >= k), (n, mask, k)
+            omega_max = max(omega_max, omega)
+            assert [(x >> p) & 1 for x in ladder] == [
+                int(omega >= k) for k in range(len(ladder))
+            ], (n, mask)
             for h, indicator in zip(PATTERNS, copies):
                 want = contains_subgraph(g, h) is not None
                 assert (indicator >> p) & 1 == want, (n, mask, h)
             assert (edges[edge_count] >> p) & 1
             assert (w.count_equals(tri_digits, triangle_count(g)) >> p) & 1
         assert next(built, None) is None
+        assert len(ladder) == omega_max + 2
 
 
 class TestIndicators:
@@ -116,6 +120,21 @@ class TestIndicators:
     def test_narrow_windows_at_a_block_end(self):
         for width in (1, 2, 3, 65):
             check_window(7, 2 * bitslice.BLOCK - width, 2 * bitslice.BLOCK)
+
+    def test_k2t_ladder_is_the_same_for_any_set_of_t(self):
+        # Each t keeps its own pruning, so asking for other t values
+        # alongside it must not change its indicator.
+        rng = random.Random(22)
+        cases = [(n, 0, space(n)) for n in range(1, 7)]
+        for width in (1, 2, 64, 4096):
+            lo = rng.randrange(space(7) // width) * width
+            cases.append((7, lo, lo + width))
+        cases.append((7, 9 * bitslice.BLOCK - 64, 9 * bitslice.BLOCK))
+        for n, lo, hi in cases:
+            for w in bitslice.windows(n, lo, hi):
+                full = w.induced_k2t((2, 3, 4))
+                for ts in ((2,), (3,), (3, 2), (3, 4), (2, 3, 4)):
+                    assert w.induced_k2t(ts) == {t: full[t] for t in ts}, (n, lo, ts)
 
     def test_count_digits_matches_popcounts(self):
         rng = random.Random(18)
@@ -458,8 +477,24 @@ class TestForcedViolations:
 
 
 def test_engine_flag_without_violation_raises(monkeypatch):
-    # With omega >= k never set, the engine flags graphs whose rebuilt
+    # With omega >= 2 never set, the engine flags graphs whose rebuilt
     # clique meets the guarantee; the recheck must refuse to pass them.
-    monkeypatch.setattr(bitslice.Window, "clique_at_least", lambda self, k: 0)
+    monkeypatch.setattr(bitslice.Window, "clique_ladder", lambda self: [self.all] * 2 + [0])
     with pytest.raises(SelfCheckError):
         suites.run_clique_exhaustive(n_max=4, workers=1)
+
+
+@pytest.mark.parametrize("t, n_max", [(2, 5), (3, 7)])
+def test_k2t_filter_is_load_bearing(monkeypatch, t, n_max):
+    # The packing debt needs the graph to have no induced K_(2,t): a ladder
+    # that drops every flag of this t must make violations appear. (The
+    # clique and Turan suites find none without their filter at n <= 7.)
+    induced_k2t = bitslice.Window.induced_k2t
+
+    def without(self, t_values):
+        return {s: 0 if s == t else x for s, x in induced_k2t(self, t_values).items()}
+
+    monkeypatch.setattr(bitslice.Window, "induced_k2t", without)
+    got = suites.run_proof_inequalities(n_max=n_max, workers=1)
+    assert got.violation_count > 0
+    assert all(f" t={t} " in v["claim"] for v in got.violations)

@@ -326,8 +326,12 @@ class TestGraph6:
             graph6_decode("D")
 
     def test_rejects_out_of_range_byte(self):
-        with pytest.raises(GraphError):
-            graph6_decode("D" + chr(200))
+        # Just outside 63..126, above it in Latin-1, and above Latin-1, both
+        # in the body and as the vertex count.
+        for ch in map(chr, (62, 127, 200, 1000)):
+            for text in ("D" + ch, "D??" + ch, ch, ch + "?"):
+                with pytest.raises(GraphError, match="outside graph6 range"):
+                    graph6_decode(text)
 
     def test_rejects_trailing_garbage(self):
         with pytest.raises(GraphError):
