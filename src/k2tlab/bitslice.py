@@ -1,12 +1,13 @@
 """Bitsliced evaluation of graph properties over a window of the labelled
 enumeration (Biham, "A fast new DES implementation in software", FSE 1997).
 
-A window is a run of consecutive indices [lo, hi) of the Gray-code order of
-``constructions.iter_masks`` inside one aligned block of ``BLOCK`` indices.
-The engine keeps one Python int per edge variable: bit p is set when the
-graph at index lo + p has that edge. A property of every graph of the
-window is then one int, its *indicator*, built from the edge variables with
-AND, OR and XOR, so one big-int operation evaluates the whole window.
+A window lays up to ``BLOCK`` graphs end to end in *parts*, each a run of
+consecutive indices [lo, hi) of the Gray-code order of the m-vertex graphs
+of ``constructions.iter_masks`` inside one aligned block of ``BLOCK``
+indices. The engine keeps one Python int per edge variable: bit p is set
+when the graph at position p has that edge. A property of every graph of
+the window is then one int, its *indicator*, built from the edge variables
+with AND, OR and XOR, so one big-int operation evaluates the whole window.
 
 The graph at index i has edge k when bit k of its Gray mask i ^ (i >> 1)
 is set, that is when X_k ^ X_{k+1} is set, X_k being bit k of the index.
@@ -15,8 +16,9 @@ the window, so X_k is bit k of lo up to that place and its complement
 after it; below that, X_k is cut from its block-wide pattern, masked to
 the window's bits before it is shifted.
 Counts come from carry-save adders. Building a window costs the same for 2
-graphs as for 2^16, so it is paid per window, not per graph: it shows in
-narrow windows (sharded runs, n <= 6), not in runs of whole blocks.
+graphs as for 2^16, so it is paid per window, not per graph, and the sizes
+of a sharded run share one window: a part of fewer vertices than the
+window's gets isolated vertices, which change none of its indicator bits.
 
 The induced-K_{2,t} filter and the clique number come as ladders, one pass
 per window each. ``Window.induced_k2t`` visits each non-adjacent pair
@@ -55,13 +57,22 @@ def _index_bits() -> tuple[int, ...]:
     return tuple(out)
 
 
-def windows(n: int, lo: int, hi: int) -> Iterator["Window"]:
-    """The windows that tile [lo, hi) of the n-vertex enumeration, cut at
-    the multiples of ``BLOCK``, in increasing order."""
-    while lo < hi:
-        cut = min(hi, (lo // BLOCK + 1) * BLOCK)
-        yield Window(n, lo, cut)
-        lo = cut
+def windows(slices) -> Iterator["Window"]:
+    """The windows over ``slices``, each (m, lo, hi) of the m-vertex graphs,
+    cut at the multiples of ``BLOCK``; consecutive parts share a window
+    while it holds at most ``BLOCK`` graphs."""
+    parts, width = [], 0
+    for m, lo, hi in slices:
+        while lo < hi:
+            cut = min(hi, (lo // BLOCK + 1) * BLOCK)
+            if width + cut - lo > BLOCK:
+                yield Window(parts)
+                parts, width = [], 0
+            parts.append((m, lo, cut))
+            width += cut - lo
+            lo = cut
+    if parts:
+        yield Window(parts)
 
 
 @functools.lru_cache(maxsize=64)
@@ -99,36 +110,52 @@ def _any_set(acc: int, cands: list, size: int, rel: list) -> int:
 
 
 class Window:
-    """The edge variables of the graphs at indices [lo, hi) on n vertices,
-    and the indicators built from them. ``all`` is the indicator of every
-    graph of the window."""
+    """The edge variables of the graphs of ``parts``, each (m, lo, hi) of the
+    m-vertex graphs inside one block, laid end to end, and the indicators
+    built from them: ``all`` holds every graph, ``sizes[m]`` the m-vertex
+    ones. A part with fewer vertices than the largest gets isolated ones,
+    which lie in no induced K_{2,t} (whose vertices have degree >= 2), no
+    clique of 2 or more vertices and no neighbourhood: each part reads as a
+    window of its own."""
 
-    def __init__(self, n: int, lo: int, hi: int):
-        if not (0 <= lo < hi and (hi - 1) // BLOCK == lo // BLOCK):
-            raise ValueError(f"window [{lo}, {hi}) is empty or crosses a block")
-        if hi > 1 << math.comb(n, 2):
-            raise ValueError(f"window [{lo}, {hi}) ends past the {n}-vertex graphs")
-        self.n, self.lo, self.hi = n, lo, hi
-        width = hi - lo
-        self.all = (1 << width) - 1
-        low = _index_bits()
-        pairs = pair_order(n)
-        x = []
-        for k in range(len(pairs)):
-            if width <= 1 << k:
-                flip = -lo % (1 << k)
-                before = (1 << flip) - 1 if 0 < flip < width else self.all
-                x.append(before if (lo >> k) & 1 else self.all ^ before)
-            else:
-                s = lo % (2 << k)
-                x.append((low[k] & ((1 << (s + width)) - 1)) >> s)
-        x.append(0)
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+        self.n = n = max(m for m, _, _ in self.parts)
         self.edge = [[0] * n for _ in range(n)]
+        self.sizes: dict[int, int] = {}
+        low, offset = _index_bits(), 0
+        for m, lo, hi in self.parts:
+            if not (0 <= lo < hi and (hi - 1) // BLOCK == lo // BLOCK):
+                raise ValueError(f"window [{lo}, {hi}) is empty or crosses a block")
+            if hi > 1 << math.comb(m, 2):
+                raise ValueError(f"window [{lo}, {hi}) ends past the {m}-vertex graphs")
+            width = hi - lo
+            full = (1 << width) - 1
+            pairs = pair_order(m)
+            x = []
+            for k in range(len(pairs)):
+                if width <= 1 << k:
+                    flip = -lo % (1 << k)
+                    before = (1 << flip) - 1 if 0 < flip < width else full
+                    x.append(before if (lo >> k) & 1 else full ^ before)
+                else:
+                    s = lo % (2 << k)
+                    x.append((low[k] & ((1 << (s + width)) - 1)) >> s)
+            x.append(0)
+            for k, (u, v) in enumerate(pairs):
+                e = x[k] ^ x[k + 1]  # The first part needs no copying OR.
+                self.edge[u][v] = self.edge[u][v] | e << offset if offset else e
+            self.sizes[m] = self.sizes.get(m, 0) | full << offset
+            offset += width
+        self.all = (1 << offset) - 1
         self.non_edge = [[self.all] * n for _ in range(n)]
-        for k, (u, v) in enumerate(pairs):
-            e = x[k] ^ x[k + 1]
-            self.edge[u][v] = self.edge[v][u] = e
+        for u, v in pair_order(n):
+            e = self.edge[v][u] = self.edge[u][v]
             self.non_edge[u][v] = self.non_edge[v][u] = self.all ^ e
+
+    def of_size(self, m: int) -> int:
+        """The positions that hold m-vertex graphs."""
+        return self.sizes.get(m, 0)
 
     def induced_k2t(self, t_values) -> dict[int, int]:
         """{t: graphs with a non-adjacent pair (a, b) whose common
@@ -179,13 +206,14 @@ class Window:
         return at[: at.index(0) + 1]
 
     def contains_pattern(self, h: Graph) -> int:
-        """Graphs with a (not necessarily induced) copy of h."""
-        if h.n > self.n:
+        """Graphs with a (not necessarily induced) copy of h, all of h.n or more vertices."""
+        wide = sum(x for m, x in self.sizes.items() if m >= h.n)
+        if not wide:
             return 0
         edge = [self.edge[u][v] for u, v in pair_order(self.n)]
         out = 0
         for copy in _copies(self.n, h):
-            ind = self.all
+            ind = wide
             for k in copy:
                 ind &= edge[k]
             out |= ind
@@ -264,16 +292,19 @@ class Window:
 
     def graphs(self, indicator: int) -> Iterator[tuple[int, Graph]]:
         """(position, graph) of each graph in ``indicator``, in increasing
-        index order."""
-        pairs = pair_order(self.n)
-        for p in bits(indicator):
-            mask = (self.lo + p) ^ ((self.lo + p) >> 1)
-            adj = [0] * self.n
-            for k in bits(mask):
-                u, v = pairs[k]
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            yield p, Graph._trusted(self.n, adj, mask.bit_count())
+        position order, each graph with its own vertex count."""
+        offset = 0
+        for m, lo, hi in self.parts:
+            pairs = pair_order(m)
+            for p in bits((indicator >> offset) & ((1 << (hi - lo)) - 1)):
+                mask = (lo + p) ^ ((lo + p) >> 1)
+                adj = [0] * m
+                for k in bits(mask):
+                    u, v = pairs[k]
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+                yield offset + p, Graph._trusted(m, adj, mask.bit_count())
+            offset += hi - lo
 
 
 def count_digits(indicators: list[int]) -> list[int]:
@@ -313,6 +344,25 @@ def block_count(lo: int, hi: int) -> int:
     return (hi - 1) // BLOCK - lo // BLOCK + 1 if lo < hi else 0
 
 
+def triangle_maxima(w: Window, h: Graph, t: int) -> tuple[int, int, dict[int, int]]:
+    """The graphs of ``w`` with no induced K_{2,t}, those of them with no copy
+    of h either, and the most triangles of the latter per vertex count (or 0)."""
+    free = w.all & ~w.induced_k2t((t,))[t]
+    allowed = free & ~w.contains_pattern(h)
+    digits = w.triangle_digits()
+    return free, allowed, {m: count_max(digits, allowed & w.of_size(m)) or 0 for m in w.sizes}
+
+
+def delta_maxima(slices, h: Graph, t: int) -> dict[int, int]:
+    """Greatest triangle count, per vertex count, over the graphs of
+    ``slices`` with no copy of h and no induced K_{2,t}."""
+    best: dict[int, int] = {}
+    for w in windows(slices):
+        for m, delta in triangle_maxima(w, h, t)[2].items():
+            best[m] = max(best.get(m, 0), delta)
+    return best
+
+
 def delta_max(n: int, h: Graph, t: int) -> int:
     """Greatest triangle count over all labelled n-vertex graphs with no
     copy of h and no induced K_{2,t} (exhaustive, n <= 7)."""
@@ -322,8 +372,4 @@ def delta_max(n: int, h: Graph, t: int) -> int:
         )
     if t < 2:
         raise GraphError(f"need t >= 2, got t={t}")
-    best = 0
-    for w in windows(n, 0, 1 << math.comb(n, 2)):
-        allowed = w.all & ~w.induced_k2t((t,))[t] & ~w.contains_pattern(h)
-        best = max(best, count_max(w.triangle_digits(), allowed) or 0)
-    return best
+    return delta_maxima([(n, 0, 1 << math.comb(n, 2))], h, t)[n]

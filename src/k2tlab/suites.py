@@ -6,8 +6,9 @@ The exhaustive suites evaluate whole windows of the labelled enumeration
 at once with the bitsliced engine (``bitslice``): the induced-K_{2,t}
 filter, the clique and pattern tests, the greedy packings and the edge,
 triangle and missing-edge counts are big-int indicators over up to 2^16
-graphs, and everything that depends only on (n, t, edge count),
-(t, omega) or (t, gamma) is precomputed, so counts are popcounts. Only
+graphs, the vertex counts of a shard sharing one window. Everything that
+depends only on (n, t, edge count), (n, t, omega) or (t, gamma) is
+precomputed and applied per vertex count, so counts are popcounts. Only
 the graphs an indicator flags as violations are built one by one,
 rechecked with the per-graph kernels and reported with their graph6
 payloads; a flag the recheck does not confirm raises
@@ -24,6 +25,7 @@ and ramsey-small re-proves the verified table ``known_ramsey``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -41,7 +43,6 @@ from .bounds import (
     triangle_theorem_condition,
     triangle_upper,
 )
-from .bitslice import delta_max
 from .constructions import (
     ENUMERATION_CAP,
     PRNG_NAME,
@@ -184,23 +185,24 @@ def _run_exhaustive(
     ``body`` and merge its results into one ``suite`` result. The n_max
     slice is split over up to ``workers`` processes (default
     K2TLAB_THREADS), at most one per ``bitslice.BLOCK`` block of it, so a
-    slice of one block starts no pool."""
+    slice of one block starts no pool. The first piece also takes the smaller
+    sizes, which share its windows: a body gets (t_values, (n, lo, hi) slices)."""
     _require_n_and_t(n_max, t_values)
     workers = default_workers() if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     result = SuiteResult(suite, {"n_max": n_max, "t_values": list(t_values)})
     result.params.update(workers=workers, shard=list(shard) if shard else None)
-    for n in range(2, n_max + 1):
-        lo, hi = _apply_shard(1 << math.comb(n, 2), shard)
-        blocks = bitslice.block_count(lo, hi)
-        pieces = _pool_size(workers, blocks) if n == n_max else 1
-        args = []
-        for i in range(pieces):
-            a, b = _apply_shard(hi - lo, (i, pieces))
-            args.append((n, tuple(t_values), lo + a, lo + b))
-        for shard_result in _run_shards(body, args, workers):
-            result.merge_shard(shard_result)
+    slices = [(n, *_apply_shard(1 << math.comb(n, 2), shard)) for n in range(2, n_max + 1)]
+    _, lo, hi = slices.pop()
+    pieces = _pool_size(workers, bitslice.block_count(lo, hi))
+    args = []
+    for i in range(pieces):
+        a, b = _apply_shard(hi - lo, (i, pieces))
+        piece = slices * (i == 0) + [(n_max, lo + a, lo + b)]
+        args.append((tuple(t_values), [s for s in piece if s[1] < s[2]]))
+    for shard_result in _run_shards(body, args, workers):
+        result.merge_shard(shard_result)
     return result
 
 
@@ -288,34 +290,31 @@ def _recheck(out: SuiteResult, w, bad: dict, visit) -> None:
 
 
 def _clique_shard(args: tuple) -> dict:
-    n, t_values, lo, hi = args
-    tables = {t: _guarantee_table(n, t) for t in t_values}
-    pairs = math.comb(n, 2)
+    t_values, slices = args
     out = SuiteResult(suite="clique-exhaustive", params={})
 
     def visit(g: Graph, t: int):
         omega = len(detect.max_clique(g))
-        for formula_id, guar in tables[t][g.edge_count][0]:
+        for formula_id, guar in _guarantee_table(g.n, t)[g.edge_count][0]:
             if omega < guar:
                 out.add_violation(
-                    f"clique-lower {formula_id} n={n} t={t}",
+                    f"clique-lower {formula_id} n={g.n} t={t}",
                     f"omega={omega}",
                     f"omega>={guar}",
                     graph6=graph6_encode(g),
                 )
 
-    for w in bitslice.windows(n, lo, hi):
+    for w in bitslice.windows(slices):
         edges = w.edge_classes()
         at_least = w.clique_ladder()
         k2t = w.induced_k2t(t_values)
-        bad = {}
-        for t in t_values:
-            free = w.all ^ k2t[t]
+        bad = dict.fromkeys(t_values, 0)
+        for t, n in itertools.product(t_values, w.sizes):
+            free = w.of_size(n) & ~k2t[t]
+            pairs = math.comb(n, 2)
             out.boundary_cases += (free & edges[pairs]).bit_count()
             out.checked += (free & ~edges[pairs]).bit_count()
-            bad[t] = 0
-            for e in range(pairs):
-                need = tables[t][e][1]
+            for e, (_, need) in enumerate(_guarantee_table(n, t)[:pairs]):
                 if need > 1:
                     bad[t] |= free & edges[e] & ~at_least[min(need, len(at_least) - 1)]
         _recheck(out, w, bad, visit)
@@ -346,36 +345,38 @@ def _proof_tables(n: int, t: int) -> list[int]:
 
 
 def _proof_shard(args: tuple) -> dict:
-    n, t_values, lo, hi = args
-    tables = {t: _proof_tables(n, t) for t in t_values}
-    qs = {q for table in tables.values() for q in table if q > 0}
+    t_values, slices = args
     out = SuiteResult(suite="proof-ineq", params={})
 
     def visit(g: Graph, t: int):
         for row in ledger(g, t):
             if row.m_v < row.q_of_gamma:
                 out.add_violation(
-                    f"packing-debt n={n} t={t} v={row.v}",
+                    f"packing-debt n={g.n} t={t} v={row.v}",
                     f"m_v={row.m_v} gamma={row.gamma_v}",
                     f"m_v>=q(gamma)={row.q_of_gamma}",
                     graph6=graph6_encode(g),
                 )
 
-    for w in bitslice.windows(n, lo, hi):
+    for w in bitslice.windows(slices):
+        # w.n's table serves every size: levels past (n - 1) // t are 0.
+        tables = {t: _proof_tables(w.n, t) for t in t_values}
+        qs = {q for table in tables.values() for q in table if q > 0}
         out.checked += w.all.bit_count()
-        m_digits = [bitslice.count_digits(w.missing_terms(v)) for v in range(n)]
+        m_digits = [bitslice.count_digits(w.missing_terms(v)) for v in range(w.n)]
         debts = [{q: w.count_less(digits, q) for q in qs} for digits in m_digits]
-        k2t = w.induced_k2t(t_values)
-        bad = {}
-        for t in t_values:
-            free = w.all ^ k2t[t]
-            bad[t] = 0
-            for v in range(n):
+        free = {t: w.all ^ x for t, x in w.induced_k2t(t_values).items()}
+        bad = dict.fromkeys(t_values, 0)
+        for v in range(w.n):
+            # v is no vertex of the graphs with v vertices or fewer.
+            off = sum(x for n, x in w.sizes.items() if n <= v)
+            for t in t_values:
+                mine = free[t] & ~off if off else free[t]
                 # levels[gamma]: the greedy packing has at least gamma parts.
                 levels = [w.all] + w.packing_levels(v, t) + [0]
                 for gamma, q in enumerate(tables[t]):
                     if q > 0:
-                        bad[t] |= free & levels[gamma] & ~levels[gamma + 1] & debts[v][q]
+                        bad[t] |= mine & levels[gamma] & ~levels[gamma + 1] & debts[v][q]
         _recheck(out, w, bad, visit)
     return out.as_shard()
 
@@ -488,9 +489,7 @@ def run_triangle_theorem(
         )
         return result
     r_value = ramsey_ebar.exact
-    deltas = {n: delta_max(n, h, t) for n in range(2, n_max + 1)}
     result.details["ramsey_ebar"] = r_value
-    result.details["delta"] = deltas
 
     def visit(g: Graph, _t: int):
         if detect.contains_subgraph(g, h) is None:
@@ -501,21 +500,21 @@ def run_triangle_theorem(
                 graph6=graph6_encode(g),
             )
 
-    for n in range(2, n_max + 1):
-        pairs = math.comb(n, 2)
-        condition = [
-            triangle_theorem_condition(n, Fraction(e, pairs), t, r_value, deltas[n])
-            for e in range(pairs + 1)
-        ]
-        for w in bitslice.windows(n, 0, 1 << pairs):
-            edges = w.edge_classes()
-            meets = 0
+    slices = [(n, 0, 1 << math.comb(n, 2)) for n in range(2, n_max + 1)]
+    # A size spread over several windows needs its Delta before its check.
+    deltas = bitslice.delta_maxima([s for s in slices if s[2] > bitslice.BLOCK], h, t)
+    for w in bitslice.windows(slices):
+        free, allowed, found = bitslice.triangle_maxima(w, h, t)
+        edges = w.edge_classes()
+        meets = 0
+        for n in w.sizes:
+            pairs, delta = math.comb(n, 2), deltas.setdefault(n, found[n])
             for e in range(pairs + 1):
-                if condition[e]:
-                    meets |= edges[e]
-            free = meets & ~w.induced_k2t((t,))[t]
-            result.checked += free.bit_count()
-            _recheck(result, w, {t: free & ~w.contains_pattern(h)}, visit)
+                if triangle_theorem_condition(n, Fraction(e, pairs), t, r_value, delta):
+                    meets |= edges[e] & w.of_size(n)
+        result.checked += (meets & free).bit_count()
+        _recheck(result, w, {t: meets & allowed}, visit)
+    result.details["delta"] = {n: deltas[n] for n, _, _ in slices}
     return result
 
 
@@ -539,30 +538,29 @@ def _turan_bounds(n: int, t: int, omega: int) -> Optional[tuple]:
 
 
 def _turan_shard(args: tuple) -> dict:
-    n, t_values, lo, hi = args
+    t_values, slices = args
     out = SuiteResult(
         suite="turan-upper", params={}, details={"skipped_no_exact_ramsey": 0}
     )
 
     def visit(g: Graph, t: int):
         omega = len(detect.max_clique(g))
-        for entry in _turan_bounds(n, t, omega):
+        for entry in _turan_bounds(g.n, t, omega):
             if g.edge_count >= entry.bound:
                 out.add_violation(
-                    f"turan-upper {entry.formula_id} n={n} t={t} omega={omega}",
+                    f"turan-upper {entry.formula_id} n={g.n} t={t} omega={omega}",
                     f"e={g.edge_count}",
                     f"e<{entry.bound}",
                     graph6=graph6_encode(g),
                 )
 
-    for w in bitslice.windows(n, lo, hi):
+    for w in bitslice.windows(slices):
         edges = w.edge_classes()
         at_least = w.clique_ladder()
         k2t = w.induced_k2t(t_values)
-        bad = {}
-        for t in t_values:
-            free = w.all ^ k2t[t]
-            bad[t] = 0
+        bad = dict.fromkeys(t_values, 0)
+        for t, n in itertools.product(t_values, w.sizes):
+            free = w.of_size(n) & ~k2t[t]
             for omega in range(1, len(at_least) - 1):
                 graphs = free & at_least[omega] & ~at_least[omega + 1]
                 if not graphs:

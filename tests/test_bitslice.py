@@ -31,6 +31,9 @@ from k2tlab.ramsey import known_ramsey
 from k2tlab.witness import greedy_packing, missing_pairs
 
 PATTERNS = (complete(3), cycle(4), path(4))
+# K3 plus an isolated vertex: a graph of 3 vertices padded to 4 must not
+# contain it.
+PATTERNS_WITH_ISOLATED = PATTERNS + (Graph(4, [0b110, 0b101, 0b011, 0]),)
 
 
 def space(n):
@@ -42,7 +45,7 @@ def shard_bounds(n, i, k):
 
 
 def check_window(n, lo, hi):
-    for w in bitslice.windows(n, lo, hi):
+    for w in bitslice.windows([(n, lo, hi)]):
         k2t = w.induced_k2t((2, 3, 4))
         ladder = w.clique_ladder()
         omega_max = 0
@@ -56,7 +59,8 @@ def check_window(n, lo, hi):
         ]
         packings = {t: [w.packing_levels(v, t) for v in range(n)] for t in (2, 3, 4)}
         built = w.graphs(w.all)
-        for p, (mask, edge_count, adj) in enumerate(iter_masks(n, w.lo, w.hi)):
+        stream = (graph for _, a, b in w.parts for graph in iter_masks(n, a, b))
+        for p, (mask, edge_count, adj) in enumerate(stream):
             g = Graph(n, list(adj))
             assert next(built) == (p, g)
             for v in range(n):
@@ -85,6 +89,51 @@ def check_window(n, lo, hi):
             assert (w.count_equals(tri_digits, triangle_count(g)) >> p) & 1
         assert next(built, None) is None
         assert len(ladder) == omega_max + 2
+
+
+def padded(values, length):
+    return list(values) + [0] * (length - len(values))
+
+
+def check_parts(parts):
+    """Every indicator of a window of ``parts``, read on one part, is the
+    one a window of that part alone gives."""
+    w = bitslice.Window(parts)
+    shared = {
+        "k2t": w.induced_k2t((2, 3, 4)),
+        "ladder": w.clique_ladder(),
+        "edges": w.edge_classes(),
+        "triangles": w.triangle_digits(),
+        "patterns": [w.contains_pattern(h) for h in PATTERNS_WITH_ISOLATED],
+    }
+    built, offset = list(w.graphs(w.all)), 0
+    for m, lo, hi in parts:
+        own = bitslice.Window([(m, lo, hi)])
+        width = hi - lo
+
+        def cut(x):
+            return (x >> offset) & ((1 << width) - 1)
+
+        assert cut(w.of_size(m)) == own.all, parts
+        assert {t: cut(x) for t, x in shared["k2t"].items()} == own.induced_k2t((2, 3, 4))
+        ladder = [cut(x) for x in shared["ladder"]]
+        assert ladder == padded(own.clique_ladder(), len(ladder)), (parts, m)
+        edges = [cut(x) for x in shared["edges"]]
+        assert edges == padded(own.edge_classes(), len(edges))
+        digits = [cut(x) for x in shared["triangles"]]
+        assert digits == padded(own.triangle_digits(), len(digits))
+        own_patterns = [own.contains_pattern(h) for h in PATTERNS_WITH_ISOLATED]
+        assert [cut(x) for x in shared["patterns"]] == own_patterns, (parts, m)
+        for v in range(m):
+            digits = [cut(x) for x in bitslice.count_digits(w.missing_terms(v))]
+            assert digits == padded(bitslice.count_digits(own.missing_terms(v)), len(digits))
+            for t in (2, 3, 4):
+                levels = [cut(x) for x in w.packing_levels(v, t)]
+                assert levels == padded(own.packing_levels(v, t), len(levels)), (parts, v, t)
+        assert built[:width] == [(offset + p, g) for p, g in own.graphs(own.all)]
+        del built[:width]
+        offset += width
+    assert built == [] and offset == w.all.bit_length()
 
 
 class TestIndicators:
@@ -131,10 +180,28 @@ class TestIndicators:
             cases.append((7, lo, lo + width))
         cases.append((7, 9 * bitslice.BLOCK - 64, 9 * bitslice.BLOCK))
         for n, lo, hi in cases:
-            for w in bitslice.windows(n, lo, hi):
+            for w in bitslice.windows([(n, lo, hi)]):
                 full = w.induced_k2t((2, 3, 4))
                 for ts in ((2,), (3,), (3, 2), (3, 4), (2, 3, 4)):
                     assert w.induced_k2t(ts) == {t: full[t] for t in ts}, (n, lo, ts)
+
+    def test_parts_read_as_their_own_windows(self):
+        rng = random.Random(23)
+        block = bitslice.BLOCK
+        # One part of each width ends at a block bound of the 7-vertex graphs.
+        lists = [[(7, 5 * block - width, 5 * block), (3, 0, 8)] for width in (1, 64)]
+        for _ in range(24):
+            parts = []
+            for _ in range(rng.randint(1, 4)):
+                m = rng.randint(1, 7)
+                width = min(rng.choice((1, 2, 64, 4096)), space(m))
+                start = rng.randrange(space(m) - width + 1)
+                # Keep the part inside one block.
+                start = min(start, (start // block + 1) * block - width)
+                parts.append((m, start, start + width))
+            lists.append(parts)
+        for parts in lists:
+            check_parts(parts)
 
     def test_count_digits_matches_popcounts(self):
         rng = random.Random(18)
@@ -151,29 +218,47 @@ class TestIndicators:
                     assert got == sum((x >> p) & 1 for x in values), (count, p)
 
     def test_windows_tile_the_interval_at_block_bounds(self):
-        got = [(w.lo, w.hi) for w in bitslice.windows(7, 100, 3 * bitslice.BLOCK + 5)]
+        block = bitslice.BLOCK
+        got = [w.parts for w in bitslice.windows([(7, 100, 3 * block + 5)])]
         assert got == [
-            (100, bitslice.BLOCK),
-            (bitslice.BLOCK, 2 * bitslice.BLOCK),
-            (2 * bitslice.BLOCK, 3 * bitslice.BLOCK),
-            (3 * bitslice.BLOCK, 3 * bitslice.BLOCK + 5),
+            ((7, 100, block),),
+            ((7, block, 2 * block),),
+            ((7, 2 * block, 3 * block),),
+            ((7, 3 * block, 3 * block + 5),),
         ]
-        assert bitslice.block_count(100, 3 * bitslice.BLOCK + 5) == 4
+        assert bitslice.block_count(100, 3 * block + 5) == 4
         assert bitslice.block_count(0, space(7)) == 32
         assert bitslice.block_count(5, 5) == 0
         with pytest.raises(ValueError):
-            bitslice.Window(7, bitslice.BLOCK - 1, bitslice.BLOCK + 1)
+            bitslice.Window([(7, block - 1, block + 1)])
+
+    def test_windows_pack_consecutive_parts_up_to_a_block(self):
+        block = bitslice.BLOCK
+        # A 1/512 shard of n <= 7 fits one window; so does every graph with
+        # n <= 6 (33,866 of them), but no whole block of n = 7 joins them.
+        shard = [(n, *shard_bounds(n, 187, 512)) for n in range(2, 8)]
+        shard = [s for s in shard if s[1] < s[2]]
+        assert [w.parts for w in bitslice.windows(shard)] == [tuple(shard)]
+        whole = [(n, 0, space(n)) for n in range(2, 8)]
+        got = [w.parts for w in bitslice.windows(whole)]
+        assert got[0] == tuple(whole[:-1])
+        assert got[1:] == [((7, i * block, (i + 1) * block),) for i in range(32)]
+        w = bitslice.Window([(3, 0, 8), (5, 100, 102), (3, 2, 3)])
+        assert (w.n, list(w.sizes), w.all) == (5, [3, 5], (1 << 11) - 1)
+        assert (w.of_size(3), w.of_size(5), w.of_size(4)) == (0b10011111111, 0b1100000000, 0)
 
     def test_window_ends_at_the_last_graph(self):
         # 3 vertices have 2^3 = 8 labelled graphs.
         with pytest.raises(ValueError, match="past the 3-vertex graphs"):
-            bitslice.Window(3, 0, 16)
-        w = bitslice.Window(3, 0, 8)
+            bitslice.Window([(3, 0, 16)])
+        with pytest.raises(ValueError, match="past the 3-vertex graphs"):
+            bitslice.Window([(5, 0, 2), (3, 4, 9)])
+        w = bitslice.Window([(3, 0, 8)])
         assert w.all.bit_count() == 8
         assert len(list(w.graphs(w.all))) == 8
 
     def test_count_max(self):
-        w = bitslice.Window(5, 0, space(5))
+        w = bitslice.Window([(5, 0, space(5))])
         digits = w.triangle_digits()
         assert bitslice.count_max(digits, w.all) == 10
         assert bitslice.count_max(digits, 0) is None
@@ -318,16 +403,42 @@ def reference_triangle_violations(n_max, t, h, r_value):
     return out
 
 
+def over_slices(reference, result):
+    """A shard body that runs a per-size ``reference`` on each of its
+    (n, lo, hi) slices in turn and merges what they find."""
+
+    def body(args):
+        t_values, slices = args
+        out = result()
+        for n, lo, hi in slices:
+            out.merge_shard(reference((n, t_values, lo, hi)))
+        return out.as_shard()
+
+    return body
+
+
 def run_both(body, reference, n_max, shard, result):
     got = suites._run_exhaustive(result(), body, n_max, (2, 3), 1, shard)
-    want = suites._run_exhaustive(result(), reference, n_max, (2, 3), 1, shard)
+    want = suites._run_exhaustive(
+        result(), over_slices(reference, result), n_max, (2, 3), 1, shard
+    )
     return got, want
 
 
-def run_proof_both(shard):
+def run_proof_both(shard, n_max=5):
     return run_both(
-        suites._proof_shard, reference_proof_shard, 5, shard, proof_result
+        suites._proof_shard, reference_proof_shard, n_max, shard, proof_result
     )
+
+
+def sizes_in(result):
+    """The vertex counts of the kept violations, in payload order."""
+    return [int(v["claim"].split(" n=")[1].split()[0]) for v in result.violations]
+
+
+# Shards of the forced-violation tests: thirds of n <= 5, and the last
+# 1/512 of n <= 7, whose slices of all six sizes share one window.
+FORCED_SHARDS = [(5, (i, 3)) for i in range(3)] + [(7, (511, 512))]
 
 
 def same(got, want):
@@ -373,6 +484,21 @@ class TestSuitesMatchReference:
         got, want = run_proof_both((i, 3))
         same(got, want)
         assert got.checked > 0 and got.violation_count == 0
+
+    @pytest.mark.parametrize("i", [0, 187, 511])
+    @pytest.mark.parametrize(
+        "body, reference, result",
+        [
+            (suites._clique_shard, reference_clique_shard, clique_result),
+            (suites._proof_shard, reference_proof_shard, proof_result),
+            (suites._turan_shard, reference_turan_shard, turan_result),
+        ],
+        ids=["clique", "proof", "turan"],
+    )
+    def test_n7_shards(self, body, reference, result, i):
+        got, want = run_both(body, reference, 7, (i, 512), result)
+        same(got, want)
+        assert got.checked > 0
 
     def test_delta_max(self):
         cases = [(5, complete(4), 2), (5, cycle(5), 2), (5, path(4), 3), (6, complete(4), 2)]
@@ -420,12 +546,13 @@ class TestForcedViolations:
             ]
 
         monkeypatch.setattr(suites, "_guarantee_table", raised)
-        for i in range(3):
+        for n_max, shard in FORCED_SHARDS:
             got, want = run_both(
-                suites._clique_shard, reference_clique_shard, 5, (i, 3), clique_result
+                suites._clique_shard, reference_clique_shard, n_max, shard, clique_result
             )
             assert got.violation_count > suites.VIOLATION_LIMIT
             same(got, want)
+        assert sizes_in(got) == sorted(sizes_in(got)) and len(set(sizes_in(got))) >= 4
 
     def test_turan_bounds_lowered(self, monkeypatch):
         def lowered(n, t, **kwargs):
@@ -439,12 +566,13 @@ class TestForcedViolations:
         monkeypatch.setattr(
             suites, "_turan_bounds", functools.cache(suites._turan_bounds.__wrapped__)
         )
-        for i in range(3):
+        for n_max, shard in FORCED_SHARDS:
             got, want = run_both(
-                suites._turan_shard, reference_turan_shard, 5, (i, 3), turan_result
+                suites._turan_shard, reference_turan_shard, n_max, shard, turan_result
             )
             assert got.violation_count > 0
             same(got, want)
+        assert sizes_in(got) == sorted(sizes_in(got)) and len(set(sizes_in(got))) >= 2
 
     def test_packing_debt_forced(self, monkeypatch):
         # One more forced missing edge at even gamma and one fewer at odd
@@ -458,11 +586,12 @@ class TestForcedViolations:
 
             monkeypatch.setattr(suites, "forced_missing_edges", shifted)
             monkeypatch.setattr(witness, "forced_missing_edges", shifted)
-            for i in range(3):
-                got, want = run_proof_both((i, 3))
+            for n_max, shard in FORCED_SHARDS:
+                got, want = run_proof_both(shard, n_max)
                 assert got.violation_count > suites.VIOLATION_LIMIT
                 assert any(v["claim"].startswith("packing-debt") for v in got.violations)
                 same(got, want)
+            assert sizes_in(got) == sorted(sizes_in(got)) and len(set(sizes_in(got))) >= 4
 
     def test_triangle_condition_forced(self, monkeypatch):
         monkeypatch.setattr(suites, "triangle_theorem_condition", lambda *args: True)

@@ -118,7 +118,7 @@ class TestTriangleTheoremSuite:
             raise AssertionError("work started before the cap check")
 
         monkeypatch.setattr(suites, "ramsey_exact", refuse)
-        monkeypatch.setattr(suites, "delta_max", refuse)
+        monkeypatch.setattr(suites.bitslice, "windows", refuse)
         with pytest.raises(ValueError, match="cap at n = 7, got n_max = 8"):
             run_triangle_theorem(n_max=8)
 
