@@ -353,16 +353,6 @@ def triangle_maxima(w: Window, h: Graph, t: int) -> tuple[int, int, dict[int, in
     return free, allowed, {m: count_max(digits, allowed & w.of_size(m)) or 0 for m in w.sizes}
 
 
-def delta_maxima(slices, h: Graph, t: int) -> dict[int, int]:
-    """Greatest triangle count, per vertex count, over the graphs of
-    ``slices`` with no copy of h and no induced K_{2,t}."""
-    best: dict[int, int] = {}
-    for w in windows(slices):
-        for m, delta in triangle_maxima(w, h, t)[2].items():
-            best[m] = max(best.get(m, 0), delta)
-    return best
-
-
 def delta_max(n: int, h: Graph, t: int) -> int:
     """Greatest triangle count over all labelled n-vertex graphs with no
     copy of h and no induced K_{2,t} (exhaustive, n <= 7)."""
@@ -372,4 +362,6 @@ def delta_max(n: int, h: Graph, t: int) -> int:
         )
     if t < 2:
         raise GraphError(f"need t >= 2, got t={t}")
-    return delta_maxima([(n, 0, 1 << math.comb(n, 2))], h, t)[n]
+    return max(
+        triangle_maxima(w, h, t)[2][n] for w in windows([(n, 0, 1 << math.comb(n, 2))])
+    )

@@ -501,14 +501,28 @@ def run_triangle_theorem(
             )
 
     slices = [(n, 0, 1 << math.comb(n, 2)) for n in range(2, n_max + 1)]
-    # A size spread over several windows needs its Delta before its check.
-    deltas = bitslice.delta_maxima([s for s in slices if s[2] > bitslice.BLOCK], h, t)
-    for w in bitslice.windows(slices):
+    # A size spread over several windows needs its Delta before its check:
+    # a first pass over its windows finds Delta and keeps each window's
+    # (free, allowed), so the check pass evaluates no window twice. Such a
+    # size starts a window of its own, so its windows are the same in both.
+    spread = [s for s in slices if s[2] > bitslice.BLOCK]
+    deltas, kept = {}, []
+    for w in bitslice.windows(spread):
         free, allowed, found = bitslice.triangle_maxima(w, h, t)
+        kept.append((free, allowed))
+        for n, delta in found.items():
+            deltas[n] = max(deltas.get(n, 0), delta)
+    reuse = iter(kept)
+    for w in bitslice.windows(slices):
+        if w.n in deltas:
+            free, allowed = next(reuse)
+        else:
+            free, allowed, found = bitslice.triangle_maxima(w, h, t)
+            deltas.update(found)
         edges = w.edge_classes()
         meets = 0
         for n in w.sizes:
-            pairs, delta = math.comb(n, 2), deltas.setdefault(n, found[n])
+            pairs, delta = math.comb(n, 2), deltas[n]
             for e in range(pairs + 1):
                 if triangle_theorem_condition(n, Fraction(e, pairs), t, r_value, delta):
                     meets |= edges[e] & w.of_size(n)

@@ -14,17 +14,27 @@ missing edge with a large common neighbourhood S, and finally either
 
 Every certificate can be re-validated from scratch with verify_trace.
 
-``ledger`` builds all per-vertex entries in one pass. m_v comes from a
-single sweep over the edges (each edge uw adds |N(u) & N(w)| at both ends,
-which sums to twice the edges inside each neighbourhood), and gamma_v from
-one increasing scan of N(v): each vertex either starts the next part, with
-the lex-least independent (t - 1)-set among its later non-neighbours still
-free, or is passed over for good, since no t-set can start at it any more;
-when G itself holds no independent t-set, no neighbourhood does, so one
-search on the whole vertex set sets every gamma_v to 0 and no scan runs.
-Both give exactly what ``missing_pairs`` and ``greedy_packing`` give
-vertex by vertex; those stay as the plain per-vertex oracles, and
-``verify_trace`` recounts every m_v with ``missing_pairs``.
+``ledger`` builds all per-vertex entries in one pass. m_v is
+C(d_v, 2) - e(N(v)). On dense hosts of up to a few hundred vertices
+(n (n^3 + 10^6) <= 240,000 E, the one cost rule ``_stacked_pays``)
+e(N(v)) comes from the *stacked adjacency*, the
+rows of G packed into one int, row w in bits [n w, n w + n): the edges
+inside N(v) are half the set bits of the stack in the blocks of the
+neighbours of v, masked to the columns of N(v), a few big-int operations
+per vertex. On large sparse hosts (the polarity graphs ER_q) it comes from
+one sweep over the edges (each edge uw adds |N(u) & N(w)| at both ends,
+which sums to twice the edges inside each neighbourhood). gamma_v comes
+from one increasing scan of N(v): each vertex either starts the next part,
+with the lex-least independent (t - 1)-set among its later non-neighbours
+still free, or is passed over for good, since no t-set can start at it any
+more; when G itself holds no independent t-set, no neighbourhood does, so
+one search on the whole vertex set sets every gamma_v to 0 and no scan
+runs. Both give exactly what ``missing_pairs`` and ``greedy_packing`` give
+vertex by vertex; those stay as the plain per-vertex oracles.
+``verify_trace`` recounts every m_v directly as the non-adjacent pairs of
+N(v): under the same rule from the stacked complement (every cell, less
+the stack and the diagonal), otherwise with ``missing_pairs``, so its
+count never goes through C(d_v, 2) - e(N(v)).
 ``pigeonhole_edge`` skips the partners with fewer than two common
 neighbours once a pair with one is known, as they can no longer win.
 
@@ -41,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from . import detect
 from .bounds import beta
@@ -132,7 +142,10 @@ def greedy_packing(g: Graph, v: int, t: int) -> Packing:
 
 def missing_pairs(adj: Sequence[int], subset: int) -> int:
     """Non-adjacent pairs among the vertices of ``subset``: m_v of the
-    ledger when ``subset`` is the neighbourhood of v."""
+    ledger when ``subset`` is the neighbourhood of v, in deg(v) steps of one
+    popcount each. ``verify_trace`` recounts m_v with it on the hosts where
+    the stacked adjacency does not pay (``_stacked_pays``), and it is the
+    per-vertex oracle of the tests."""
     missing = 0
     rest = subset
     while rest:
@@ -142,17 +155,96 @@ def missing_pairs(adj: Sequence[int], subset: int) -> int:
     return missing
 
 
+def _stacked_pays(g: Graph) -> bool:
+    """The cost rule for counting the pairs inside every neighbourhood.
+    From the stacked adjacency (``_neighbourhood_cells``) a vertex costs
+    about 1 us of interpreter work plus the product c * N(v), about
+    n^3 / 900 digit multiplications of about 1 ns each; vertex by vertex a
+    host costs about 0.3 us a step, one step per edge in the sweep of
+    ``_edges_inside`` and two in ``missing_pairs``. ``ledger`` and
+    ``verify_trace`` run on the same hosts, so both take the stacked count
+    when, fitted to G(n, p) at n = 10..640 (BENCH_24.json),
+    n (n^3 + 10^6) <= 240,000 E: on dense hosts of up to a few hundred
+    vertices, and not on sparse ones such as the polarity graphs ER_q, nor
+    on G(20, 0.3). As E <= n (n - 1) / 2, it never holds past n = 341,
+    where the product, n^3 a vertex, has outgrown the loops."""
+    return g.n * (g.n**3 + 10**6) <= 240_000 * g.edge_count
+
+
+def _stack(g: Graph) -> int:
+    """The stacked adjacency: row w of g in bits [n w, n w + n) of one int."""
+    n = g.n
+    return int("".join(format(row, f"0{n}b") for row in reversed(g.adj)) or "0", 2)
+
+
+def _spaced(n: int, gap: int) -> int:
+    """Bit gap w set for every w < n."""
+    return int("1".rjust(gap, "0") * n or "0", 2)
+
+
+def _neighbourhood_cells(g: Graph, stack: int) -> Iterator[int]:
+    """For each vertex v in turn, the cells (w, u) of the stacked grid
+    (bit n w + u) with w and u both in N(v); each pair of N(v) owns two of
+    them. Column v of the stack puts bit v of row w at bit n w, so c has
+    bit n w set for each w in N(v), and c * N(v) copies N(v) into those
+    blocks: the set bits of c are n apart and N(v) < 2^n, so nothing
+    carries. The product takes ceil(n / 30) passes over c (30-bit digits),
+    at most 12 where ``_stacked_pays`` holds; below n = 100 it beats a
+    shift-OR doubling of N(v) masked by c's blocks, which takes about
+    log2(n) more big-int operations a vertex."""
+    n = g.n
+    ones = _spaced(n, n)
+    for v, row in enumerate(g.adj):
+        yield ((stack >> v) & ones) * row
+
+
+def _edges_inside(g: Graph) -> list[int]:
+    """e(N(v)) for every v. When ``_stacked_pays``, the edges inside N(v)
+    are the set cells of the stack among v's cells, each counted from both
+    ends. Otherwise each edge wv inside N(v) is counted once from each end
+    by |N(v) & N(w)| summed over the neighbours w of v, so one sweep over
+    the edges uw, u < w, adding |N(u) & N(w)| to both ends, leaves
+    2 e(N(v)) at every v: E popcounts instead of 2E."""
+    if _stacked_pays(g):
+        stack = _stack(g)
+        return [(stack & cells).bit_count() // 2 for cells in _neighbourhood_cells(g, stack)]
+    adj = g.adj
+    inside = [0] * g.n
+    for v, row in enumerate(adj):
+        total = 0
+        later = row >> (v + 1)  # bit i is vertex v + 1 + i
+        while later:
+            low = later & -later
+            later ^= low
+            w = low.bit_length() + v
+            common = (row & adj[w]).bit_count()
+            total += common
+            inside[w] += common
+        inside[v] += total
+    return [twice // 2 for twice in inside]
+
+
+def _missing_inside(g: Graph) -> list[int]:
+    """m_v for every v, counted directly: when ``_stacked_pays``, the
+    non-adjacent pairs of N(v) are the set cells of the stacked complement
+    (every cell, less the stack and the diagonal) among v's cells, each met
+    twice; otherwise ``missing_pairs`` on each neighbourhood."""
+    if not _stacked_pays(g):
+        return [missing_pairs(g.adj, row) for row in g.adj]
+    n = g.n
+    stack = _stack(g)
+    complement = ((1 << n * n) - 1) ^ stack ^ _spaced(n, n + 1)
+    return [(complement & cells).bit_count() // 2 for cells in _neighbourhood_cells(g, stack)]
+
+
 def ledger(g: Graph, t: int) -> list[VertexLedger]:
     """Per-vertex degree, missing-edge count inside the neighbourhood,
     greedy packing size, and its q lower bound; the same entries as
     ``greedy_packing`` and ``missing_pairs`` give vertex by vertex.
 
-    m_v is C(d_v, 2) - e(N(v)). Each edge vw inside N(v) is counted once
-    from each end by |N(v) & N(w)| summed over the neighbours w of v, so
-    one sweep over the edges uw, u < w, adding |N(u) & N(w)| to both ends,
-    leaves 2 e(N(v)) at every v: E popcounts instead of 2E. The sweep runs
-    in the same loop as the packing, since every edge into v from below is
-    swept before v is reached.
+    m_v is C(d_v, 2) - e(N(v)), with e(N(v)) from ``_edges_inside``: the
+    stacked adjacency on dense hosts, one sweep over the edges on sparse or
+    large ones (``_stacked_pays``).
 
     gamma_v is the size of the greedy packing, built in one increasing scan
     of the residual of N(v). Each vertex u of it either starts the next
@@ -169,20 +261,11 @@ def ledger(g: Graph, t: int) -> list[VertexLedger]:
     if t < 2:
         raise GraphError(f"need t >= 2, got t={t}")
     adj = g.adj
-    inside = [0] * g.n
+    inside = _edges_inside(g)
     lex_set = detect._lex_set
     packs = lex_set(adj, g.full_mask, t, -1) is not None
     out = []
     for v, row in enumerate(adj):
-        total = 0
-        later = row >> (v + 1)  # bit i is vertex v + 1 + i
-        while later:
-            low = later & -later
-            later ^= low
-            w = low.bit_length() + v
-            common = (row & adj[w]).bit_count()
-            total += common
-            inside[w] += common
         gamma = 0
         rest = row if packs else 0
         # Fewer than t vertices left hold no part; the count pays from t = 3.
@@ -199,7 +282,7 @@ def ledger(g: Graph, t: int) -> list[VertexLedger]:
             VertexLedger(
                 v,
                 degree,
-                degree * (degree - 1) // 2 - (inside[v] + total) // 2,
+                degree * (degree - 1) // 2 - inside[v],
                 gamma,
                 forced_missing_edges(gamma, t),
             )
@@ -329,11 +412,11 @@ def verify_trace(g: Graph, trace: ProofTrace, h: Graph, t: int) -> bool:
     and no slack at all on boundary-degenerate."""
     if trace.t != t or [entry.v for entry in trace.ledgers] != list(range(g.n)):
         return False
+    missing = _missing_inside(g)
     for entry in trace.ledgers:
-        row = g.adj[entry.v]
-        if entry.degree != row.bit_count():
+        if entry.degree != g.adj[entry.v].bit_count():
             return False
-        if entry.m_v != missing_pairs(g.adj, row):
+        if entry.m_v != missing[entry.v]:
             return False
         # gamma_v disjoint independent t-sets must fit in the neighbourhood.
         if entry.gamma_v < 0 or entry.gamma_v * t > entry.degree:

@@ -613,6 +613,23 @@ def test_engine_flag_without_violation_raises(monkeypatch):
         suites.run_clique_exhaustive(n_max=4, workers=1)
 
 
+def test_triangle_thm_evaluates_each_window_once(monkeypatch):
+    # n = 7 spans 32 windows whose Delta is needed before any of them is
+    # checked: each window's maxima are kept from the Delta pass, so the
+    # n <= 6 window and the 32 blocks are each evaluated once.
+    seen = []
+    maxima = bitslice.triangle_maxima
+
+    def counted(w, h, t):
+        seen.append(w.parts)
+        return maxima(w, h, t)
+
+    monkeypatch.setattr(bitslice, "triangle_maxima", counted)
+    got = suites.run_triangle_theorem(n_max=7, t=2)
+    assert len(seen) == len(set(seen)) == 33
+    assert (got.checked, got.violation_count) == (477429, 0)
+
+
 @pytest.mark.parametrize("t, n_max", [(2, 5), (3, 7)])
 def test_k2t_filter_is_load_bearing(monkeypatch, t, n_max):
     # The packing debt needs the graph to have no induced K_(2,t): a ladder

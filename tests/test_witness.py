@@ -222,6 +222,62 @@ class TestLedger:
             ledger(cycle(5), 1)
 
 
+def neighbourhood_hosts():
+    """Seeded hosts for the two ways of counting the pairs inside every
+    neighbourhood: the smallest graphs, complete and empty ones, n around
+    the 64-bit word boundary, the polarity graphs, co-bipartite(40), and
+    G(n, p) on both sides of the cost rule n (n^3 + 10^6) <= 240,000 E."""
+    cases = []
+    for n in (0, 1, 2, 5):
+        cases.append(pytest.param(complete(n), id=f"K_{n}"))
+        cases.append(pytest.param(empty(n), id=f"empty({n})"))
+    for n in (63, 64, 65):
+        cases.append(pytest.param(random_gnp(n, 0.5, n), id=f"G({n},0.5)"))
+    for q in (7, 11, 13):
+        cases.append(pytest.param(polarity_graph(q), id=f"ER_{q}"))
+    cases.append(pytest.param(co_partite(2, 20, 1), id="co-bipartite(40)"))
+    for n, p in ((20, 0.3), (20, 0.7), (30, 0.1), (30, 0.6), (100, 0.1), (100, 0.7), (150, 0.9)):
+        cases.append(pytest.param(random_gnp(n, p, 7 * n), id=f"G({n},{p})"))
+    return cases
+
+
+def force_stacked(monkeypatch, stacked):
+    monkeypatch.setattr(witness, "_stacked_pays", lambda g: stacked)
+
+
+class TestNeighbourhoodCounts:
+    def test_cost_rule_sides(self):
+        # Dense hosts take the stacked adjacency; sparse ones, and dense
+        # ones past a few hundred vertices, the per-vertex loops.
+        pays = witness._stacked_pays
+        assert all(pays(random_gnp(40, p, 1)) for p in (0.3, 0.5, 0.7))
+        assert pays(random_gnp(20, 0.7, 1)) and not pays(random_gnp(20, 0.3, 1))
+        assert pays(co_partite(2, 20, 1)) and pays(random_gnp(150, 0.9, 1))
+        assert not any(pays(polarity_graph(q)) for q in (7, 11, 13))
+        assert not pays(random_gnp(30, 0.1, 210)) and not pays(random_gnp(100, 0.1, 700))
+        assert not pays(empty(5)) and not pays(complete(400))
+        assert not pays(co_partite(2, 500, 1))
+
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "loop"])
+    @pytest.mark.parametrize("g", neighbourhood_hosts())
+    def test_counts_match_missing_pairs(self, g, stacked, monkeypatch):
+        force_stacked(monkeypatch, stacked)
+        missing = [missing_pairs(g.adj, row) for row in g.adj]
+        assert witness._missing_inside(g) == missing
+        assert witness._edges_inside(g) == [
+            comb(g.degree(v), 2) - m for v, m in enumerate(missing)
+        ]
+
+    @pytest.mark.parametrize("g", neighbourhood_hosts())
+    def test_ledger_same_on_both_paths(self, g, monkeypatch):
+        for t in (2, 3):
+            want = ledger(g, t)
+            for stacked in (True, False):
+                force_stacked(monkeypatch, stacked)
+                assert ledger(g, t) == want, (t, stacked)
+            monkeypatch.undo()
+
+
 def brute_force_pigeonhole(g):
     """The non-edge (u, w), u < w, least by (-|S|, u, w), with S its common
     neighbourhood; None on a complete graph."""
@@ -438,6 +494,31 @@ class TestVerifyTrace:
         entries[0] = dataclasses.replace(entries[0], m_v=entries[0].m_v + 1)
         bad = dataclasses.replace(trace, ledgers=tuple(entries))
         assert not verify_trace(g, bad, complete(4), 2)
+
+    @pytest.mark.parametrize(
+        "g, t, stacked",
+        [
+            (random_gnp(40, 0.7, 3), 2, True),
+            (co_partite(2, 20, 1), 3, True),
+            (polarity_graph(7), 2, False),
+            (random_gnp(100, 0.1, 700), 2, False),
+        ],
+        ids=["G(40,0.7)", "co-bipartite(40)", "ER_7", "G(100,0.1)"],
+    )
+    def test_rejects_m_v_one_off(self, g, t, stacked):
+        # The recount of m_v, from the stacked complement on dense hosts
+        # and with missing_pairs on sparse ones, catches an m_v that is one
+        # too high or one too low at any vertex.
+        assert witness._stacked_pays(g) == stacked
+        h = complete(4)
+        trace = extract(g, h, t)
+        assert verify_trace(g, trace, h, t)
+        for v in (0, g.n // 2, g.n - 1):
+            for delta in (-1, 1):
+                entries = list(trace.ledgers)
+                entries[v] = dataclasses.replace(entries[v], m_v=entries[v].m_v + delta)
+                bad = dataclasses.replace(trace, ledgers=tuple(entries))
+                assert not verify_trace(g, bad, h, t), (v, delta)
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_rejects_packing_that_cannot_fit(self, t):
