@@ -14,7 +14,6 @@ from .bounds import (
     clique_guarantee,
     clique_lower_report,
     induced_turan_upper,
-    ramsey_upper,
     theorem_clique_r,
     triangle_theorem_condition,
     triangle_upper,
@@ -48,15 +47,12 @@ from .graphs import (
     GraphError,
     InducedSubgraph,
     build,
-    common_neighbourhood,
     density,
     graph6_decode,
     graph6_encode,
     induced_subgraph,
     missing_edges,
-    neighbourhood_subgraph,
     parse_edge_text,
-    triangle_count,
 )
 from .ramsey import (
     GraphFamily,

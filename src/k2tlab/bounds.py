@@ -1,5 +1,5 @@
 """Closed-form bound calculators: the beta constant and its identities,
-clique lower bounds, Ramsey upper-bound formulas, induced-Turan upper
+clique lower bounds, the Erdos-Szekeres Ramsey bound, induced-Turan upper
 bounds, and the triangle-count budget.
 
 All logarithms are natural. Bounds that only hold for large n are never
@@ -20,10 +20,6 @@ from typing import Callable, Optional, Union
 from . import detect
 
 Real = Union[int, float, Fraction]
-
-ES = "erdos-szekeres"
-SHEARER = "shearer"
-BOLLOBAS = "bollobas"
 
 
 class BoundError(ValueError):
@@ -99,31 +95,6 @@ def beta_identity_residual(alpha: Real, t: int) -> float:
     a = _check_alpha_t(alpha, t)
     b = beta(a, t).beta
     return abs((t - 1) * (a - b * b) ** 2 - t * t * (1.0 - a) * b * b)
-
-
-def ramsey_upper(t: int, r: int, method: str = ES) -> Union[int, float]:
-    """Classical upper bounds for R(t, r).
-
-    erdos-szekeres: C(r+t-2, t-1), valid for all t >= 2, r >= 1.
-    shearer: (r-2)^2 / (ln(r-1) - 1), t = 3 and r >= 4 only.
-    bollobas: 2 * 20^(t-3) * r^(t-1) / (ln r)^(t-2); asymptotic-only,
-    valid for r large (threshold unquantified), exposed for reporting.
-    """
-    if t < 2 or r < 1:
-        raise BoundError(f"need t >= 2 and r >= 1, got t={t}, r={r}")
-    if method == ES:
-        return _es_ramsey(t, r)
-    if method == SHEARER:
-        if t != 3:
-            raise BoundError("the shearer bound applies to t = 3 only")
-        if r < 4:
-            raise BoundError(f"the shearer bound needs r >= 4, got r={r}")
-        return (r - 2) ** 2 / (math.log(r - 1) - 1.0)
-    if method == BOLLOBAS:
-        if r < 2:
-            raise BoundError(f"the bollobas bound needs r >= 2, got r={r}")
-        return 2.0 * 20.0 ** (t - 3) * r ** (t - 1) / math.log(r) ** (t - 2)
-    raise BoundError(f"unknown ramsey upper-bound method {method!r}")
 
 
 RamseyFn = Callable[[int, int], Optional[Union[int, float]]]

@@ -13,6 +13,16 @@ greedy cover of the remaining candidates by pairwise incompatible classes
 has fewer classes than the size asked for, so a search that must fail,
 such as an independent 3-set among two cliques, can end after one linear
 pass instead of trying every pair.
+
+Pattern searches share another kernel, ``place``: subgraph copies, copies
+through a given host vertex, and ``ramsey``'s isomorphism and orbit tests.
+A plan (``search_plan``) has one step per pattern vertex: (vertex, key,
+neighbours placed by earlier steps). Each step takes the least vertex of
+its candidate mask adjacent to the images of those neighbours (a VF2-style
+search: Cordella, Foggia, Sansone and Vento, IEEE TPAMI 2004), so the
+first map found is the least tuple of images in plan order. Copy mode
+skips hosts of degree below the key, the pattern degree; induced mode
+rejects any other edge back to the vertices already mapped.
 """
 
 from __future__ import annotations
@@ -255,52 +265,76 @@ def _max_clique_size(masks: Sequence[int], universe: int) -> int:
     return best
 
 
+# _ROW_VERTICES[row]: the vertices of ``row`` in increasing order, for every
+# row of a graph on at most _TABLE_N vertices (a fixed size, not a cap).
+_TABLE_N = 10
+_ROW_VERTICES: tuple = ((),)
+for _v in range(_TABLE_N):
+    _ROW_VERTICES += tuple(vs + (_v,) for vs in _ROW_VERTICES)
+
+
+def _vertices(n: int):
+    """Row -> its vertices in increasing order, for rows of n-vertex graphs."""
+    return _ROW_VERTICES.__getitem__ if n <= _TABLE_N else lambda r: tuple(bits(r))
+
+
+def search_plan(h: Graph, order: Sequence[int], keys: Sequence) -> tuple:
+    """The plan that places the vertices of ``h`` in ``order``: one step per
+    vertex, (vertex, ``keys[vertex]``, its neighbours placed by earlier
+    steps, in increasing order)."""
+    vertices = _vertices(h.n)
+    steps = []
+    placed = 0
+    for v in order:
+        steps.append((v, keys[v], vertices(h.adj[v] & placed)))
+        placed |= 1 << v
+    return tuple(steps)
+
+
 def plan_embedding(h: Graph, first: Optional[int] = None) -> tuple:
-    """The search plan for embedding ``h``: one step per pattern vertex,
-    ``first`` (when given) and then the rest by descending degree, each step
-    holding (vertex, degree, neighbours placed by earlier steps)."""
-    adj = h.adj
-    degree = [row.bit_count() for row in adj]
+    """The plan for copies of ``h``: ``first`` (when given) and then the
+    rest by descending degree, each vertex keyed by its degree."""
+    degree = [row.bit_count() for row in h.adj]
     # Descending degree; a reversed sort keeps ties in increasing order.
     order = sorted(range(h.n), key=degree.__getitem__, reverse=True)
     if first is not None:
         order.remove(first)
         order.insert(0, first)
-    steps = []
-    placed = 0
-    for v in order:
-        steps.append((v, degree[v], tuple(bits(adj[v] & placed))))
-        placed |= 1 << v
-    return tuple(steps)
+    return search_plan(h, order, degree)
 
 
-def _embed(
+def place(
     adj: Sequence[int],
-    full: int,
     plan: tuple,
-    i: int,
+    cands: Sequence[int],
+    induced: bool,
     image: list,
-    used: int,
-    first: Optional[int] = None,
+    i: int = 0,
+    used: int = 0,
 ) -> bool:
-    """The embedding kernel: place steps i.. of ``plan`` on unused host
-    vertices (``first``, when given, bounds the choices for step i), each
-    adjacent to the images of its placed neighbours and of at least its
-    pattern degree. True with the copy left in ``image``, else False."""
+    """The pattern kernel: place steps i.. of ``plan`` on host vertices
+    outside ``used``, step j on one of ``cands[j]`` adjacent to the images
+    of its earlier neighbours, least first. A copy also needs a host degree
+    of at least the step's key; an ``induced`` map needs the host row to
+    meet ``used`` in exactly those images. True with pattern vertex v on
+    host vertex ``image[v]``, else False."""
     if i == len(plan):
         return True
-    v, dv, placed = plan[i]
-    cand = ~used & full if first is None else first
-    for u in placed:
+    v, key, earlier = plan[i]
+    cand = cands[i] & ~used
+    for u in earlier:
         cand &= adj[image[u]]
     while cand:
         low = cand & -cand
         cand ^= low
         w = low.bit_length() - 1
-        if adj[w].bit_count() < dv:
+        if induced:
+            if (adj[w] & used).bit_count() != len(earlier):
+                continue
+        elif adj[w].bit_count() < key:
             continue
         image[v] = w
-        if _embed(adj, full, plan, i + 1, image, used | low):
+        if place(adj, plan, cands, induced, image, i + 1, used | low):
             return True
     return False
 
@@ -308,12 +342,17 @@ def _embed(
 def embeds_at(g: Graph, plan: tuple, w: int) -> bool:
     """True iff ``g`` holds a copy of the planned pattern that maps the
     plan's first vertex to host vertex ``w``."""
-    return _embed(g.adj, g.full_mask, plan, 0, [-1] * len(plan), 0, 1 << w)
+    if not 0 <= w < g.n:
+        raise GraphError(f"anchor {w} out of range for n={g.n}")
+    cands = [g.full_mask] * len(plan) or [0]  # an empty plan places nothing
+    cands[0] = 1 << w
+    return place(g.adj, plan, cands, False, [0] * len(plan))
 
 
 def contains_subgraph(g: Graph, h: Graph) -> Optional[Embedding]:
     """First embedding of ``h`` into ``g`` as a (not necessarily induced)
-    subgraph, or None. Backtracking ordered by descending pattern degree.
+    subgraph, or None: the least tuple of images in the order of
+    ``plan_embedding(h)`` (descending pattern degree).
 
     Patterns are capped at 10 vertices (hard error beyond).
     """
@@ -324,8 +363,8 @@ def contains_subgraph(g: Graph, h: Graph) -> Optional[Embedding]:
         )
     if h.n > g.n or h.edge_count > g.edge_count:
         return None
-    image = [-1] * h.n
-    if _embed(g.adj, g.full_mask, plan_embedding(h), 0, image, 0):
+    image = [0] * h.n
+    if place(g.adj, plan_embedding(h), [g.full_mask] * h.n, False, image):
         emb = Embedding(pattern=h, mapping=tuple(image))
         require(emb.check(g), "contains_subgraph: invalid embedding")
         return emb

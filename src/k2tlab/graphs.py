@@ -206,13 +206,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
     return InducedSubgraph(Graph._trusted(len(vs), adj, count), tuple(vs))
 
 
-def neighbourhood_subgraph(g: Graph, v: int) -> InducedSubgraph:
-    """G_v: the subgraph induced on the neighbourhood of v."""
-    if not (0 <= v < g.n):
-        raise GraphError(f"vertex {v} out of range for n={g.n}")
-    return induced_subgraph(g, bits(g.adj[v]))
-
-
 def missing_edges(g: Graph) -> list[tuple[int, int]]:
     """All non-adjacent unordered pairs, lexicographically sorted."""
     out = []
@@ -221,23 +214,6 @@ def missing_edges(g: Graph) -> list[tuple[int, int]]:
         for u in bits(non):
             out.append((v, u))
     return out
-
-
-def common_neighbourhood(g: Graph, u: int, v: int) -> frozenset[int]:
-    """Vertices adjacent to both u and v (never contains u or v)."""
-    if u == v:
-        raise GraphError("common neighbourhood needs two distinct vertices")
-    return frozenset(bits(g.adj[u] & g.adj[v]))
-
-
-def triangle_count(g: Graph) -> int:
-    total = 0
-    for v in range(g.n):
-        row = g.adj[v]
-        for u in bits(row >> (v + 1)):
-            u += v + 1
-            total += (g.adj[u] & row & ~((1 << u) - 1)).bit_count()
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ candidate is built: that candidate has a K_r through the new vertex.
 The member search then covers only the other members. A candidate's rows
 are symmetric by construction, so it is built through ``Graph._trusted``
 without re-validation; the vertices of a row of a graph on at most 10
-vertices are read from one table. Levels are deduplicated by exact
+vertices are read from ``detect``'s table. Levels are deduplicated by exact
 isomorphism tests inside cheap-invariant buckets: each graph is coloured
 by one refinement round (degree, sorted neighbour degrees), read straight
 from its rows as one int per vertex (the degree plus a packed histogram of
@@ -34,10 +34,12 @@ duplicates whose proof is nearly linear, so further rounds would cost more
 than the few non-isomorphic bucket mates they split off, and the cost of a
 proof is mostly its set-up. So each bucket representative keeps a proof
 plan, built the first time it is compared: its vertices, rare colours
-first, each with its colour and its earlier neighbours. A proof maps the
-representative onto the candidate by an iterative depth-first search over
-bitmasks, and builds only the candidate's colour classes. This keeps the
-n = 9 refutations (e.g. for R(3,4)) at interactive speed.
+first, each keyed by its colour (``detect.search_plan``). A proof maps
+the representative onto the candidate by ``detect.place`` in induced
+mode, each step drawn from the candidate's class of its colour, and
+builds only those classes; the anchored member test runs the same kernel
+in copy mode. This keeps the n = 9 refutations (e.g. for R(3,4)) at
+interactive speed.
 
 All three family constructors go through one builder, which checks sizes
 before it builds a deletion or hashes an invariant: a member above the
@@ -56,16 +58,18 @@ from .bounds import _es_ramsey
 from .detect import (
     MAX_PATTERN_VERTICES,
     _lex_set,
+    _vertices,
     contains_family_member,
     embeds_at,
     find_independent_set,
+    place,
     plan_embedding,
     require,
+    search_plan,
 )
 from .graphs import (
     Graph,
     GraphError,
-    bits,
     build,
     graph6_encode,
     induced_subgraph,
@@ -74,6 +78,7 @@ from .graphs import (
 
 MAX_RAMSEY_CAP = 10
 DEFAULT_RAMSEY_CAP = 9
+MAX_ISOMORPHISM_VERTICES = 500  # detect.place recurses once per vertex
 
 ORIGIN_MINUS_VERTEX = "minus-vertex"
 ORIGIN_MINUS_EBAR = "minus-vertex-or-nonedge"
@@ -117,19 +122,6 @@ class RamseyResult:
 # ---------------------------------------------------------------------------
 # Isomorphism
 # ---------------------------------------------------------------------------
-
-# _ROW_VERTICES[row]: the vertices of ``row`` in increasing order, for every
-# row of a graph on at most _TABLE_N vertices (a fixed size, not a cap).
-_TABLE_N = 10
-_ROW_VERTICES: tuple = ((),)
-for _v in range(_TABLE_N):
-    _ROW_VERTICES += tuple(vs + (_v,) for vs in _ROW_VERTICES)
-
-
-def _vertices(n: int):
-    """Row -> its vertices in increasing order, for rows of n-vertex graphs."""
-    return _ROW_VERTICES.__getitem__ if n <= _TABLE_N else lambda r: tuple(bits(r))
-
 
 def _refined_colours(g: Graph, table: Optional[dict] = None) -> list:
     """Iterated colour refinement from the degrees: each round renames
@@ -200,9 +192,12 @@ def is_isomorphic(
     for the next test against b. Without colours a and b are refined for
     up to three rounds through one table, and unequal sorted colours
     reject at once. Either way only the colour-preserving map decides a
-    True."""
+    True. Graphs of one order and size above ``MAX_ISOMORPHISM_VERTICES``
+    vertices raise GraphError."""
     if a.n != b.n or a.edge_count != b.edge_count:
         return False
+    if a.n > MAX_ISOMORPHISM_VERTICES:
+        raise GraphError(f"is_isomorphic caps at {MAX_ISOMORPHISM_VERTICES} vertices")
     if colours is None:
         table: dict = {}
         colours = (_refined_colours(a, table), _refined_colours(b, table))
@@ -210,70 +205,29 @@ def is_isomorphic(
             return False
     if plan is None:
         plan = _proof_plan(b, colours[1])
-    return _maps_onto(plan, a, colours[0])
+    return _maps(plan, a, colours[0])
 
 
 def _proof_plan(b: Graph, cb: list) -> tuple:
-    """The steps of a colour-preserving map from b: b's vertices, rare
-    colours first, each step as (its colour, the vertex, the row mask of
-    its neighbours among the earlier steps). It depends on b alone, so one
+    """The plan of a colour-preserving map from b: b's vertices, rare
+    colours first, each keyed by its colour. It depends on b alone, so one
     plan serves every test against b."""
     sizes: dict = {}
     for c in cb:
         sizes[c] = sizes.get(c, 0) + 1
-    adj = b.adj
-    steps = []
-    done = 0
-    for _, c, v in sorted(zip(map(sizes.__getitem__, cb), cb, range(b.n))):
-        steps.append((c, v, adj[v] & done))
-        done |= 1 << v
-    return tuple(steps)
+    order = sorted(range(b.n), key=lambda v: (sizes[cb[v]], cb[v], v))
+    return search_plan(b, order, cb)
 
 
-def _maps_onto(plan: tuple, a: Graph, ca: list) -> bool:
-    """True iff the plan's graph b has an isomorphism onto a that maps
-    every vertex to one of the same colour: an iterative depth-first
-    search over the steps. Depth i holds the unused vertices of a in the
-    colour class of step i (``free``) and the bits of a mapped above it
-    (``used``). The images of the step's earlier neighbours form the want
-    mask, and a candidate fits when its a-row meets ``used`` in exactly
-    that mask, which checks every edge and non-edge back to the steps
-    already mapped. Only a's colour classes are built."""
-    n = len(plan)
-    if not n:
-        return True
+def _maps(plan: tuple, a: Graph, ca: list) -> bool:
+    """True iff the plan's graph has an isomorphism onto a that maps every
+    vertex to one of the same colour: the induced search with each step's
+    candidates drawn from a's class of the step's colour."""
     classes: dict = {}
     for w, c in enumerate(ca):
         classes[c] = classes.get(c, 0) | 1 << w
-    adj = a.adj
-    vertices = _vertices(n)
-    image = [0] * n  # image[v]: the bit of the a-vertex that b-vertex v maps to
-    free = [0] * n
-    used = [0] * n
-    want = [0] * n
-    free[0] = classes.get(plan[0][0], 0)
-    i = 0
-    while i >= 0:
-        f = free[i]
-        if not f:
-            i -= 1
-            continue
-        low = f & -f
-        free[i] = f ^ low
-        if adj[low.bit_length() - 1] & used[i] != want[i]:
-            continue
-        image[plan[i][1]] = low
-        i += 1
-        if i == n:
-            return True
-        used[i] = mapped = used[i - 1] | low
-        colour, _, earlier = plan[i]
-        w = 0
-        for u in vertices(earlier):
-            w |= image[u]
-        want[i] = w
-        free[i] = classes.get(colour, 0) & ~mapped
-    return False
+    cands = [classes.get(c, 0) for _, c, _ in plan]
+    return place(a.adj, plan, cands, True, [0] * len(plan))
 
 
 def _orbit_representatives(g: Graph) -> list[int]:
@@ -301,7 +255,7 @@ def _orbit_representatives(g: Graph) -> list[int]:
                 break
             if x not in plans:
                 plans[x] = _proof_plan(g, pinned(x))
-            if _maps_onto(plans[x], g, pinned(v)):
+            if _maps(plans[x], g, pinned(v)):
                 break
         else:
             reps.append(v)

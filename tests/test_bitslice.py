@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import triangle_count
 
 from k2tlab import bitslice, suites, witness
 from k2tlab.bitslice import delta_max
@@ -26,7 +27,7 @@ from k2tlab.detect import (
     mask_has_induced_k2t,
     max_clique,
 )
-from k2tlab.graphs import Graph, graph6_encode, triangle_count
+from k2tlab.graphs import Graph, graph6_encode
 from k2tlab.ramsey import known_ramsey
 from k2tlab.witness import greedy_packing, missing_pairs
 

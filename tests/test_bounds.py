@@ -8,12 +8,12 @@ import pytest
 
 from k2tlab.bounds import (
     BoundError,
+    _es_ramsey,
     beta,
     beta_identity_residual,
     clique_guarantee,
     clique_lower_report,
     induced_turan_upper,
-    ramsey_upper,
     theorem_clique_r,
     triangle_theorem_condition,
     triangle_upper,
@@ -88,30 +88,10 @@ class TestBeta:
 class TestRamseyUpper:
     def test_es_t2_is_identity(self):
         for r in range(1, 30):
-            assert ramsey_upper(2, r) == r
+            assert _es_ramsey(2, r) == r
 
     def test_es_t3_r3(self):
-        assert ramsey_upper(3, 3) == 6
-
-    def test_shearer_r4(self):
-        value = ramsey_upper(3, 4, "shearer")
-        assert value == pytest.approx(4 / (math.log(3) - 1), rel=1e-12)
-        assert value == pytest.approx(40.56, abs=0.01)
-
-    def test_shearer_requires_t3(self):
-        with pytest.raises(BoundError):
-            ramsey_upper(4, 5, "shearer")
-        with pytest.raises(BoundError):
-            ramsey_upper(3, 3, "shearer")
-
-    def test_bollobas_formula(self):
-        r = 100
-        expected = 2 * 20.0**2 * r**4 / math.log(r) ** 3
-        assert ramsey_upper(5, r, "bollobas") == pytest.approx(expected, rel=1e-12)
-
-    def test_unknown_method(self):
-        with pytest.raises(BoundError):
-            ramsey_upper(3, 3, "magic")
+        assert _es_ramsey(3, 3) == 6
 
 
 class TestCliqueGuarantee:

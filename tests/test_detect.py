@@ -218,6 +218,47 @@ class TestContainsSubgraph:
                 )
                 assert embeds_at(g, plan, w) == naive, (x, w)
 
+    @pytest.mark.parametrize("w", [-1, 5, 6])
+    def test_anchor_out_of_range(self, w):
+        with pytest.raises(GraphError):
+            embeds_at(cycle(5), plan_embedding(path(3), 0), w)
+
+    @staticmethod
+    def least_copy(g, h, plan, anchor=None):
+        """The copy of h in g whose images, read in plan order, form the
+        least tuple, by brute force over injective maps; None if none."""
+        copies = (
+            p
+            for p in itertools.permutations(range(g.n), h.n)
+            if all(g.has_edge(p[a], p[b]) for a, b in h.edges())
+            and (anchor is None or p[plan[0][0]] == anchor)
+        )
+        return min(copies, key=lambda p: [p[v] for v, _, _ in plan], default=None)
+
+    @given(graph_masks(max_n=7), graph_masks(max_n=4))
+    @settings(max_examples=150, deadline=None)
+    def test_first_embedding_is_least_in_plan_order(self, host_nm, pat_nm):
+        g = graph_from_mask(*host_nm)
+        h = graph_from_mask(*pat_nm)
+        emb = contains_subgraph(g, h)
+        want = self.least_copy(g, h, plan_embedding(h))
+        assert (emb.mapping if emb else None) == want
+
+    @given(graph_masks(max_n=7, min_n=1), graph_masks(max_n=4, min_n=1), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_first_anchored_copy_is_least_in_plan_order(self, host_nm, pat_nm, data):
+        g = graph_from_mask(*host_nm)
+        h = graph_from_mask(*pat_nm)
+        x = data.draw(st.integers(0, h.n - 1))
+        w = data.draw(st.integers(0, g.n - 1))
+        plan = plan_embedding(h, x)
+        image = [0] * h.n
+        cands = [g.full_mask] * h.n
+        cands[0] = 1 << w
+        found = detect.place(g.adj, plan, cands, False, image)
+        want = self.least_copy(g, h, plan, anchor=w)
+        assert (tuple(image) if found else None) == want
+
 
 class TestContainsFamilyMember:
     def test_first_member_wins(self):

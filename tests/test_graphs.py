@@ -9,22 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs, graph_from_mask, naive_triangles
-from k2tlab.constructions import complete, complete_bipartite, cycle, random_gnp, turan
+from conftest import all_graphs, graph_from_mask, naive_triangles, triangle_count
+from k2tlab.constructions import complete, cycle, random_gnp, turan
 from k2tlab.graphs import (
     MAX_EDGE_TEXT_VERTICES,
     Graph,
     GraphError,
+    bits,
     build,
-    common_neighbourhood,
     density,
     graph6_decode,
     graph6_encode,
     induced_subgraph,
     missing_edges,
-    neighbourhood_subgraph,
     parse_edge_text,
-    triangle_count,
 )
 
 
@@ -141,6 +139,11 @@ class TestDensity:
         assert stats.edge_count + stats.missing_count == comb(n, 2)
 
 
+def neighbourhood_subgraph(g, v):
+    """G_v: the subgraph induced on the neighbourhood of v."""
+    return induced_subgraph(g, bits(g.adj[v]))
+
+
 class TestNeighbourhood:
     def test_k4_gives_triangle(self):
         sub = neighbourhood_subgraph(complete(4), 2)
@@ -162,10 +165,6 @@ class TestNeighbourhood:
         for i, j in sub.graph.edges():
             assert g.has_edge(sub.to_parent(i), sub.to_parent(j))
 
-    def test_out_of_range(self):
-        with pytest.raises(GraphError):
-            neighbourhood_subgraph(complete(3), 3)
-
 
 class TestMissingEdges:
     def test_complete_none(self):
@@ -179,23 +178,6 @@ class TestMissingEdges:
 
     def test_empty_all(self):
         assert len(missing_edges(build(4, []))) == 6
-
-
-class TestCommonNeighbourhood:
-    def test_c4_diagonal(self):
-        g = build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert common_neighbourhood(g, 0, 2) == {1, 3}
-
-    def test_c5_nonadjacent(self):
-        assert common_neighbourhood(cycle(5), 0, 2) == {1}
-
-    def test_k23_two_side(self):
-        g = complete_bipartite(2, 3)
-        assert common_neighbourhood(g, 0, 1) == {2, 3, 4}
-
-    def test_rejects_equal_vertices(self):
-        with pytest.raises(GraphError):
-            common_neighbourhood(complete(3), 1, 1)
 
 
 class TestTriangles:

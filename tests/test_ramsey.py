@@ -66,6 +66,14 @@ class TestIsomorphism:
     def test_self_complementary(self):
         assert is_isomorphic(path(4), path(4).complement())
 
+    def test_vertex_cap(self):
+        cap = ramsey.MAX_ISOMORPHISM_VERTICES
+        assert is_isomorphic(cycle(cap), cycle(cap))
+        with pytest.raises(GraphError):
+            is_isomorphic(cycle(cap + 1), cycle(cap + 1))
+        # Unequal orders or sizes are answered without a search.
+        assert not is_isomorphic(cycle(cap + 1), cycle(cap + 2))
+
 
 def relabel(g, perm):
     """g with each vertex v renamed perm[v]."""
