@@ -21,12 +21,11 @@ of a sharded run share one window: a part of fewer vertices than the
 window's gets isolated vertices, which change none of its indicator bits.
 
 The induced-K_{2,t} filter and the clique number come as ladders, one pass
-per window each. ``Window.induced_k2t`` visits each non-adjacent pair
-(a, b) once for all t: at each first t-side vertex u the later common
-neighbours not adjacent to u are listed once, and every t searches that
-list. An induced C4 is found from its diagonal through its least vertex
-alone, so t = 2 tries only u > a. ``Window.clique_ladder`` gives omega >= k
-for every k from one depth-first pass over the cliques.
+per window each. ``Window.induced_k2t`` walks the independent sets of each
+non-adjacent pair's common neighbourhood depth first, up to the largest t
+asked for, and a set of s vertices ORs into the entry for s, so one walk
+per pair serves every t. ``Window.clique_ladder`` gives omega >= k for
+every k from one depth-first pass over the cliques.
 """
 
 from __future__ import annotations
@@ -87,26 +86,28 @@ def _copies(n: int, h: Graph) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
-def _any_set(acc: int, cands: list, size: int, rel: list) -> int:
-    """OR over the ``size``-subsets S of ``cands``, a list of
-    (vertex, indicator), of: acc AND the indicators of S AND rel[u][v]
-    for every pair u, v of S. Sets share their prefixes, and positions
-    already found are not searched again."""
-    out = 0
-    if size == 1:
-        for _, x in cands:
-            out |= x
-        return acc & out
-    for i in range(len(cands) - size + 1):
-        u, ind = cands[i]
-        nxt = (acc ^ out) & ind
-        if nxt:
-            row = rel[u]
-            rest = [(v, y) for v, x in cands[i + 1:] if (y := x & row[v])]
-            out |= _any_set(nxt, rest, size - 1, rel)
-            if out == acc:
-                break
-    return out
+def _walk(at: list, cands: list, rel: list, low: int, size: int = 0) -> None:
+    """OR into at[size + k], for k = 1 .. len(at) - 1 - size, the positions
+    of every k-subset S of ``cands``, a list of (vertex, indicator): the
+    indicators of S AND rel[u][v] for every pair u, v of S. One depth-first walk; each child's indicator carries
+    its prefix, and the last level ORs its candidates without a list. A
+    branch that cannot reach ``low`` vertices is left out, so only the
+    entries from at[low] on are complete."""
+    top = len(at) - 1
+    for i, (u, x) in enumerate(cands):
+        if size + len(cands) - i < low:
+            break
+        at[size + 1] |= x
+        row = rel[u]
+        if size + 2 == top:
+            hit = 0
+            for v, c in cands[i + 1:]:
+                hit |= c & row[v]
+            at[top] |= x & hit
+        elif size + 2 < top:
+            rest = [(v, y) for v, c in cands[i + 1:] if (y := x & c & row[v])]
+            if rest:
+                _walk(at, rest, rel, low, size + 1)
 
 
 class Window:
@@ -160,30 +161,16 @@ class Window:
     def induced_k2t(self, t_values) -> dict[int, int]:
         """{t: graphs with a non-adjacent pair (a, b) whose common
         neighbourhood holds an independent t-set} for each t >= 2 of
-        ``t_values``; a pair stops once every t is saturated."""
+        ``t_values``: one walk per pair over the independent sets of its
+        common neighbourhood, each set size OR-ing into its own entry."""
         n, e, non = self.n, self.edge, self.non_edge
-        found = dict.fromkeys(t_values, 0)
+        at, low = [0] * (max(t_values) + 1), min(t_values)
         for a, b in combinations(range(n), 2):
-            # left[t]: the positions this pair may still add to found[t].
-            left = {t: x for t, f in found.items() if (x := non[a][b] & ~f)}
-            if not left:
-                continue
             # e[a][a] = e[b][b] = 0, so a and b are left out.
-            common = [(s, x) for s in range(n) if (x := e[a][s] & e[b][s])]
-            live, last = len(left), len(common)
-            for i, (u, ind) in enumerate(common[: last - min(left) + 1]):
-                rest = []
-                for t, acc in left.items():
-                    if i > last - t or (t == 2 and u < a) or not (nxt := acc & ind):
-                        continue
-                    rest = rest or [(v, y) for v, x in common[i + 1:] if (y := x & non[u][v])]
-                    if hit := _any_set(nxt, rest, t - 1, non):
-                        found[t] |= hit
-                        left[t] = acc ^ hit
-                        live -= acc == hit
-                if not live:
-                    break
-        return found
+            pair = non[a][b]
+            common = [(s, x) for s in range(n) if (x := e[a][s] & e[b][s] & pair)]
+            _walk(at, common, non, low)
+        return {t: at[t] for t in t_values}
 
     def clique_ladder(self) -> list[int]:
         """at[k]: graphs with a clique of k vertices (omega >= k), for

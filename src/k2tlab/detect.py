@@ -298,6 +298,8 @@ def plan_embedding(h: Graph, first: Optional[int] = None) -> tuple:
     # Descending degree; a reversed sort keeps ties in increasing order.
     order = sorted(range(h.n), key=degree.__getitem__, reverse=True)
     if first is not None:
+        if not 0 <= first < h.n:
+            raise GraphError(f"first vertex {first} out of range for n={h.n}")
         order.remove(first)
         order.insert(0, first)
     return search_plan(h, order, degree)

@@ -172,8 +172,9 @@ class TestIndicators:
             check_window(7, 2 * bitslice.BLOCK - width, 2 * bitslice.BLOCK)
 
     def test_k2t_ladder_is_the_same_for_any_set_of_t(self):
-        # Each t keeps its own pruning, so asking for other t values
-        # alongside it must not change its indicator.
+        # The walk's depth and its pruning follow the largest and the
+        # smallest t asked for, so asking for other t values alongside one
+        # must not change its indicator.
         rng = random.Random(22)
         cases = [(n, 0, space(n)) for n in range(1, 7)]
         for width in (1, 2, 64, 4096):
@@ -182,9 +183,46 @@ class TestIndicators:
         cases.append((7, 9 * bitslice.BLOCK - 64, 9 * bitslice.BLOCK))
         for n, lo, hi in cases:
             for w in bitslice.windows([(n, lo, hi)]):
-                full = w.induced_k2t((2, 3, 4))
-                for ts in ((2,), (3,), (3, 2), (3, 4), (2, 3, 4)):
+                full = w.induced_k2t((2, 3, 4, 5))
+                for ts in ((2,), (3,), (5,), (3, 2), (3, 4), (2, 5), (2, 3, 4)):
                     assert w.induced_k2t(ts) == {t: full[t] for t in ts}, (n, lo, ts)
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            [(n, *shard_bounds(n, 0, 512)) for n in range(2, 8)],
+            [(n, *shard_bounds(n, 5, 512)) for n in range(2, 8)],
+            [(7, 17 * bitslice.BLOCK, 18 * bitslice.BLOCK)],
+        ],
+        ids=["shard 0/512", "shard 5/512", "n=7 block 17"],
+    )
+    def test_deep_and_mixed_t_against_the_per_graph_scan(self, parts):
+        # t = 5 walks the deepest level a 7-vertex graph can fill: only the
+        # 21 labelled copies of K_(2,5) have it, and these windows hold
+        # some. t = 6 can never be met.
+        w = bitslice.Window([p for p in parts if p[1] < p[2]])
+
+        @functools.cache
+        def oracle(t):
+            out, p = 0, 0
+            for m, lo, hi in w.parts:
+                for _, _, adj in iter_masks(m, lo, hi):
+                    out |= (mask_has_induced_k2t(adj, m, t) is not None) << p
+                    p += 1
+            return out
+
+        assert oracle(5) and not oracle(6)
+        for ts in ((5,), (6,), (2, 5), (3, 6), (2, 3, 5, 6)):
+            assert w.induced_k2t(ts) == {t: oracle(t) for t in ts}, ts
+
+    def test_k2t_above_every_common_neighbourhood_reads_zero(self):
+        # At most n - 2 vertices are common neighbours of a pair.
+        for n in range(1, 7):
+            for w in bitslice.windows([(n, 0, space(n))]):
+                low = w.induced_k2t((2,))[2]
+                for t in range(max(n - 1, 2), n + 3):
+                    assert w.induced_k2t((t,)) == {t: 0}, (n, t)
+                    assert w.induced_k2t((2, t)) == {2: low, t: 0}, (n, t)
 
     def test_parts_read_as_their_own_windows(self):
         rng = random.Random(23)

@@ -223,6 +223,11 @@ class TestContainsSubgraph:
         with pytest.raises(GraphError):
             embeds_at(cycle(5), plan_embedding(path(3), 0), w)
 
+    @pytest.mark.parametrize("first", [-1, 3, 4])
+    def test_first_vertex_out_of_range(self, first):
+        with pytest.raises(GraphError, match=f"first vertex {first} out of range"):
+            plan_embedding(path(3), first)
+
     @staticmethod
     def least_copy(g, h, plan, anchor=None):
         """The copy of h in g whose images, read in plan order, form the
