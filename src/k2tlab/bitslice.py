@@ -21,11 +21,12 @@ of a sharded run share one window: a part of fewer vertices than the
 window's gets isolated vertices, which change none of its indicator bits.
 
 The induced-K_{2,t} filter and the clique number come as ladders, one pass
-per window each. ``Window.induced_k2t`` walks the independent sets of each
-non-adjacent pair's common neighbourhood depth first, up to the largest t
-asked for, and a set of s vertices ORs into the entry for s, so one walk
-per pair serves every t. ``Window.clique_ladder`` gives omega >= k for
-every k from one depth-first pass over the cliques.
+per window each, and both run on one depth-first set walk, ``_walk``: a set
+of s vertices ORs its indicator into the entry for s. ``Window.induced_k2t``
+walks the independent sets of each non-adjacent pair's common
+neighbourhood, up to the largest t asked for, so one walk per pair serves
+every t. ``Window.clique_ladder`` walks the cliques of the window once, and
+its entry k gives omega >= k.
 """
 
 from __future__ import annotations
@@ -89,10 +90,11 @@ def _copies(n: int, h: Graph) -> list[tuple[int, ...]]:
 def _walk(at: list, cands: list, rel: list, low: int, size: int = 0) -> None:
     """OR into at[size + k], for k = 1 .. len(at) - 1 - size, the positions
     of every k-subset S of ``cands``, a list of (vertex, indicator): the
-    indicators of S AND rel[u][v] for every pair u, v of S. One depth-first walk; each child's indicator carries
-    its prefix, and the last level ORs its candidates without a list. A
-    branch that cannot reach ``low`` vertices is left out, so only the
-    entries from at[low] on are complete."""
+    indicators of S AND rel[u][v] for every pair u, v of S. One
+    depth-first walk; each child's indicator carries its prefix, and the
+    last level ORs its candidates without a list. A branch that cannot
+    reach ``low`` vertices is left out, so only the entries from at[low]
+    on are complete."""
     top = len(at) - 1
     for i, (u, x) in enumerate(cands):
         if size + len(cands) - i < low:
@@ -174,22 +176,10 @@ class Window:
 
     def clique_ladder(self) -> list[int]:
         """at[k]: graphs with a clique of k vertices (omega >= k), for
-        k = 0 .. max omega + 1, the last entry being 0. A branch drops the
-        positions already known to reach the largest clique it could make."""
+        k = 0 .. max omega + 1, the last entry being 0: one walk over the
+        cliques, each clique OR-ing into the entry for its size."""
         at = [self.all] + [0] * (self.n + 1)
-
-        def grow(acc: int, cands: list, size: int) -> None:
-            for i, (u, ind) in enumerate(cands):
-                if not (live := acc & ~at[size + len(cands) - i]):
-                    break
-                if x := live & ind:
-                    at[size + 1] |= x
-                    row = self.edge[u]
-                    rest = [(v, y) for v, c in cands[i + 1:] if (y := c & row[v])]
-                    if rest:
-                        grow(x, rest, size + 1)
-
-        grow(self.all, [(v, self.all) for v in range(self.n)], 0)
+        _walk(at, [(v, self.all) for v in range(self.n)], self.edge, 1)
         return at[: at.index(0) + 1]
 
     def contains_pattern(self, h: Graph) -> int:

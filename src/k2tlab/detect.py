@@ -387,9 +387,9 @@ def contains_family_member(
 
 
 # ---------------------------------------------------------------------------
-# Mask-level fast paths for the exhaustive verification suites. These
-# operate on raw adjacency lists (possibly mutated in place by streaming
-# enumerators) and avoid Graph-object overhead.
+# Scans on raw adjacency lists, without Graph-object overhead: the pair
+# scan behind ``find_induced_k2t`` (whose partner cut ``witness`` shares),
+# and the per-graph oracles that the tests compare the bitsliced engine with.
 # ---------------------------------------------------------------------------
 
 

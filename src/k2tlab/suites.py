@@ -702,6 +702,8 @@ _SUITES = {
     "polarity": (run_polarity, ()),
     "triangle-thm": (run_triangle_theorem, ("n_max", "t")),
     "turan-upper": (run_turan_upper, _ENGINE_OPTIONS),
+    "witness-random": (run_witness_random, ()),
+    "triangle-formula": (run_triangle_formula, ()),
 }
 SUITE_IDS = tuple(_SUITES)
 
@@ -716,7 +718,8 @@ def run_suite(
     """Run one suite by id; an option left as None keeps the runner's
     default. An option the suite does not take raises ValueError naming its
     command-line flag: ``shard`` and ``workers`` outside the exhaustive
-    suites, ``n_max`` and ``t`` for beta, ramsey-small and polarity."""
+    suites, ``n_max`` and ``t`` for beta, ramsey-small, polarity,
+    witness-random and triangle-formula."""
     if suite_id not in _SUITES:
         raise ValueError(
             f"unknown suite {suite_id!r}; choose from {', '.join(SUITE_IDS)}"

@@ -215,6 +215,20 @@ class TestIndicators:
         for ts in ((5,), (6,), (2, 5), (3, 6), (2, 3, 5, 6)):
             assert w.induced_k2t(ts) == {t: oracle(t) for t in ts}, ts
 
+    def test_clique_ladder_on_the_densest_block(self):
+        # Block b of n = 7 fixes the last five edge bits to the Gray code
+        # b ^ (b >> 1); block 21 (0b10101) sets all five, so it holds the
+        # densest graphs, K_7 among them, and its ladder runs up to omega = 7.
+        lo, hi = 21 * bitslice.BLOCK, 22 * bitslice.BLOCK
+        (w,) = bitslice.windows([(7, lo, hi)])
+        omegas = [_max_clique_size(adj, (1 << 7) - 1) for _, _, adj in iter_masks(7, lo, hi)]
+        want = [
+            int("".join("1" if omega >= k else "0" for omega in reversed(omegas)), 2)
+            for k in range(max(omegas) + 2)
+        ]
+        assert max(omegas) == 7
+        assert w.clique_ladder() == want
+
     def test_k2t_above_every_common_neighbourhood_reads_zero(self):
         # At most n - 2 vertices are common neighbours of a pair.
         for n in range(1, 7):

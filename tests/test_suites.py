@@ -40,13 +40,6 @@ class TestCliqueExhaustive:
         # alpha = 1 cases (one K_n per n and t) are recorded, not checked.
         assert result.boundary_cases == 8
 
-    def test_workers_match_serial(self):
-        serial = run_clique_exhaustive(n_max=5, workers=1)
-        parallel = run_clique_exhaustive(n_max=5, workers=2)
-        assert serial.checked == parallel.checked
-        assert serial.violation_count == parallel.violation_count
-        assert serial.boundary_cases == parallel.boundary_cases
-
     def test_shards_partition_the_space(self):
         whole = run_clique_exhaustive(n_max=4)
         pieces = [
@@ -135,8 +128,6 @@ class TestTuranUpper:
         assert skipped > 0
         pieces = [run_turan_upper(n_max=5, shard=(i, 3)) for i in range(3)]
         assert sum(p.details["skipped_no_exact_ramsey"] for p in pieces) == skipped
-        parallel = run_turan_upper(n_max=5, workers=2)
-        assert parallel.details == whole.details
 
 
 class TestWitnessRandom:
@@ -152,6 +143,29 @@ class TestTriangleFormula:
         result = run_triangle_formula()
         assert result.passed
         assert result.checked == 25 * 19
+
+
+class TestPool:
+    @pytest.mark.parametrize("suite_id", ["clique-exhaustive", "proof-ineq", "turan-upper"])
+    def test_workers_match_serial(self, suite_id, monkeypatch):
+        # Shard 0/16 of n <= 7 holds two blocks of n = 7, so two workers
+        # start a pool; two CPUs are reported so that one-CPU hosts do too.
+        pools = []
+
+        class Spy(suites.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", Spy)
+        serial = run_suite(suite_id, n_max=7, workers=1, shard=(0, 16))
+        assert pools == []
+        pooled = run_suite(suite_id, n_max=7, workers=2, shard=(0, 16))
+        assert pools == [2]
+        fields = ("checked", "boundary_cases", "violation_count", "violations", "details")
+        for name in fields:
+            assert getattr(pooled, name) == getattr(serial, name), name
 
 
 class TestPoolSize:
@@ -246,6 +260,8 @@ class TestRegistry:
             "polarity",
             "triangle-thm",
             "turan-upper",
+            "witness-random",
+            "triangle-formula",
         }
 
     @pytest.mark.parametrize(
@@ -264,6 +280,8 @@ class TestRegistry:
         "polarity": ["--shard", "--workers", "--nmax", "--t"],
         "triangle-thm": ["--shard", "--workers"],
         "turan-upper": [],
+        "witness-random": ["--shard", "--workers", "--nmax", "--t"],
+        "triangle-formula": ["--shard", "--workers", "--nmax", "--t"],
     }
     # One value per option that a suite taking it rejects before any work.
     INVALID = {
