@@ -16,9 +16,19 @@ vertices of the parent (one open neighbourhood N(v), or one closed
 neighbourhood N[v]) the mask takes only the lowest-indexed vertices:
 swapping twins is an automorphism of the parent that fixes the new
 vertex, so a skipped mask always has a smaller mask of the same parent
-whose child is isomorphic and just as good. A skipped candidate is thus
-never first in its isomorphism class, and the survivors of each level,
-their order and the witness bytes are those of the unpruned step. When
+whose child is isomorphic and just as good. A mask is also skipped
+unless the new vertex gets the largest degree of the child (canonical
+deletion by degree): with D the parent's largest degree (0 for the empty
+parent) and P its vertices of degree D, a mask M is kept iff |M| > D, or
+|M| = D and M misses P. No class is lost. A good child class C has a
+vertex x of largest degree, C - x is good, so its class has a
+representative at the previous level, and the mask that N(x) gives on it
+passes the degree rule. If the twin rule skips that mask, the twin swap
+gives a smaller mask whose child is isomorphic, with a new vertex of the
+same degree. So each level holds exactly the classes of the unpruned
+step, each as its first kept candidate, and the witness is the least
+graph6 among those representatives; it can differ from the unpruned
+step's (R(K_3, {H - x}) at cap 9 for H = E]~o is one such query). When
 the family has a complete member K_r (the least r if several), a mask
 that holds a K_{r-1} of the parent is skipped as well, before its
 candidate is built: that candidate has a K_r through the new vertex.
@@ -210,12 +220,20 @@ def is_isomorphic(
 
 def _proof_plan(b: Graph, cb: list) -> tuple:
     """The plan of a colour-preserving map from b: b's vertices, rare
-    colours first, each keyed by its colour. It depends on b alone, so one
-    plan serves every test against b."""
+    colours first, each keyed by its colour. A step with no placed
+    neighbour would branch over its whole colour class, so such a vertex
+    swaps places with the first later one that has a placed neighbour, if
+    any. It depends on b alone, so one plan serves every test against b."""
     sizes: dict = {}
     for c in cb:
         sizes[c] = sizes.get(c, 0) + 1
     order = sorted(range(b.n), key=lambda v: (sizes[cb[v]], cb[v], v))
+    placed = 0
+    for i, v in enumerate(order):
+        if placed and not b.adj[v] & placed:
+            j = next((j for j in range(i + 1, b.n) if b.adj[order[j]] & placed), i)
+            order[i], order[j] = order[j], v
+        placed |= 1 << order[i]
     return search_plan(b, order, cb)
 
 
@@ -373,12 +391,14 @@ def _is_good(g: Graph, plans: tuple) -> bool:
 def _extensions(parent: Graph, t: int, clique: Optional[int] = None):
     """The one-vertex extensions of ``parent`` (which has no independent
     t-set) that have none either, new vertex last, in increasing order of
-    the new vertex's neighbour mask, less those the twin rule of the module
-    docstring skips. The parent vertices outside the mask must hold no
-    independent (t-1)-set, so these complements S are grown one vertex at
-    a time: u joins S when S minus N(u) holds no independent (t-2)-set.
-    With ``clique`` = r, masks that hold a K_{r-1} are skipped too, so no
-    extension has a K_r."""
+    the new vertex's neighbour mask, less those the twin rule and the degree
+    rule of the module docstring skip: a mask is kept only if the new vertex
+    gets the child's largest degree, which is O(1) per mask and keeps a
+    child of every good class of the next level. The parent vertices
+    outside the mask must hold no independent (t-1)-set, so these
+    complements S are grown one vertex at a time: u joins S when S minus
+    N(u) holds no independent (t-2)-set. With ``clique`` = r, masks that
+    hold a K_{r-1} are skipped too, so no extension has a K_r."""
     k = parent.n
     adj = parent.adj
     # twin_prev[v]: the bit of the previous vertex in v's twin class, or 0.
@@ -402,7 +422,15 @@ def _extensions(parent: Graph, t: int, clique: Optional[int] = None):
     bit_k = 1 << k
     edges = parent.edge_count
     vertices = _vertices(k)
+    # The degree rule: the new vertex takes the child's largest degree.
+    # top is the parent's largest degree and tops its vertices of that degree.
+    degrees = [row.bit_count() for row in adj]
+    top = max(degrees, default=0)
+    tops = sum(1 << v for v, d in enumerate(degrees) if d == top)
     for mask in sorted(full ^ s for s in sets):
+        size = mask.bit_count()
+        if size < top or size == top and mask & tops:
+            continue
         if clique is not None and _lex_set(adj, mask, clique - 1, 0) is not None:
             continue
         rows = list(adj)

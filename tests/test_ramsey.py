@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from operator import itemgetter
 
 import pytest
@@ -23,7 +24,7 @@ from k2tlab.detect import (
     contains_subgraph,
     find_independent_set,
 )
-from k2tlab.graphs import Graph, GraphError, bits, build, graph6_encode
+from k2tlab.graphs import Graph, GraphError, bits, build, graph6_decode, graph6_encode
 from k2tlab.ramsey import (
     RamseyQuery,
     RamseyResult,
@@ -65,6 +66,17 @@ class TestIsomorphism:
 
     def test_self_complementary(self):
         assert is_isomorphic(path(4), path(4).complement())
+
+    def test_relabelled_grid(self):
+        # Rare colours first would jump between far corners of the grid;
+        # each step after the first takes a vertex next to a placed one.
+        side = 16
+        edges = [(v, v + 1) for v in range(side * side) if (v + 1) % side]
+        edges += [(v, v + side) for v in range(side * (side - 1))]
+        grid = build(side * side, edges)
+        start = time.perf_counter()
+        assert is_isomorphic(grid, relabel(grid, shuffled(grid.n, random.Random(1))))
+        assert time.perf_counter() - start < 5
 
     def test_vertex_cap(self):
         cap = ramsey.MAX_ISOMORPHISM_VERTICES
@@ -500,6 +512,16 @@ class TestRamseyExact:
         w2 = ramsey_exact(RamseyQuery(t=3, family=fam)).lower_witness
         assert graph6_encode(w1) == graph6_encode(w2)
 
+    def test_degree_rule_moves_this_witness(self):
+        # R(K_3, {H - x}) for H = E]~o at cap 9: the level classes are those
+        # of the unpruned step, but the degree rule keeps other
+        # representatives, and the least graph6 among them is HQjRrv{
+        # (HQjRuhy with every mask).
+        family = family_minus_vertex(graph6_decode("E]~o"))
+        got = ramsey_exact(RamseyQuery(t=3, family=family), n_cap=9)
+        assert (got.lower, got.upper) == (10, 15)
+        assert graph6_encode(got.lower_witness) == "HQjRrv{"
+
     def test_one_vertex_member(self):
         # R(K_t, {K1}) = 1 with the empty witness.
         res = ramsey_exact(RamseyQuery(t=2, family=explicit_family([complete(1)])))
@@ -664,10 +686,19 @@ PRUNING_CASES = {
 }
 
 
+def new_vertex_on_top(child):
+    """True iff the child's last (new) vertex has its largest degree."""
+    degrees = [row.bit_count() for row in child.adj]
+    return degrees[-1] == max(degrees)
+
+
 class TestTwinPruning:
-    """``_extensions`` enumerates only admissible masks and skips the
-    twin-symmetric ones; level by level it must leave ``_dedupe`` with the
-    same labelled survivors, in the same order, as the unpruned step."""
+    """``_extensions`` enumerates only admissible masks whose new vertex
+    gets the child's largest degree, and skips the twin-symmetric ones.
+    Every skipped mask must be explained by one of the two rules; level by
+    level ``_dedupe`` must be left with the same labelled survivors, in the
+    same order, as the unpruned step filtered by the degree test, and with
+    as many classes as the whole unpruned step."""
 
     @pytest.mark.parametrize("name", sorted(PRUNING_CASES))
     def test_levels_match_unpruned(self, name):
@@ -675,38 +706,44 @@ class TestTwinPruning:
         plans = ramsey._anchored_plans(family.members)
         survivors = [build(0, [])]
         for _ in range(n_cap):
-            pruned, oracle = [], []
+            pruned, oracle, every_good = [], [], []
             for parent in survivors:
                 kept = list(ramsey._extensions(parent, t))
                 every = list(unpruned_extensions(parent, t))
                 masks = [g.adj[-1] for g in kept]
                 assert masks == sorted(masks)
                 assert set(masks) <= {g.adj[-1] for g in every}
+                assert all(new_vertex_on_top(g) for g in kept)
                 for child in every:
                     mask = child.adj[-1]
-                    if mask not in masks:
+                    if mask not in masks and new_vertex_on_top(child):
                         earlier = [g for g in kept if g.adj[-1] < mask]
                         assert any(is_isomorphic(child, g) for g in earlier), (
                             graph6_encode(parent), mask
                         )
+                good = [g for g in every if ramsey._is_good(g, plans)]
                 pruned += [g for g in kept if ramsey._is_good(g, plans)]
-                oracle += [g for g in every if ramsey._is_good(g, plans)]
+                oracle += [g for g in good if new_vertex_on_top(g)]
+                every_good += good
             level = ramsey._dedupe(pruned)
             assert [g.adj for g in level] == [g.adj for g in ramsey._dedupe(oracle)]
+            assert len(level) == len(ramsey._dedupe(every_good))
             if not level:
                 break
             survivors = level
 
     def test_twins_skipped(self):
-        # Four false twins (the empty graph): only the masks 0, {0}, {0,1},
-        # ... remain; four true twins (K4) give the same; a star's three
-        # leaves are false twins, so its centre doubles those four.
+        # The empty graph on 4 vertices: every vertex has degree 0, so the
+        # degree rule keeps every mask, and its four false twins leave only
+        # the masks 0, {0}, {0,1}, ... K4: every vertex has degree 3 and
+        # is in P, so only the full mask (degree 4, to K5) puts the new
+        # vertex on top. The star: the centre 0 alone has the largest
+        # degree 3, so the new vertex needs all three leaves (14, a K_{2,3}
+        # with the centre) or all four vertices (15).
         assert [g.adj[-1] for g in ramsey._extensions(empty(4), 9)] == [0, 1, 3, 7, 15]
-        assert [g.adj[-1] for g in ramsey._extensions(complete(4), 9)] == [0, 1, 3, 7, 15]
+        assert [g.adj[-1] for g in ramsey._extensions(complete(4), 9)] == [15]
         star = build(4, [(0, 1), (0, 2), (0, 3)])
-        assert [g.adj[-1] for g in ramsey._extensions(star, 9)] == [
-            0, 1, 2, 3, 6, 7, 14, 15
-        ]
+        assert [g.adj[-1] for g in ramsey._extensions(star, 9)] == [14, 15]
 
 
 class TestCliqueMasks:
