@@ -302,18 +302,20 @@ def count_digits(indicators: list[int]) -> list[int]:
     return digits
 
 
-def count_max(digits: list[int], among: int) -> Optional[int]:
-    """The largest count, given by its ``digits``, over the graphs of
-    ``among``; None when ``among`` is empty."""
+def count_top(digits: list[int], among: int) -> tuple[Optional[int], int]:
+    """The largest count, given by its ``digits``, over the positions of
+    ``among`` (None when ``among`` is empty), and the positions that hold
+    it: from the most significant digit down, ``among`` keeps the
+    positions with the digit set whenever any has it."""
     if not among:
-        return None
+        return None, 0
     best = 0
     for j in reversed(range(len(digits))):
         high = among & digits[j]
         if high:
             among = high
             best |= 1 << j
-    return best
+    return best, among
 
 
 def block_count(lo: int, hi: int) -> int:
@@ -327,7 +329,7 @@ def triangle_maxima(w: Window, h: Graph, t: int) -> tuple[int, int, dict[int, in
     free = w.all & ~w.induced_k2t((t,))[t]
     allowed = free & ~w.contains_pattern(h)
     digits = w.triangle_digits()
-    return free, allowed, {m: count_max(digits, allowed & w.of_size(m)) or 0 for m in w.sizes}
+    return free, allowed, {m: count_top(digits, allowed & w.of_size(m))[0] or 0 for m in w.sizes}
 
 
 def delta_max(n: int, h: Graph, t: int) -> int:

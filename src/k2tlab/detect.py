@@ -316,14 +316,20 @@ def place(
 ) -> bool:
     """The pattern kernel: place steps i.. of ``plan`` on host vertices
     outside ``used``, step j on one of ``cands[j]`` adjacent to the images
-    of its earlier neighbours, least first. A copy also needs a host degree
+    of its earlier neighbours, least first; a step past the end of
+    ``cands`` may take any host vertex. A copy also needs a host degree
     of at least the step's key; an ``induced`` map needs the host row to
     meet ``used`` in exactly those images. True with pattern vertex v on
     host vertex ``image[v]``, else False."""
     if i == len(plan):
         return True
     v, key, earlier = plan[i]
-    cand = cands[i] & ~used
+    if i < len(cands):
+        cand = cands[i] & ~used
+    elif earlier:
+        cand = ~used  # cut to the host by the rows of the earlier images
+    else:
+        cand = ((1 << len(adj)) - 1) ^ used
     for u in earlier:
         cand &= adj[image[u]]
     while cand:
@@ -346,15 +352,19 @@ def embeds_at(g: Graph, plan: tuple, w: int) -> bool:
     plan's first vertex to host vertex ``w``."""
     if not 0 <= w < g.n:
         raise GraphError(f"anchor {w} out of range for n={g.n}")
-    cands = [g.full_mask] * len(plan) or [0]  # an empty plan places nothing
-    cands[0] = 1 << w
-    return place(g.adj, plan, cands, False, [0] * len(plan))
+    return place(g.adj, plan, (1 << w,), False, [0] * len(plan))
 
 
-def contains_subgraph(g: Graph, h: Graph) -> Optional[Embedding]:
+def contains_subgraph(
+    g: Graph, h: Graph, within: Optional[int] = None
+) -> Optional[Embedding]:
     """First embedding of ``h`` into ``g`` as a (not necessarily induced)
     subgraph, or None: the least tuple of images in the order of
-    ``plan_embedding(h)`` (descending pattern degree).
+    ``plan_embedding(h)`` (descending pattern degree). With ``within``, a
+    vertex mask, only copies inside it count: every step is cut to it, so
+    this is the copy in G[within] in host labels, found on the host rows
+    without copying G[within] (whose labels keep the vertex order; the
+    degree filter then reads host degrees, which cut no copy inside).
 
     Patterns are capped at 10 vertices (hard error beyond).
     """
@@ -363,10 +373,14 @@ def contains_subgraph(g: Graph, h: Graph) -> Optional[Embedding]:
             f"pattern has {h.n} vertices; contains_subgraph caps at "
             f"{MAX_PATTERN_VERTICES}"
         )
-    if h.n > g.n or h.edge_count > g.edge_count:
+    if within is not None and (within < 0 or within >> g.n):
+        raise GraphError(f"within mask {within} names vertices outside 0..{g.n - 1}")
+    room = g.n if within is None else within.bit_count()
+    if h.n > room or h.edge_count > g.edge_count:
         return None
     image = [0] * h.n
-    if place(g.adj, plan_embedding(h), [g.full_mask] * h.n, False, image):
+    cands = () if within is None else [within] * h.n
+    if place(g.adj, plan_embedding(h), cands, False, image):
         emb = Embedding(pattern=h, mapping=tuple(image))
         require(emb.check(g), "contains_subgraph: invalid embedding")
         return emb
@@ -374,13 +388,14 @@ def contains_subgraph(g: Graph, h: Graph) -> Optional[Embedding]:
 
 
 def contains_family_member(
-    g: Graph, family: Sequence[Graph]
+    g: Graph, family: Sequence[Graph], within: Optional[int] = None
 ) -> Optional[Embedding]:
-    """First embedding over the family, members tried in the given order."""
+    """First embedding over the family, members tried in the given order,
+    inside ``within`` when given (``contains_subgraph``)."""
     if not family:
         raise GraphError("family must be non-empty")
     for member in family:
-        emb = contains_subgraph(g, member)
+        emb = contains_subgraph(g, member, within)
         if emb is not None:
             return emb
     return None

@@ -313,10 +313,10 @@ class TestIndicators:
     def test_count_max(self):
         w = bitslice.Window([(5, 0, space(5))])
         digits = w.triangle_digits()
-        assert bitslice.count_max(digits, w.all) == 10
-        assert bitslice.count_max(digits, 0) is None
+        assert bitslice.count_top(digits, w.all) == (10, w.of_size(5) & w.contains_pattern(complete(5)))
+        assert bitslice.count_top(digits, 0) == (None, 0)
         no_triangle = w.all & ~w.contains_pattern(complete(3))
-        assert bitslice.count_max(digits, no_triangle) == 0
+        assert bitslice.count_top(digits, no_triangle) == (0, no_triangle)
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,20 @@ class TestContainsSubgraph:
         with pytest.raises(GraphError):
             contains_subgraph(complete(12), complete(11))
 
+    def test_within_cuts_to_the_mask(self):
+        g = complete(5)
+        emb = contains_subgraph(g, complete(3), 0b11010)
+        assert emb is not None and sorted(emb.mapping) == [1, 3, 4]
+        assert contains_subgraph(g, complete(3), 0b11000) is None
+        assert contains_family_member(g, [complete(4), complete(2)], 0b101).mapping == (0, 2)
+
+    @pytest.mark.parametrize("within", [1 << 5, -1, (1 << 5) | 1])
+    def test_within_out_of_range(self, within):
+        with pytest.raises(GraphError, match="outside"):
+            contains_subgraph(complete(5), complete(2), within)
+        with pytest.raises(GraphError, match="outside"):
+            contains_family_member(complete(5), [complete(2)], within)
+
     @given(graph_masks(max_n=6), graph_masks(max_n=4))
     @settings(max_examples=150, deadline=None)
     def test_matches_naive(self, host_nm, pat_nm):

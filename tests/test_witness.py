@@ -8,15 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_mask
-from k2tlab import ramsey, witness
-from k2tlab.constructions import complete, cycle, empty, polarity_graph, random_gnp
+from k2tlab import detect, graphs, ramsey, witness
+from k2tlab.constructions import (
+    complete,
+    complete_bipartite,
+    cycle,
+    empty,
+    path,
+    polarity_graph,
+    random_gnp,
+)
 from k2tlab.detect import (
     Embedding,
     InducedK2tCertificate,
+    contains_family_member,
     find_independent_set,
     find_induced_k2t,
 )
-from k2tlab.graphs import GraphError, build, induced_subgraph
+from k2tlab.graphs import GraphError, bits, build, induced_subgraph
 from k2tlab.witness import (
     OUTCOME_BOUNDARY_DEGENERATE,
     OUTCOME_H_EMBEDDED,
@@ -226,7 +235,8 @@ def neighbourhood_hosts():
     """Seeded hosts for the two ways of counting the pairs inside every
     neighbourhood: the smallest graphs, complete and empty ones, n around
     the 64-bit word boundary, the polarity graphs, co-bipartite(40), and
-    G(n, p) on both sides of the cost rule n (n^3 + 10^6) <= 240,000 E."""
+    G(n, p) on both sides of the cost rule
+    n^4 + 10^6 <= 180,000 E + 70 n^3."""
     cases = []
     for n in (0, 1, 2, 5):
         cases.append(pytest.param(complete(n), id=f"K_{n}"))
@@ -247,15 +257,21 @@ def force_stacked(monkeypatch, stacked):
 
 class TestNeighbourhoodCounts:
     def test_cost_rule_sides(self):
-        # Dense hosts take the stacked adjacency; sparse ones, and dense
-        # ones past a few hundred vertices, the per-vertex loops.
+        # All but the sparsest hosts up to about a hundred vertices, and
+        # dense ones above, take the stacked adjacency; large sparse ones,
+        # and every host past n = 336, the per-vertex loops.
         pays = witness._stacked_pays
-        assert all(pays(random_gnp(40, p, 1)) for p in (0.3, 0.5, 0.7))
-        assert pays(random_gnp(20, 0.7, 1)) and not pays(random_gnp(20, 0.3, 1))
+        assert all(pays(random_gnp(40, p, 1)) for p in (0.1, 0.2, 0.3, 0.5, 0.7))
+        assert pays(random_gnp(20, 0.7, 1)) and pays(random_gnp(20, 0.3, 1))
+        assert pays(random_gnp(30, 0.1, 210)) and pays(empty(40))
+        assert not pays(random_gnp(10, 0.1, 10)) and not pays(empty(5))
         assert pays(co_partite(2, 20, 1)) and pays(random_gnp(150, 0.9, 1))
-        assert not any(pays(polarity_graph(q)) for q in (7, 11, 13))
-        assert not pays(random_gnp(30, 0.1, 210)) and not pays(random_gnp(100, 0.1, 700))
-        assert not pays(empty(5)) and not pays(complete(400))
+        assert pays(random_gnp(120, 0.2, 120)) and pays(random_gnp(240, 0.5, 240))
+        assert pays(polarity_graph(7)) and not any(pays(polarity_graph(q)) for q in (11, 13))
+        assert pays(random_gnp(100, 0.1, 700)) and not pays(random_gnp(200, 0.1, 200))
+        assert not pays(empty(0)) and not pays(complete(400))
+        # The cells, n^3 bits in all, stay under 5 MB.
+        assert pays(complete(336)) and not pays(complete(337))
         assert not pays(co_partite(2, 500, 1))
 
     @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "loop"])
@@ -264,7 +280,7 @@ class TestNeighbourhoodCounts:
         force_stacked(monkeypatch, stacked)
         missing = [missing_pairs(g.adj, row) for row in g.adj]
         assert witness._missing_inside(g) == missing
-        assert witness._edges_inside(g) == [
+        assert witness._edges_inside(g, witness._stacked(g)) == [
             comb(g.degree(v), 2) - m for v, m in enumerate(missing)
         ]
 
@@ -289,7 +305,47 @@ def brute_force_pigeonhole(g):
     return (u, w), frozenset(g.neighbours(u) & g.neighbours(w))
 
 
+def averaging_hosts():
+    """Seeded hosts for the two ways of finding the averaging edge: every
+    graph on 0..3 vertices, complete and empty graphs, and hosts where two
+    or more missing edges share the largest common neighbourhood, so the
+    tie-break decides (random G(n, p) kept only when tied, C5, C7, ER_5,
+    ER_7 and K_{3,4})."""
+    cases = []
+    for n in range(4):
+        for mask in range(1 << comb(n, 2)):
+            cases.append(pytest.param(graph_from_mask(n, mask), id=f"n={n} #{mask}"))
+    for n in (4, 5, 30):
+        cases.append(pytest.param(complete(n), id=f"K_{n}"))
+        cases.append(pytest.param(empty(n), id=f"empty({n})"))
+    rng = random.Random(29)
+    tied = 0
+    while tied < 24:
+        n, p = rng.randint(4, 45), rng.uniform(0.1, 0.95)
+        g = random_gnp(n, p, rng.randrange(10**6))
+        sizes = [(g.adj[u] & g.adj[w]).bit_count()
+                 for u, w in itertools.combinations(range(n), 2) if not g.has_edge(u, w)]
+        if sizes and sizes.count(max(sizes)) >= 2:
+            tied += 1
+            cases.append(pytest.param(g, id=f"tied G({n},{p:.2f}) #{tied}"))
+    for g, name in ((cycle(5), "C5"), (cycle(7), "C7"), (polarity_graph(5), "ER_5"),
+                    (polarity_graph(7), "ER_7"), (complete_bipartite(3, 4), "K_3,4")):
+        cases.append(pytest.param(g, id=name))
+    return cases
+
+
 class TestPigeonholeEdge:
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "loop"])
+    @pytest.mark.parametrize("g", averaging_hosts())
+    def test_both_paths_match_brute_force(self, g, stacked, monkeypatch):
+        force_stacked(monkeypatch, stacked)
+        expected = brute_force_pigeonhole(g)
+        if expected is None:
+            with pytest.raises(BoundaryDegenerateError):
+                pigeonhole_edge(g, ledger(g, 2))
+        else:
+            assert pigeonhole_edge(g, ledger(g, 2)) == expected
+
     def test_k5_minus_edge(self):
         g = k5_minus_edge()
         edge, s = pigeonhole_edge(g, ledger(g, 2))
@@ -335,6 +391,81 @@ class TestPigeonholeEdge:
                 pigeonhole_edge(g, ledger(g, 2))
         else:
             assert pigeonhole_edge(g, ledger(g, 2)) == expected
+
+
+def copied_s_search(g, s_vertices, members, t):
+    """The two searches in S as they ran on a copy of G[S]: the lex-least
+    independent t-set and the first copy of a member, both lifted back to
+    host labels."""
+    sub = induced_subgraph(g, s_vertices)
+    side = find_independent_set(sub.graph, t)
+    emb = contains_family_member(sub.graph, members)
+    return (
+        None if side is None else frozenset(sub.to_parent(i) for i in side),
+        None if emb is None else Embedding(
+            emb.pattern, tuple(sub.to_parent(i) for i in emb.mapping)
+        ),
+    )
+
+
+class TestInPlaceSearch:
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "h", [complete(3), complete(4), cycle(4), path(4)], ids=["K3", "K4", "C4", "P4"]
+    )
+    def test_matches_copied_subgraph(self, h, t):
+        # S = N(a) & N(b) for some missing edges ab and random vertex sets,
+        # on hosts from sparse to dense, so each search both finds and
+        # misses.
+        rng = random.Random(t * 10 + h.n)
+        members = witness._family(h).members
+        seen = set()
+        for seed in range(24):
+            g = random_gnp(rng.randint(6, 30), rng.uniform(0.2, 0.95), seed)
+            masks = [g.adj[a] & g.adj[b] for a, b in graphs.missing_edges(g)[:6]]
+            masks += [rng.getrandbits(g.n) for _ in range(4)]
+            for s in masks:
+                side = detect._lex_set(g.adj, s, t, -1)
+                got = (None if side is None else frozenset(bits(side)),
+                       contains_family_member(g, members, s))
+                assert got == copied_s_search(g, bits(s), members, t), (seed, s)
+                seen.add((got[0] is None, got[1] is None))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_extract_copies_no_subgraph(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("G[S] copied")
+
+        monkeypatch.setattr(graphs, "induced_subgraph", refuse)
+        monkeypatch.setattr(witness, "induced_subgraph", refuse, raising=False)
+        h = complete(4)
+        hosts = [
+            (k5_minus_edge(), 2, OUTCOME_H_EMBEDDED),
+            (cycle(4), 2, OUTCOME_INDUCED_K2T),
+            (cycle(5), 2, OUTCOME_HYPOTHESIS_NOT_MET),
+            (complete(6), 2, OUTCOME_BOUNDARY_DEGENERATE),
+            (random_gnp(40, 0.5, 1), 2, OUTCOME_INDUCED_K2T),
+            (co_partite(2, 20, 1), 3, OUTCOME_H_EMBEDDED),
+            (polarity_graph(11), 3, OUTCOME_HYPOTHESIS_NOT_MET),
+        ]
+        for g, t, outcome in hosts:
+            trace = extract(g, h, t)
+            assert trace.outcome == outcome
+            assert verify_trace(g, trace, h, t)
+
+
+class TestLedgerEntries:
+    def test_trusted_entry_is_a_plain_entry(self):
+        entry = witness._trusted_entry(3, 5, 4, 1, 1)
+        plain = VertexLedger(v=3, degree=5, m_v=4, gamma_v=1, q_of_gamma=1)
+        assert entry == plain and hash(entry) == hash(plain) and repr(entry) == repr(plain)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.m_v = 0
+        assert not hasattr(entry, "__dict__")
+        assert dataclasses.replace(entry, m_v=0) == VertexLedger(3, 5, 0, 1, 1)
+        assert dataclasses.asdict(entry) == {
+            "v": 3, "degree": 5, "m_v": 4, "gamma_v": 1, "q_of_gamma": 1
+        }
 
 
 class TestExtract:
@@ -500,15 +631,17 @@ class TestVerifyTrace:
         [
             (random_gnp(40, 0.7, 3), 2, True),
             (co_partite(2, 20, 1), 3, True),
-            (polarity_graph(7), 2, False),
-            (random_gnp(100, 0.1, 700), 2, False),
+            (polarity_graph(7), 2, True),
+            (random_gnp(100, 0.1, 700), 2, True),
+            (polarity_graph(11), 2, False),
+            (random_gnp(200, 0.1, 200), 2, False),
         ],
-        ids=["G(40,0.7)", "co-bipartite(40)", "ER_7", "G(100,0.1)"],
+        ids=["G(40,0.7)", "co-bipartite(40)", "ER_7", "G(100,0.1)", "ER_11", "G(200,0.1)"],
     )
     def test_rejects_m_v_one_off(self, g, t, stacked):
-        # The recount of m_v, from the stacked complement on dense hosts
-        # and with missing_pairs on sparse ones, catches an m_v that is one
-        # too high or one too low at any vertex.
+        # The recount of m_v, from the stacked complement where the cost
+        # rule holds and with missing_pairs on large sparse hosts, catches
+        # an m_v that is one too high or one too low at any vertex.
         assert witness._stacked_pays(g) == stacked
         h = complete(4)
         trace = extract(g, h, t)
