@@ -39,7 +39,9 @@ vertices are read from ``detect``'s table. Levels are deduplicated by exact
 isomorphism tests inside cheap-invariant buckets: each graph is coloured
 by one refinement round (degree, sorted neighbour degrees), read straight
 from its rows as one int per vertex (the degree plus a packed histogram of
-the neighbour degrees, in fields too wide to carry). Most bucket mates are
+the neighbour degrees, in fields too wide to carry). This colouring,
+``_signatures``, is the only one: the public ``is_isomorphic`` and
+``invariant_key`` and the orbit test use it too. Most bucket mates are
 duplicates whose proof is nearly linear, so further rounds would cost more
 than the few non-isomorphic bucket mates they split off, and the cost of a
 proof is mostly its set-up. So each bucket representative keeps a proof
@@ -133,37 +135,6 @@ class RamseyResult:
 # Isomorphism
 # ---------------------------------------------------------------------------
 
-def _refined_colours(g: Graph, table: Optional[dict] = None) -> list:
-    """Iterated colour refinement from the degrees: each round renames
-    every vertex's (round, colour, sorted neighbour colours) signature to a
-    small int, and the refinement stops after the first round that splits
-    no colour class, or after three rounds. Graphs refined through one
-    shared ``table`` get equal colours exactly for equal signatures, so
-    their colours compare with each other; the round in each signature
-    keeps graphs that stop at different rounds apart. Without a table a
-    signature becomes its rank among g's own signatures of the round,
-    offset by round * n, which is an isomorphism invariant of g alone."""
-    nbrs = list(map(_vertices(g.n), g.adj))
-    colours = [len(vs) for vs in nbrs]
-    classes = len(set(colours))
-    for r in range(3):
-        colour_of = colours.__getitem__
-        sigs = [
-            (r, colours[v], tuple(sorted(map(colour_of, vs))))
-            for v, vs in enumerate(nbrs)
-        ]
-        if table is None:
-            rank = {sig: i for i, sig in enumerate(sorted(set(sigs)), r * g.n)}
-            colours = [rank[sig] for sig in sigs]
-        else:
-            colours = [table.setdefault(sig, len(table)) for sig in sigs]
-        split = len(set(colours))
-        if split == classes:
-            break
-        classes = split
-    return colours
-
-
 def _signatures(g: Graph) -> list:
     """One refinement round as one int per vertex: its degree, plus in
     field d (bits d * w and up) the number of its neighbours of degree d.
@@ -181,12 +152,12 @@ def _signatures(g: Graph) -> list:
 
 
 def invariant_key(g: Graph, colours: Optional[list] = None) -> tuple:
-    """A cheap isomorphism invariant used to bucket candidates; ``colours``
-    are isomorphism-invariant colours of g when the caller already has them
-    (keys compare only if their colours do: ``_signatures`` of graphs on
-    one n, or refined colours through one table)."""
+    """A cheap isomorphism invariant used to bucket candidates: the order,
+    the size and the sorted ``_signatures`` of g, the only colouring this
+    module uses. ``colours`` are g's signatures when the caller already has
+    them. Keys of graphs of one order compare, since their signatures do."""
     if colours is None:
-        colours = _refined_colours(g)
+        colours = _signatures(g)
     return (g.n, g.edge_count, tuple(sorted(colours)))
 
 
@@ -195,12 +166,12 @@ def is_isomorphic(
 ) -> bool:
     """Exact backtracking isomorphism test for desk-scale graphs.
 
-    ``colours`` is the pair of isomorphism-invariant colours of a and b
-    that compare with each other, when the caller already has them; the
-    dedupe passes the signatures of two graphs with equal invariant keys,
-    and b's ``plan`` from ``_proof_plan(b, colours[1])``, which it keeps
-    for the next test against b. Without colours a and b are refined for
-    up to three rounds through one table, and unequal sorted colours
+    ``colours`` is the pair of ``_signatures`` of a and b when the caller
+    already has them; the dedupe passes them for two graphs with equal
+    invariant keys, and b's ``plan`` from ``_proof_plan(b, colours[1])``,
+    which it keeps for the next test against b. Without colours a and b
+    get their ``_signatures``, the only colouring this module uses, which
+    compare since a and b have one order, and unequal sorted signatures
     reject at once. Either way only the colour-preserving map decides a
     True. Graphs of one order and size above ``MAX_ISOMORPHISM_VERTICES``
     vertices raise GraphError."""
@@ -209,8 +180,7 @@ def is_isomorphic(
     if a.n > MAX_ISOMORPHISM_VERTICES:
         raise GraphError(f"is_isomorphic caps at {MAX_ISOMORPHISM_VERTICES} vertices")
     if colours is None:
-        table: dict = {}
-        colours = (_refined_colours(a, table), _refined_colours(b, table))
+        colours = (_signatures(a), _signatures(b))
         if sorted(colours[0]) != sorted(colours[1]):
             return False
     if plan is None:
@@ -287,7 +257,7 @@ def _dedupe(items, graph=lambda item: item) -> list:
     steer the tests. A bucket keeps each representative with its
     signatures, and with its proof plan once a test has needed one; a
     test then builds only the candidate's colour classes. A bucket may
-    hold several classes, since one round splits less than three, so a
+    hold several classes, since one round does not split every pair, so a
     test can fail; each dropped duplicate still costs exactly one True
     test, against its class's representative."""
     buckets: dict = {}
@@ -473,18 +443,16 @@ def ramsey_exact(query: RamseyQuery, n_cap: int = DEFAULT_RAMSEY_CAP) -> RamseyR
             if _is_good(cand, plans)
         )
         if not level:
-            witness = min(survivors, key=graph6_encode)
-            _check_witness(witness, t, members)
-            return RamseyResult(lower=n, upper=n, exact=n, lower_witness=witness)
+            lower = upper = n
+            break
         survivors = level
-
-    lower = n_cap + 1
-    vmin = min(m.n for m in members)
-    upper = _es_ramsey(t, vmin)
-    require(
-        upper >= lower,
-        f"Erdos-Szekeres bound {upper} below the certified lower bound {lower}",
-    )
+    else:
+        lower = n_cap + 1
+        upper = _es_ramsey(t, min(m.n for m in members))
+        require(
+            upper >= lower,
+            f"Erdos-Szekeres bound {upper} below the certified lower bound {lower}",
+        )
     witness = min(survivors, key=graph6_encode)
     _check_witness(witness, t, members)
     return RamseyResult(

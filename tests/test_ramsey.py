@@ -4,6 +4,7 @@ import random
 import time
 from operator import itemgetter
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,9 +144,9 @@ REFINEMENT_BLIND = {
     "Shrikhande / rook": lambda: (shrikhande(), rook_4x4()),  # both srg(16,6,2,2)
 }
 
-# Pairs that one refinement round, the colouring ``_dedupe`` buckets by,
-# cannot split but three rounds can: they share a dedupe bucket, so the
-# backtracking must refute them there, which three-round buckets never ask.
+# Pairs that one refinement round, the only colouring (``_signatures``),
+# cannot split but three rounds can: they share a dedupe bucket and an
+# invariant key, so the backtracking must refute them.
 ONE_ROUND_BLIND = {
     # Both: two leaves, two vertices next to a leaf, three other vertices
     # of degree 2. Two of those three are next to a leaf's neighbour in P7,
@@ -164,8 +165,7 @@ def assert_dedupe_keeps_first_copies(a, b, rng):
 
 
 class TestRelabellingInvariance:
-    """``invariant_key`` (each colour a rank among the graph's own
-    signatures) and ``is_isomorphic`` (one colour table for both graphs)
+    """``invariant_key`` and ``is_isomorphic`` (both on ``_signatures``)
     must not depend on the labelling."""
 
     def test_every_class_up_to_six_vertices(self):
@@ -195,34 +195,10 @@ class TestRelabellingInvariance:
         assert is_isomorphic(g, h)
 
 
-def three_round_classes(g):
-    """The colour classes after three full rounds of refinement, with
-    nothing stopping early."""
-    colours = [g.degree(v) for v in range(g.n)]
-    for _ in range(3):
-        colours = [
-            (colours[v], tuple(sorted(colours[u] for u in bits(g.adj[v]))))
-            for v in range(g.n)
-        ]
-    return colour_classes(colours)
-
-
 def colour_classes(colours):
     return sorted(
         tuple(v for v, c in enumerate(colours) if c == x) for x in set(colours)
     )
-
-
-class TestRefinement:
-    def test_stopping_early_keeps_the_classes(self):
-        # A round that splits no class leaves every later round unsplit too.
-        graphs = list(itertools.chain(*all_classes(6)))
-        graphs += [g for pair in REFINEMENT_BLIND.values() for g in pair()]
-        table = {}
-        for g in graphs:
-            want = three_round_classes(g)
-            assert colour_classes(ramsey._refined_colours(g)) == want
-            assert colour_classes(ramsey._refined_colours(g, table)) == want
 
 
 class TestIsomorphismAgainstBruteForce:
@@ -253,10 +229,6 @@ class TestIsomorphismAgainstBruteForce:
     def test_refinement_blind_pairs(self, name):
         a, b = REFINEMENT_BLIND[name]()
         assert invariant_key(a) == invariant_key(b)
-        table = {}
-        assert sorted(ramsey._refined_colours(a, table)) == sorted(
-            ramsey._refined_colours(b, table)
-        )
         assert not is_isomorphic(a, b) and not is_isomorphic(b, a)
         perm = shuffled(a.n, random.Random(16))
         assert is_isomorphic(a, relabel(a, perm)) and is_isomorphic(b, relabel(b, perm))
@@ -265,11 +237,82 @@ class TestIsomorphismAgainstBruteForce:
     @pytest.mark.parametrize("name", sorted(ONE_ROUND_BLIND))
     def test_one_round_blind_pairs(self, name):
         a, b = ONE_ROUND_BLIND[name]()
-        assert invariant_key(a) != invariant_key(b)
+        # One colouring serves every caller, so the public key cannot split
+        # them either, and the backtracking refutes them both ways.
         ca, cb = (ramsey._signatures(g) for g in (a, b))
-        assert invariant_key(a, ca) == invariant_key(b, cb)
+        assert invariant_key(a) == invariant_key(b)
+        assert invariant_key(a, ca) == invariant_key(b, cb) == invariant_key(a)
+        assert not is_isomorphic(a, b) and not is_isomorphic(b, a)
         assert not is_isomorphic(a, b, (ca, cb)) and not is_isomorphic(b, a, (cb, ca))
         assert_dedupe_keeps_first_copies(a, b, random.Random(17))
+
+
+def to_networkx(g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def blind_corpus(rng):
+    """Every blind pair, with seeded relabellings of each side."""
+    pairs = []
+    for make in [*REFINEMENT_BLIND.values(), *ONE_ROUND_BLIND.values()]:
+        a, b = make()
+        a2, b2 = (relabel(g, shuffled(g.n, rng)) for g in (a, b))
+        pairs += [(a, b), (a, b2), (a2, b), (a, a2), (b, b2)]
+    return pairs
+
+
+def swap_corpus(rng):
+    """G(n, p) against a relabelling of one seeded degree-preserving double
+    edge swap of it, for n = 10..40. The swap keeps every signature when
+    each of its four vertices trades a neighbour for one of the same
+    degree, which happens often enough on these sizes to give both answers
+    with equal keys."""
+    pairs = []
+    for n in range(10, 41):
+        for p in (0.1, 0.2, 0.3, 0.5):
+            for _ in range(3):
+                g = nx.gnp_random_graph(n, p, seed=rng.getrandbits(32))
+                if g.number_of_edges() < 2:
+                    continue
+                h = g.copy()
+                try:
+                    nx.double_edge_swap(h, nswap=1, max_tries=100, seed=rng.getrandbits(32))
+                except nx.NetworkXException:
+                    continue
+                b = build(n, list(h.edges()))
+                pairs.append((build(n, list(g.edges())), relabel(b, shuffled(n, rng))))
+    return pairs
+
+
+class TestIsomorphismAgainstNetworkx:
+    """Public ``is_isomorphic`` agrees with ``networkx.is_isomorphic`` in both
+    argument orders on pairs whose invariant keys are equal, where only the
+    backtracking can answer False."""
+
+    @staticmethod
+    def check(pairs):
+        non_isomorphic = 0
+        for a, b in pairs:
+            if invariant_key(a) != invariant_key(b):
+                continue
+            want = nx.is_isomorphic(to_networkx(a), to_networkx(b))
+            assert is_isomorphic(a, b) == want, (graph6_encode(a), graph6_encode(b))
+            assert is_isomorphic(b, a) == want, (graph6_encode(a), graph6_encode(b))
+            non_isomorphic += not want
+        return non_isomorphic
+
+    def test_blind_pairs_and_relabellings(self):
+        pairs = blind_corpus(random.Random(30))
+        assert all(invariant_key(a) == invariant_key(b) for a, b in pairs)
+        # a against b, b's relabelling, and a's relabelling against b.
+        assert self.check(pairs) == 3 * (len(REFINEMENT_BLIND) + len(ONE_ROUND_BLIND))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_degree_preserving_swaps(self, seed):
+        assert self.check(swap_corpus(random.Random(seed))) >= 1
 
 
 def canonical_form(g):
