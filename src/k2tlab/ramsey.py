@@ -53,6 +53,16 @@ builds only those classes; the anchored member test runs the same kernel
 in copy mode. This keeps the n = 9 refutations (e.g. for R(3,4)) at
 interactive speed.
 
+Of the other members, only the minimal ones are searched, those that hold
+no other member as a subgraph (``_minimal``). A copy of any member holds a
+copy of a minimal one, so a graph holds some member exactly when it holds
+a minimal one: every level, bound and witness is that of the whole family.
+Most members of {H - x} and {H - ebar} hold another, so few are left; on
+{H - ebar} of an 11-vertex H, families of tens of members keep 1 to 15.
+The clique rule still takes its r from the whole family, so the candidates
+are the same, and the witness check, like the family a caller sees, keeps
+every member.
+
 All three family constructors go through one builder, which checks sizes
 before it builds a deletion or hashes an invariant: a member above the
 subgraph-pattern cap ``detect.MAX_PATTERN_VERTICES`` (10 vertices), and so
@@ -72,6 +82,7 @@ from .detect import (
     _lex_set,
     _vertices,
     contains_family_member,
+    contains_subgraph,
     embeds_at,
     find_independent_set,
     place,
@@ -345,6 +356,21 @@ def _anchored_plans(members: tuple[Graph, ...]) -> tuple:
     )
 
 
+def _minimal(members: tuple[Graph, ...]) -> tuple[Graph, ...]:
+    """The members that hold no other member as a subgraph, by increasing
+    (order, size). A member holds only members of at most its order and
+    size, which sort before it, so each is tested against those kept
+    before it, by ``detect.contains_subgraph`` (never ``is_isomorphic``,
+    whose True calls the traced benchmark counts as level duplicates). A
+    copy of a member holds a copy of a minimal one, so a graph holds some
+    member exactly when it holds a minimal one."""
+    kept: list[Graph] = []
+    for m in sorted(members, key=lambda g: (g.n, g.edge_count)):
+        if all(contains_subgraph(m, k) is None for k in kept):
+            kept.append(m)
+    return tuple(kept)
+
+
 def _is_good(g: Graph, plans: tuple) -> bool:
     """Good = no independent t-set and no family member as subgraph, for an
     extension of a good graph from ``_extensions``. Those have no
@@ -429,10 +455,11 @@ def ramsey_exact(query: RamseyQuery, n_cap: int = DEFAULT_RAMSEY_CAP) -> RamseyR
     if not 1 <= n_cap <= MAX_RAMSEY_CAP:
         raise GraphError(f"n_cap must be in 1..{MAX_RAMSEY_CAP}, got {n_cap}")
     t = query.t
-    # K_r members are left to _extensions' clique rule: the least r covers all.
+    # K_r members are left to _extensions' clique rule: the least r of the
+    # whole family covers all. Of the rest, only minimal members are searched.
     cliques = [m for m in members if 2 * m.edge_count == m.n * (m.n - 1)]
     clique = min((m.n for m in cliques), default=None)
-    plans = _anchored_plans(tuple(m for m in members if m not in cliques))
+    plans = _anchored_plans(tuple(m for m in _minimal(members) if m not in cliques))
 
     survivors = [build(0, [])]
     for n in range(1, n_cap + 1):

@@ -29,10 +29,15 @@ N(v): each vertex either starts the next part, with the lex-least
 independent (t - 1)-set among its later non-neighbours still free, or is
 passed over for good, since no t-set can start at it any more; when G
 itself holds no independent t-set, no neighbourhood does, so one search on
-the whole vertex set sets every gamma_v to 0 and no scan runs. Both give
-exactly what ``missing_pairs`` and ``greedy_packing`` give vertex by
-vertex; those stay as the plain per-vertex oracles. The entries are
-slotted and built by a trusted constructor.
+the whole vertex set sets every gamma_v to 0 and no scan runs. At t = 2,
+under the same rule, the scans of all n neighbourhoods run together
+(``_lane_gammas``): the residuals sit in lanes of one int, n + 1 bits
+apart with a guard bit each, and n steps of a few big-int operations take
+every lane's next part at once. On ER_11 and ER_13, where the rule fails,
+the lanes would cost several times the loops. Both ways give exactly what
+``missing_pairs`` and ``greedy_packing`` give vertex by vertex; those stay
+as the plain per-vertex oracles. The entries are slotted and built by a
+trusted constructor.
 
 ``pigeonhole_edge`` takes, under the same rule, the sum of the same cells:
 cell (u, w) of it is |N(u) & N(w)|, added up by ``bitslice.count_digits``
@@ -56,6 +61,13 @@ in place on the host rows, with every step cut to S, so no copy of G[S]
 is made. {H - x} is built at most once per H: ``extract``,
 ``verify_trace`` and the cached Ramsey threshold R(K_t, {H - x}) share it
 through ``_family``.
+
+The family is used whole here. ``_lift_member`` tries its members in
+family order, which fixes the certificate, and ``verify_trace`` checks
+every member on hypothesis-not-met. Only the threshold search
+(``ramsey_exact``) keeps just the minimal members, those that hold no
+other member; a graph holds some member exactly when it holds a minimal
+one, so the threshold is that of the whole family.
 """
 
 from __future__ import annotations
@@ -187,7 +199,8 @@ def missing_pairs(adj: Sequence[int], subset: int) -> int:
 def _stacked_pays(g: Graph) -> bool:
     """The cost rule for the pairs of every neighbourhood: the counts that
     ``ledger`` and ``verify_trace`` take and the averaging edge of
-    ``pigeonhole_edge``, all from the stacked adjacency or all by loops.
+    ``pigeonhole_edge``, all from the stacked adjacency or all by loops;
+    the t = 2 packing scan of ``ledger`` runs in lanes where it holds.
     Stacked, a host costs a small fixed part and the products c * N(v) of
     ``_neighbourhood_cells``, about n^3 / 900 digit multiplications a
     vertex; by loops it costs a step per edge in the sweep of
@@ -205,13 +218,14 @@ def _stacked_pays(g: Graph) -> bool:
     return n**4 + 10**6 <= 180_000 * g.edge_count + 70 * n**3
 
 
-def _stack(g: Graph) -> int:
-    """The stacked adjacency: row w of g in bits [n w, n w + n) of one int,
+def _stack(g: Graph, gap: int) -> int:
+    """The rows of g packed into one int, row w in bits [gap w, gap w + n),
     shifted in row by row (below n = 100 several times faster than
-    formatting the rows as one binary string)."""
+    formatting the rows as one binary string). With gap = n this is the
+    stacked adjacency."""
     stack = 0
     for row in reversed(g.adj):
-        stack = stack << g.n | row
+        stack = stack << gap | row
     return stack
 
 
@@ -233,7 +247,7 @@ def _neighbourhood_cells(g: Graph) -> tuple[int, list[int]]:
     log2(n) more big-int operations a vertex. On those hosts the cells of
     every vertex together take at most n^3 bits, under 5 MB."""
     n = g.n
-    stack = _stack(g)
+    stack = _stack(g, n)
     ones = _spaced(n, n)
     return stack, [((stack >> v) & ones) * row for v, row in enumerate(g.adj)]
 
@@ -310,7 +324,9 @@ def ledger(g: Graph, t: int) -> list[VertexLedger]:
     is the one a fresh search would take. One search on the whole vertex
     set comes first: an independent t-set inside N(v) is one of G, so when
     G has none every gamma_v is 0 without a scan (the co-bipartite hosts
-    at t = 3, two cliques with alpha(G) = 2).
+    at t = 3, two cliques with alpha(G) = 2). At t = 2 on the hosts of
+    ``_stacked_pays`` the scans of every vertex run as one, in lanes of
+    one int (``_lane_gammas``).
     """
     return _ledger(g, t, _stacked(g))
 
@@ -323,20 +339,29 @@ def _ledger(g: Graph, t: int, stacked: _Stacked) -> list[VertexLedger]:
     inside = _edges_inside(g, stacked)
     lex_set = detect._lex_set
     packs = lex_set(adj, g.full_mask, t, -1) is not None
+    if not packs:
+        gammas = [0] * g.n
+    elif t == 2 and stacked is not None:
+        gammas = _lane_gammas(g)
+    else:
+        gammas = []
+        for row in adj:
+            gamma = 0
+            rest = row
+            # Fewer than t vertices left hold no part; the count pays from t = 3.
+            while rest and (t == 2 or rest.bit_count() >= t):
+                low = rest & -rest
+                rest ^= low
+                free = rest & ~adj[low.bit_length() - 1]
+                part = free & -free if t == 2 else lex_set(adj, free, t - 1, -1)
+                if part:
+                    gamma += 1
+                    rest ^= part
+            gammas.append(gamma)
     out = []
     for v, row in enumerate(adj):
-        gamma = 0
-        rest = row if packs else 0
-        # Fewer than t vertices left hold no part; the count pays from t = 3.
-        while rest and (t == 2 or rest.bit_count() >= t):
-            low = rest & -rest
-            rest ^= low
-            free = rest & ~adj[low.bit_length() - 1]
-            part = free & -free if t == 2 else lex_set(adj, free, t - 1, -1)
-            if part:
-                gamma += 1
-                rest ^= part
         degree = row.bit_count()
+        gamma = gammas[v]
         out.append(
             _trusted_entry(
                 v,
@@ -347,6 +372,34 @@ def _ledger(g: Graph, t: int, stacked: _Stacked) -> list[VertexLedger]:
             )
         )
     return out
+
+
+def _lane_gammas(g: Graph) -> list[int]:
+    """gamma_v at t = 2 for every v at once: the scan of ``ledger`` run on
+    all neighbourhoods together, in n steps over one int. Lane v, bits
+    [(n + 1) v, (n + 1) v + n), holds the residual of N(v), and the bit
+    above it is a guard. Step u takes the lanes whose residual still holds
+    u, drops u from them and cuts them to the non-neighbours of u; the
+    lowest bit of each lane, ``x & ~((x | guard) - ones)`` (the guard stops
+    a borrow at its lane), is the part u starts, and leaves the residual.
+    gamma_v is the number of parts lane v gave."""
+    n = g.n
+    gap = n + 1
+    ones = _spaced(n, gap)
+    guard = ones << n
+    full = g.full_mask
+    rest = _stack(g, gap)
+    parts = 0
+    for u, row in enumerate(g.adj):
+        at = (rest >> u) & ones
+        if not at:
+            continue
+        rest ^= at << u
+        x = rest & ((at << n) - at) & ((full ^ row) * ones)
+        low = x & ~((x | guard) - ones)
+        rest ^= low
+        parts |= low
+    return [((parts >> gap * v) & full).bit_count() for v in range(n)]
 
 
 def pigeonhole_edge(

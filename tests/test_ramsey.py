@@ -681,6 +681,70 @@ class TestAgainstWholeGraphSearch:
         assert graph6_encode(got.lower_witness) == graph6_encode(want.lower_witness)
 
 
+def networkx_minimal(members):
+    """The members that hold no other member as a subgraph, by networkx's
+    monomorphism test, in increasing (order, size) and family order."""
+    graphs = [to_networkx(m) for m in members]
+    kept = [
+        m for i, m in enumerate(members)
+        if not any(
+            j != i and nx.algorithms.isomorphism.GraphMatcher(
+                graphs[i], graphs[j]
+            ).subgraph_is_monomorphic()
+            for j in range(len(members))
+        )
+    ]
+    return sorted(kept, key=lambda g: (g.n, g.edge_count))
+
+
+class TestMinimalMembers:
+    """``ramsey_exact`` searches only the members that hold no other
+    member (``ramsey._minimal``); the clique rule still takes its r from
+    the whole family."""
+
+    def test_deletion_families_against_networkx(self, monkeypatch):
+        families = [
+            (graph6_encode(h), family)
+            for level in all_classes(6)[2:]
+            for h in level
+            for family in (family_minus_vertex(h), family_minus_ebar(h))
+        ]
+        # The traced benchmark counts every True is_isomorphic inside a
+        # search as a duplicate, so ``_minimal`` must not call it.
+        monkeypatch.setattr(ramsey, "is_isomorphic", None)
+        for name, family in families:
+            got = ramsey._minimal(family.members)
+            want = networkx_minimal(family.members)
+            assert [g.adj for g in got] == [g.adj for g in want], (name, family.origin)
+
+    def test_complete_member_above_a_minimal_one(self, monkeypatch):
+        k4_minus_e = build(4, [e for e in itertools.combinations(range(4), 2) if e != (0, 1)])
+        family = explicit_family([complete(4), k4_minus_e])
+        assert ramsey._minimal(family.members) == (k4_minus_e,)
+        seen = []
+        is_good = ramsey._is_good
+
+        def recorded(g, plans):
+            seen.append(g)
+            return is_good(g, plans)
+
+        monkeypatch.setattr(ramsey, "_is_good", recorded)
+        for t in (2, 3):
+            got = ramsey_exact(RamseyQuery(t=t, family=family))
+            assert got == reference_ramsey(t, family.members)
+        # The clique rule still fires: no candidate holds a K_4.
+        assert seen and all(contains_subgraph(g, complete(4)) is None for g in seen)
+
+    def test_dropping_a_minimal_member_fails_the_whole_graph_search(self, monkeypatch):
+        minimal = ramsey._minimal
+        monkeypatch.setattr(ramsey, "_minimal", lambda members: minimal(members)[:-1])
+        # A wrong level shows as a wrong result, or as a bracket that the
+        # Erdos-Szekeres self-check refuses.
+        with pytest.raises((AssertionError, SelfCheckError)):
+            for n in (2, 3, 4, 5):
+                TestAgainstWholeGraphSearch().test_deletion_families(n)
+
+
 def automorphism_orbit_representatives(g):
     reps = []
     for v in range(g.n):

@@ -294,6 +294,38 @@ class TestNeighbourhoodCounts:
             monkeypatch.undo()
 
 
+class TestLaneGammas:
+    """At t = 2 on the hosts of ``_stacked_pays``, ``ledger`` packs every
+    neighbourhood at once in lanes of one int (``_lane_gammas``)."""
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("n", [10, 20, 40, 60])
+    def test_against_greedy_packing(self, n, p, monkeypatch):
+        g = random_gnp(n, p, 31 * n + int(10 * p))
+        assert witness._stacked_pays(g)
+        want = [greedy_packing(g, v, 2).gamma for v in range(n)]
+        assert witness._lane_gammas(g) == want
+        calls = []
+        lanes = witness._lane_gammas
+        monkeypatch.setattr(witness, "_lane_gammas", lambda g: calls.append(g) or lanes(g))
+        assert [entry.gamma_v for entry in ledger(g, 2)] == want
+        assert calls == [g]
+
+    @pytest.mark.parametrize("q", [11, 13])
+    def test_polarity_hosts_take_the_loop(self, q, monkeypatch):
+        g = polarity_graph(q)
+        assert not witness._stacked_pays(g)
+        monkeypatch.setattr(witness, "_lane_gammas", None)
+        assert [entry.gamma_v for entry in ledger(g, 2)] == [
+            greedy_packing(g, v, 2).gamma for v in range(g.n)
+        ]
+
+    def test_empty_lanes(self):
+        # No edge, or no vertex: every lane is empty from the start.
+        assert witness._lane_gammas(empty(4)) == [0] * 4
+        assert witness._lane_gammas(empty(0)) == []
+
+
 def brute_force_pigeonhole(g):
     """The non-edge (u, w), u < w, least by (-|S|, u, w), with S its common
     neighbourhood; None on a complete graph."""
