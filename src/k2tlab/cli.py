@@ -33,6 +33,7 @@ import click
 from . import constructions, detect, suites, witness
 from .bounds import clique_guarantee, clique_lower_report, induced_turan_upper
 from .graphs import (
+    MAX_VERTEX_PAIRS,
     Graph,
     GraphError,
     density,
@@ -76,6 +77,16 @@ def load_graph(path: str, fmt: str = "auto") -> Graph:
     if fmt == "edges":
         return parse_edge_text(text)
     raise GraphError(f"unknown graph format {fmt!r}")
+
+
+def _echo(g: Graph) -> str:
+    """A loaded graph as a report echoes it: its graph6 string, or, above
+    ``MAX_VERTEX_PAIRS`` vertex pairs, the edge text ``load_graph`` reads
+    back. graph6 takes a bit per vertex pair, 358 MB at the 2^16 vertices
+    edge text may declare; edge text grows with the edges."""
+    if g.n * (g.n - 1) // 2 <= MAX_VERTEX_PAIRS:
+        return graph6_encode(g)
+    return "\n".join([str(g.n), *(f"{u} {v}" for u, v in g.edges())])
 
 
 _STARTED = "k2tlab.started"
@@ -151,7 +162,7 @@ def cmd_detect(graph_path, t, fmt, json_path):
     results: dict = {"found": cert is not None}
     if cert is not None:
         results["certificate"] = _k2t_certificate(cert)
-    _emit({"graph": graph6_encode(g), "t": t}, results, json_path)
+    _emit({"graph": _echo(g), "t": t}, results, json_path)
     sys.exit(1 if cert is not None else 0)
 
 
@@ -195,14 +206,10 @@ def cmd_bounds(n_list, alpha_list, t_list, v_h, ramsey_value, json_path, csv_pat
     if turan_rows:
         results["turan_rows"] = turan_rows
     if csv_path:
-        header = [
-            "n", "alpha", "t", "formula_id", "value",
-            "integer_guarantee", "applicable", "threshold_note",
-        ]
         with open(csv_path, "w") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows([row[h] for h in header] for row in rows)
+            writer = csv.DictWriter(fh, rows[0].keys(), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
     inputs = {
         "n": ns,
         "alpha": [float(a) for a in alphas],
@@ -243,7 +250,7 @@ def cmd_witness(graph_path, h_path, t, json_path):
             "kind": "induced-k2t",
             **_k2t_certificate(cert),
         }
-    inputs = {"graph": graph6_encode(g), "h": graph6_encode(h), "t": t}
+    inputs = {"graph": _echo(g), "h": graph6_encode(h), "t": t}
     _emit(inputs, results, json_path)
     if not verified:
         raise CommandError("trace failed independent re-verification")

@@ -416,13 +416,13 @@ def mask_has_induced_k2t(
     neighbourhood holds an independent t-set, as (a, b, lex-least t-side
     mask); None when the graph has no induced K_{2,t}.
 
-    For t >= 2 a partner b needs at least two common neighbours with a, so
-    the partners of a are cut by ``later_partners``; the pairs dropped
-    could never qualify, so the first hit is unchanged."""
+    A partner b needs at least t common neighbours with a, so the partners
+    of a are cut by ``later_partners`` to those with min(t, 2); the pairs
+    dropped could never qualify, so the first hit is unchanged."""
     full = (1 << n) - 1
     for a in range(n - 1):
         na = adj[a]
-        non = later_partners(adj, full, a, t >= 2)
+        non = later_partners(adj, full, a, min(t, 2))
         while non:
             low = non & -non
             non ^= low
@@ -435,35 +435,28 @@ def mask_has_induced_k2t(
     return None
 
 
-def later_partners(adj: Sequence[int], full: int, u: int, cut: bool) -> int:
-    """The non-neighbours of u above u, the partners of u in a pair scan;
-    with ``cut``, where only partners with two or more common neighbours
-    can count, cut to ``two_common_neighbours`` of N(u). That mask costs
-    one row visit per neighbour of u and saves one per dropped partner, so
-    it is built only when u has more partners than neighbours: sparse
-    hosts such as the polarity graphs skip most pairs, while dense hosts
-    and K_n pay nothing."""
+def later_partners(adj: Sequence[int], full: int, u: int, need: int) -> int:
+    """The non-neighbours of u above u, the partners of u in a pair scan,
+    cut to those with at least ``need`` (0, 1 or 2) common neighbours with
+    u: the vertices in the row of some neighbour of u for 1, of two for 2
+    (two ORs per neighbour: ``once`` collects the vertices seen in some
+    neighbour's row, ``twice`` those seen again). The cut costs one row
+    visit per neighbour of u and saves one per dropped partner, so it is
+    made only when u has more partners than neighbours: sparse hosts such
+    as the polarity graphs skip most pairs, an isolated u keeps none,
+    while dense hosts and K_n pay nothing."""
     row = adj[u]
     non = ~row & full & ~((1 << (u + 1)) - 1)
-    if cut and non.bit_count() > row.bit_count():
-        non &= two_common_neighbours(adj, row)
+    if need and non.bit_count() > row.bit_count():
+        once = twice = 0
+        while row:
+            low = row & -row
+            row ^= low
+            nbrs = adj[low.bit_length() - 1]
+            twice |= once & nbrs
+            once |= nbrs
+        non &= once if need == 1 else twice
     return non
-
-
-def two_common_neighbours(adj: Sequence[int], row: int) -> int:
-    """The vertices adjacent to at least two vertices of ``row``: with
-    ``row`` the neighbourhood of a, those with two or more common
-    neighbours with a (a itself included when it has two neighbours).
-    Two ORs per vertex of ``row``: ``once`` collects the vertices seen in
-    some neighbour's row, ``twice`` those seen again."""
-    once = twice = 0
-    while row:
-        low = row & -row
-        row ^= low
-        nbrs = adj[low.bit_length() - 1]
-        twice |= once & nbrs
-        once |= nbrs
-    return twice
 
 
 def _mask_lex_independent_tset(

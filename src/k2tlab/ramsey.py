@@ -82,7 +82,6 @@ from .detect import (
     _lex_set,
     _vertices,
     contains_family_member,
-    contains_subgraph,
     embeds_at,
     find_independent_set,
     place,
@@ -360,15 +359,19 @@ def _minimal(members: tuple[Graph, ...]) -> tuple[Graph, ...]:
     """The members that hold no other member as a subgraph, by increasing
     (order, size). A member holds only members of at most its order and
     size, which sort before it, so each is tested against those kept
-    before it, by ``detect.contains_subgraph`` (never ``is_isomorphic``,
-    whose True calls the traced benchmark counts as level duplicates). A
-    copy of a member holds a copy of a minimal one, so a graph holds some
-    member exactly when it holds a minimal one."""
-    kept: list[Graph] = []
+    before it, by ``detect.place`` in copy mode on each kept member's plan,
+    made once (never ``is_isomorphic``, whose True calls the traced
+    benchmark counts as level duplicates). A copy of a member holds a copy
+    of a minimal one, so a graph holds some member exactly when it holds a
+    minimal one."""
+    kept: list[tuple[Graph, tuple]] = []
     for m in sorted(members, key=lambda g: (g.n, g.edge_count)):
-        if all(contains_subgraph(m, k) is None for k in kept):
-            kept.append(m)
-    return tuple(kept)
+        if not any(
+            k.edge_count <= m.edge_count and place(m.adj, plan, (), False, [0] * k.n)
+            for k, plan in kept
+        ):
+            kept.append((m, plan_embedding(m)))
+    return tuple(m for m, _ in kept)
 
 
 def _is_good(g: Graph, plans: tuple) -> bool:

@@ -501,24 +501,12 @@ def run_triangle_theorem(
             )
 
     slices = [(n, 0, 1 << math.comb(n, 2)) for n in range(2, n_max + 1)]
-    # A size spread over several windows needs its Delta before its check:
-    # a first pass over its windows finds Delta and keeps each window's
-    # (free, allowed), so the check pass evaluates no window twice. Such a
-    # size starts a window of its own, so its windows are the same in both.
-    spread = [s for s in slices if s[2] > bitslice.BLOCK]
-    deltas, kept = {}, []
-    for w in bitslice.windows(spread):
-        free, allowed, found = bitslice.triangle_maxima(w, h, t)
-        kept.append((free, allowed))
-        for n, delta in found.items():
-            deltas[n] = max(deltas.get(n, 0), delta)
-    reuse = iter(kept)
+    # A size spread over several windows needs its Delta before its check;
+    # any other size lies in one window, whose maxima give its Delta.
+    deltas = {n: bitslice.delta_max(n, h, t) for n, _, hi in slices if hi > bitslice.BLOCK}
     for w in bitslice.windows(slices):
-        if w.n in deltas:
-            free, allowed = next(reuse)
-        else:
-            free, allowed, found = bitslice.triangle_maxima(w, h, t)
-            deltas.update(found)
+        free, allowed, found = bitslice.triangle_maxima(w, h, t)
+        deltas = found | deltas
         edges = w.edge_classes()
         meets = 0
         for n in w.sizes:

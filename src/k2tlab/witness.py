@@ -42,9 +42,11 @@ trusted constructor.
 ``pigeonhole_edge`` takes, under the same rule, the sum of the same cells:
 cell (u, w) of it is |N(u) & N(w)|, added up by ``bitslice.count_digits``
 and maximised over the non-adjacent cells by ``bitslice.count_top``.
-Otherwise it scans the pairs and skips the partners with fewer than two
-common neighbours once a pair with one is known, as they can no longer
-win. ``extract`` builds the cells once for both.
+Otherwise it scans the pairs and skips the partners with no common
+neighbour once a pair is known, and those with fewer than two once a pair
+with one is known, as they can no longer win: a large sparse host whose
+first pairs share no neighbour is not scanned pair by pair. ``extract``
+builds the cells once for both.
 
 ``verify_trace`` compares the ledger column by column with a direct
 recount of every m_v as the non-adjacent pairs of N(v): under the same
@@ -414,10 +416,13 @@ def pigeonhole_edge(
     adds them up, ``bitslice.count_top`` finds the largest count over the
     non-adjacent cells and the cells that hold it, and the lowest of those,
     n u + w, is the least such pair, with u < w since the grid is
-    symmetric. Elsewhere the pairs are scanned in order; once the best pair
-    has |S| >= 1, only a pair with a strictly larger S, so at least two
-    common neighbours, can replace it, and the partners of u are cut by
-    ``detect.later_partners``, as in the induced K_{2,t} scan."""
+    symmetric. Elsewhere the pairs are scanned in order; only a pair with a
+    strictly larger S can replace the best one, so the partners of u are
+    cut by ``detect.later_partners``, as in the induced K_{2,t} scan, to
+    those with one more common neighbour than the best pair, or two once
+    it has one. A host whose first pairs share no neighbour then skips
+    every partner outside the rows of u's neighbours, and an isolated u
+    costs one mask."""
     edge, common = _averaging_edge(g, ledgers, _stacked(g))
     return edge, frozenset(bits(common))
 
@@ -439,7 +444,7 @@ def _averaging_edge(
         best_size = -1
         for u in range(n):
             row = adj[u]
-            partners = detect.later_partners(adj, full, u, best_size >= 1)
+            partners = detect.later_partners(adj, full, u, min(best_size + 1, 2))
             while partners:
                 low = partners & -partners
                 partners ^= low

@@ -666,10 +666,8 @@ def test_engine_flag_without_violation_raises(monkeypatch):
         suites.run_clique_exhaustive(n_max=4, workers=1)
 
 
-def test_triangle_thm_evaluates_each_window_once(monkeypatch):
-    # n = 7 spans 32 windows whose Delta is needed before any of them is
-    # checked: each window's maxima are kept from the Delta pass, so the
-    # n <= 6 window and the 32 blocks are each evaluated once.
+def counted_maxima(monkeypatch):
+    """The parts of every window ``triangle_maxima`` evaluates, in order."""
     seen = []
     maxima = bitslice.triangle_maxima
 
@@ -678,9 +676,35 @@ def test_triangle_thm_evaluates_each_window_once(monkeypatch):
         return maxima(w, h, t)
 
     monkeypatch.setattr(bitslice, "triangle_maxima", counted)
-    got = suites.run_triangle_theorem(n_max=7, t=2)
-    assert len(seen) == len(set(seen)) == 33
-    assert (got.checked, got.violation_count) == (477429, 0)
+    return seen
+
+
+def test_triangle_thm_evaluates_one_window_once(monkeypatch):
+    # Every size up to 6 lies in one window, whose maxima give its Delta.
+    seen = counted_maxima(monkeypatch)
+    suites.run_triangle_theorem(n_max=6, t=2)
+    assert len(seen) == 1
+
+
+def test_triangle_thm_spread_size_takes_delta_max(monkeypatch):
+    # n = 7 spans 32 windows and needs its Delta before any of them is
+    # checked: delta_max walks the 32 blocks, then the check pass walks the
+    # n <= 6 window and the 32 blocks again.
+    seen = counted_maxima(monkeypatch)
+    suites.run_triangle_theorem(n_max=7, t=2)
+    assert (len(seen), len(set(seen))) == (65, 33)
+
+
+@pytest.mark.parametrize(
+    "h, t, checked, delta7",
+    [(complete(3), 2, 477429, 0), (complete(4), 2, 20305, 6),
+     (complete(4), 3, 0, 10), (cycle(5), 2, 8083, 8)],
+    ids=["K3 t=2", "K4 t=2", "K4 t=3", "C5 t=2"],
+)
+def test_triangle_thm_n7_pinned(h, t, checked, delta7):
+    got = suites.run_triangle_theorem(n_max=7, t=t, h=h)
+    assert (got.checked, got.violation_count, got.details["delta"][7]) == (checked, 0, delta7)
+    assert got.details["delta"] == {n: delta_max(n, h, t) for n in range(2, 8)}
 
 
 @pytest.mark.parametrize("t, n_max", [(2, 5), (3, 7)])

@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 from click.testing import CliRunner
@@ -89,6 +90,24 @@ class TestDetectCommand:
             rep.pop("runtime_ms")
             reports.append(json.dumps(rep, sort_keys=True))
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("n", [2896, 2897])
+    def test_echo_is_edge_text_past_the_pair_cap(self, runner, tmp_path, n):
+        # graph6 takes a bit per vertex pair, so past MAX_VERTEX_PAIRS the
+        # report echoes the host as edge text, which loads back.
+        from k2tlab.graphs import MAX_VERTEX_PAIRS, build
+
+        p = tmp_path / "sparse.txt"
+        p.write_text(f"{n}\n0 1\n2 3\n")
+        result = runner.invoke(main, ["detect", "--graph", str(p)])
+        assert result.exit_code == 0
+        echo = report_of(result)["inputs"]["graph"]
+        if comb(n, 2) <= MAX_VERTEX_PAIRS:
+            assert echo == graph6_encode(build(n, [(0, 1), (2, 3)]))
+        else:
+            assert echo == f"{n}\n0 1\n2 3"
+        (tmp_path / "echo.txt").write_text(echo)
+        assert load_graph(str(tmp_path / "echo.txt")) == load_graph(str(p))
 
 
 class TestBoundsCommand:

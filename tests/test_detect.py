@@ -459,6 +459,22 @@ class TestMaskKernels:
             counts.append(calls)
         assert counts == [2, 2, 2]
 
+    @pytest.mark.parametrize("g", sparse_hosts() + [
+        pytest.param(random_gnp(24, p, 5), id=f"G(24,{p})") for p in (0.05, 0.5, 0.9)
+    ] + [pytest.param(empty(9), id="empty(9)"), pytest.param(polarity_graph(13), id="ER_13")])
+    def test_later_partners_match_common_neighbour_counts(self, g):
+        # Need k keeps the later non-neighbours with k or more common
+        # neighbours. The cut is made only where u has more partners than
+        # neighbours; elsewhere every later non-neighbour stays.
+        for u in range(g.n):
+            later = {w for w in range(u + 1, g.n) if not g.has_edge(u, w)}
+            for need in (0, 1, 2):
+                got = set(bits(detect.later_partners(g.adj, g.full_mask, u, need)))
+                want = {w for w in later if (g.adj[u] & g.adj[w]).bit_count() >= need}
+                assert want <= got <= later
+                if len(later) > g.adj[u].bit_count():
+                    assert got == want
+
     @pytest.mark.parametrize("g", sparse_hosts())
     def test_sparse_mid_size_hosts(self, g):
         # The two-common-neighbour prefilter drops most pairs here; the

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import time
 from math import comb
 
 import pytest
@@ -366,7 +367,51 @@ def averaging_hosts():
     return cases
 
 
+def sparse_hosts():
+    """Seeded sparse hosts with isolated vertices, whose first pairs share
+    no neighbour: the pair scan cuts the partners of a vertex to those
+    with at least one common neighbour while the best pair has none, and
+    an isolated vertex keeps no partner. Chosen edge sets (best |S| = 0,
+    1 from a late path, 2 from a late C4) and random edges among the upper
+    vertices."""
+    cases = [
+        pytest.param(empty(40), id="empty(40)"),
+        pytest.param(build(60, [(0, 1), (2, 3)]), id="two edges"),
+        pytest.param(build(60, [(0, 1), (2, 3), (5, 9), (9, 12)]), id="path 5-9-12"),
+        pytest.param(build(90, [(40, 41), (41, 42), (70, 88), (88, 89)]), id="two late paths"),
+        pytest.param(build(50, [(20, 21), (30, 31), (31, 32), (32, 33), (33, 30)]), id="late C4"),
+    ]
+    rng = random.Random(32)
+    for k in range(12):
+        n = rng.randint(5, 90)
+        low = rng.randrange(n)
+        edges = [tuple(rng.sample(range(low, n), 2)) for _ in range(rng.randint(0, n // 4))
+                 if n - low >= 2]
+        cases.append(pytest.param(build(n, edges), id=f"sparse({n}) above {low} #{k}"))
+    return cases
+
+
 class TestPigeonholeEdge:
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "loop"])
+    @pytest.mark.parametrize("g", sparse_hosts())
+    def test_sparse_hosts_match_brute_force(self, g, stacked, monkeypatch):
+        force_stacked(monkeypatch, stacked)
+        assert pigeonhole_edge(g, ledger(g, 2)) == brute_force_pigeonhole(g)
+
+    def test_large_sparse_host_is_not_scanned_pair_by_pair(self):
+        # Every pair of the first vertex has |S| = 0, so only a pair with a
+        # common neighbour can win; a scan of all C(n, 2) pairs took 4.5 s
+        # at n = 4,000 and grows with n^2.
+        for edges, edge, s in (([(0, 1), (2, 3)], (0, 2), set()),
+                               ([(0, 1), (2, 3), (5, 9), (9, 12)], (5, 12), {9})):
+            g = build(20000, edges)
+            started = time.monotonic()
+            trace = extract(g, complete(4), 2)
+            assert time.monotonic() - started < 5
+            assert (trace.outcome, trace.selected_edge, trace.s_vertices) == (
+                OUTCOME_HYPOTHESIS_NOT_MET, edge, s)
+            assert verify_trace(g, trace, complete(4), 2)
+
     @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "loop"])
     @pytest.mark.parametrize("g", averaging_hosts())
     def test_both_paths_match_brute_force(self, g, stacked, monkeypatch):
