@@ -69,9 +69,9 @@ def load_graph(path: str, fmt: str = "auto") -> Graph:
         raise GraphError(f"{path}: empty graph file")
     if fmt == "auto":
         first = stripped.splitlines()[0].strip()
-        fmt = "edges" if (" " in first or "\n" in stripped) and not first.startswith(
-            ">>graph6<<"
-        ) else "graph6"
+        # graph6 bytes are 63..126: a first line of digits is a vertex count.
+        edges = " " in first or "\n" in stripped or first.isdigit()
+        fmt = "edges" if edges and not first.startswith(">>graph6<<") else "graph6"
     if fmt == "graph6":
         return graph6_decode(stripped.splitlines()[0])
     if fmt == "edges":

@@ -8,6 +8,7 @@ pure function.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -41,17 +42,16 @@ class Graph:
     irreflexivity; internal builders whose rows hold both by construction
     skip the check through ``Graph._trusted``."""
 
-    __slots__ = ("n", "adj", "_edge_count", "_hash")
+    __slots__ = ("n", "adj", "_edge_count")
 
     def __init__(self, n: int, adj: Sequence[int]):
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         if len(adj) != n:
             raise GraphError(f"adjacency has {len(adj)} rows for {n} vertices")
-        full = (1 << n) - 1
         count = 0
         for v, row in enumerate(adj):
-            if row & ~full:
+            if row >> n:
                 raise GraphError(f"adjacency row {v} mentions vertices >= {n}")
             if (row >> v) & 1:
                 raise GraphError(f"loop at vertex {v}")
@@ -81,11 +81,9 @@ class Graph:
         return g
 
     def _fill(self, n: int, adj: Sequence[int], edge_count: int) -> None:
-        adj = tuple(adj)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "_edge_count", edge_count)
-        object.__setattr__(self, "_hash", hash((n,) + adj))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -96,7 +94,7 @@ class Graph:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.n,) + self.adj)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -162,8 +160,10 @@ class InducedSubgraph:
 def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate pairs collapse.
 
-    Raises GraphError for out-of-range endpoints or loops.
+    Raises GraphError for a negative n, out-of-range endpoints or loops.
     """
+    if n < 0:
+        raise GraphError(f"vertex count must be non-negative, got {n}")
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -172,7 +172,7 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise GraphError(f"loop edge at vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, adj)
+    return Graph._trusted(n, adj, sum(map(int.bit_count, adj)) // 2)
 
 
 def density(g: Graph) -> DensityStats:
@@ -220,34 +220,35 @@ def missing_edges(g: Graph) -> list[tuple[int, int]]:
 # graph6 codec (McKay's format: 6-bit groups of the upper triangle,
 # column-major, padded with zero bits, each group offset by 63). Both
 # directions go through one '0'/'1' string per graph, in which column c of
-# the upper triangle is the low c bits of row c, lowest row first.
+# the upper triangle is the low c bits of row c, lowest row first, and group
+# its bits through the stdlib base64 codec: graph6's groups are base64's
+# under another alphabet, which ``bytes.translate`` swaps.
 # ---------------------------------------------------------------------------
 
-_GROUP_BITS = [format(o - 63, "06b") if 63 <= o <= 126 else None for o in range(256)]
-_BITS_GROUP = {bits: chr(o) for o, bits in enumerate(_GROUP_BITS) if bits}
+_GRAPH6_BYTES = bytes(range(63, 127))
+_BASE64_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_BASE64 = bytes.maketrans(_GRAPH6_BYTES, _BASE64_BYTES)
+_FROM_BASE64 = bytes.maketrans(_BASE64_BYTES, _GRAPH6_BYTES)
 
 
 def _group_bits(text: str) -> str:
     """The 6-bit groups of graph6 characters as one '0'/'1' string."""
-    try:
-        return "".join(map(_GROUP_BITS.__getitem__, text.encode("latin-1")))
-    except (UnicodeEncodeError, TypeError):
+    if not text.isascii() or text.encode().translate(None, _GRAPH6_BYTES):
         bad = next(ch for ch in text if not 63 <= ord(ch) <= 126)
-        raise GraphError(f"byte {ord(bad)} outside graph6 range 63..126") from None
+        raise GraphError(f"byte {ord(bad)} outside graph6 range 63..126")
+    # b64decode takes whole 4-character blocks; the filler's bits are cut off.
+    block = text.encode().translate(_TO_BASE64) + b"A" * (-len(text) % 4)
+    value = int.from_bytes(base64.b64decode(block), "big")
+    return format(value, f"0{6 * len(block)}b")[: 6 * len(text)]
 
 
 def _encode_n(n: int) -> str:
     if n <= 62:
         return chr(n + 63)
-    if n <= 258047:
-        return chr(126) + "".join(
-            chr(((n >> s) & 63) + 63) for s in (12, 6, 0)
-        )
-    if n <= 68719476735:
-        return chr(126) + chr(126) + "".join(
-            chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0)
-        )
-    raise GraphError(f"n={n} exceeds the graph6 limit of 2^36 - 1")
+    if n > 68719476735:
+        raise GraphError(f"n={n} exceeds the graph6 limit of 2^36 - 1")
+    prefix, top = ("~", 12) if n <= 258047 else ("~~", 30)
+    return prefix + "".join(chr(((n >> s) & 63) + 63) for s in range(top, -1, -6))
 
 
 def _decode_n(text: str) -> tuple[int, int]:
@@ -257,13 +258,10 @@ def _decode_n(text: str) -> tuple[int, int]:
     head = _group_bits(text[:8])
     if head[:6] != "111111":
         return int(head[:6], 2), 1
-    if head[6:12] == "111111":
-        if len(text) < 8:
-            raise GraphError("truncated graph6 vertex count")
-        return int(head[12:48], 2), 8
-    if len(text) < 4:
+    skip, used = (12, 8) if head[6:12] == "111111" else (6, 4)
+    if len(text) < used:
         raise GraphError("truncated graph6 vertex count")
-    return int(head[6:24], 2), 4
+    return int(head[skip : 6 * used], 2), used
 
 
 def graph6_encode(g: Graph) -> str:
@@ -271,17 +269,16 @@ def graph6_encode(g: Graph) -> str:
     stream = "".join(
         format(g.adj[c] & ((1 << c) - 1), f"0{c}b")[::-1] for c in range(1, g.n)
     )
-    stream += "0" * (-len(stream) % 6)
-    return _encode_n(g.n) + "".join(
-        [_BITS_GROUP[stream[i : i + 6]] for i in range(0, len(stream), 6)]
-    )
+    # Zero bits fill the last 24-bit block: three bytes, four groups.
+    stream += "0" * (-len(stream) % 24)
+    raw = int(stream or "0", 2).to_bytes(len(stream) // 8, "big")
+    body = base64.b64encode(raw).translate(_FROM_BASE64)
+    return _encode_n(g.n) + body[: -(-comb(g.n, 2) // 6)].decode()
 
 
 def graph6_decode(text: str) -> Graph:
     """Decode a graph6 string (optional '>>graph6<<' header allowed)."""
-    s = text.strip()
-    if s.startswith(GRAPH6_HEADER):
-        s = s[len(GRAPH6_HEADER) :].strip()
+    s = text.strip().removeprefix(GRAPH6_HEADER).strip()
     n, used = _decode_n(s)
     body = s[used:]
     stream = _group_bits(body)

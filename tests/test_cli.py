@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from k2tlab import ramsey
 from k2tlab.cli import load_graph, main
-from k2tlab.constructions import complete, cycle
+from k2tlab.constructions import complete, cycle, empty
 from k2tlab.graphs import graph6_decode, graph6_encode
 
 
@@ -45,6 +45,12 @@ class TestLoadGraph:
         )
         assert result.exit_code == 2
         assert "cap" in result.output
+
+    def test_vertex_count_alone_is_edge_text(self, tmp_path):
+        # Digits (48..57) are never graph6 bytes (63..126).
+        p = tmp_path / "five.txt"
+        p.write_text("5\n")
+        assert load_graph(str(p)) == empty(5)
 
     def test_explicit_format(self, tmp_path):
         p = write_graph6(tmp_path, "k3.g6", complete(3))
@@ -192,6 +198,21 @@ class TestWitnessCommand:
         )
         assert result.exit_code == 1
         assert report_of(result)["results"]["outcome"] == "induced-k2t-found"
+
+    def test_edgeless_edge_text_host(self, runner, tmp_path):
+        five = tmp_path / "five.txt"
+        five.write_text("5\n")
+        k4 = write_graph6(tmp_path, "k4.g6", complete(4))
+        result = runner.invoke(
+            main, ["witness", "--graph", str(five), "--h", k4, "--t", "2"]
+        )
+        assert result.exit_code == 0, result.output
+        r = report_of(result)["results"]
+        assert (r["outcome"], r["verified"], r["selected_edge"]) == (
+            "hypothesis-not-met",
+            True,
+            [0, 1],
+        )
 
     def test_complete_host_is_boundary_degenerate(self, runner, tmp_path):
         k6 = write_graph6(tmp_path, "k6.g6", complete(6))

@@ -5,6 +5,7 @@ import sys
 from math import comb
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,6 +151,21 @@ class TestMaxClique:
             assert all(
                 g.has_edge(u, v) for u, v in itertools.combinations(clique, 2)
             )
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+    def test_lex_least_of_networkx_maximum_cliques(self, p):
+        # Above n = 6: the clique is the lexicographically least of the
+        # maximum cliques networkx lists, and its size is networkx's omega.
+        for n in (7, 10, 16, 25, 40):
+            for seed in (1, 2, 3):
+                g = random_gnp(n, p, seed)
+                nxg = nx.Graph()
+                nxg.add_nodes_from(range(n))
+                nxg.add_edges_from(g.edges())
+                cliques = [sorted(c) for c in nx.find_cliques(nxg)]
+                omega = max(map(len, cliques))
+                least = min(c for c in cliques if len(c) == omega)
+                assert sorted(max_clique(g)) == least, (n, p, seed)
 
     @given(graph_masks(max_n=7, min_n=1))
     @settings(max_examples=150)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -24,6 +25,32 @@ from k2tlab.graphs import (
     missing_edges,
     parse_edge_text,
 )
+
+
+def reference_graph6_encode(g):
+    """The graph6 encoder from before the codec went through base64: one
+    character per vertex pair, looked up six at a time."""
+    stream = "".join(
+        format(g.adj[c] & ((1 << c) - 1), f"0{c}b")[::-1] for c in range(1, g.n)
+    )
+    stream += "0" * (-len(stream) % 6)
+    group = {format(o, "06b"): chr(o + 63) for o in range(64)}
+    if g.n <= 62:
+        head = chr(g.n + 63)
+    elif g.n <= 258047:
+        head = chr(126) + "".join(chr(((g.n >> s) & 63) + 63) for s in (12, 6, 0))
+    else:
+        head = chr(126) * 2 + "".join(
+            chr(((g.n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0)
+        )
+    return head + "".join(group[stream[i : i + 6]] for i in range(0, len(stream), 6))
+
+
+def sparse_host(n, seed):
+    """About n / 2 random edges on n vertices, most vertices isolated."""
+    rng = random.Random(seed)
+    pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 2)}
+    return build(n, pairs)
 
 
 @st.composite
@@ -103,6 +130,49 @@ class TestBuild:
         g = complete(2896)
         assert time.perf_counter() - started < 1.0
         assert g.edge_count == comb(2896, 2)
+
+    def test_rejects_negative_vertex_count(self, monkeypatch):
+        # Without the re-check of trusted rows, which would raise the same
+        # error from the public constructor.
+        monkeypatch.undo()
+        with pytest.raises(GraphError, match="vertex count must be non-negative, got -1"):
+            build(-1, [])
+
+    def test_rejects_row_past_the_last_vertex(self):
+        n = MAX_EDGE_TEXT_VERTICES
+        rows = [0] * n
+        rows[7] = 1 << n
+        with pytest.raises(GraphError, match=f"row 7 mentions vertices >= {n}"):
+            Graph(n, rows)
+        rows[7] = -1 << 8
+        with pytest.raises(GraphError, match=f"row 7 mentions vertices >= {n}"):
+            Graph(n, rows)
+        rows[7] = 0
+        assert Graph(n, rows).edge_count == 0
+
+    def test_edge_text_cap_builds_in_a_twentieth_of_a_second(self):
+        started = time.perf_counter()
+        g = build(MAX_EDGE_TEXT_VERTICES, [(0, 1), (2, 3), (5, 9), (9, 12)])
+        assert time.perf_counter() - started < 0.05
+        assert g.edge_count == 4 and g.adj[9] == (1 << 5) | (1 << 12)
+
+    def test_equal_graphs_hash_alike_from_every_entry(self):
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]
+        made = [
+            build(7, edges),
+            parse_edge_text("7\n" + "".join(f"{v} {u}\n" for u, v in edges)),
+            graph6_decode(graph6_encode(build(7, edges))),
+            Graph(7, list(build(7, edges).adj)),
+        ]
+        assert len({hash(g) for g in made}) == 1
+
+        @functools.lru_cache(maxsize=None)
+        def edge_count(g):
+            return g.edge_count
+
+        assert [edge_count(g) for g in made] == [5] * 4
+        info = edge_count.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
 
     def test_immutable(self):
         g = build(2, [(0, 1)])
@@ -276,6 +346,17 @@ class TestGraph6:
         g = graph6_decode(text)
         assert time.perf_counter() - started < 1.0
         assert g == complete(2896) and g.edge_count == comb(2896, 2)
+
+    @pytest.mark.parametrize(
+        "host",
+        [lambda: complete(2896), lambda: sparse_host(2896, 1), lambda: sparse_host(8192, 2)],
+        ids=["complete-2896", "sparse-2896", "sparse-8192"],
+    )
+    def test_bytes_match_the_reference_encoder_at_scale(self, host):
+        g = host()
+        text = graph6_encode(g)
+        assert text == reference_graph6_encode(g)
+        assert graph6_decode(text) == g
 
     @pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 258, 259, 1000])
     def test_roundtrip_against_build(self, n):
