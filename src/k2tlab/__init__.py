@@ -70,9 +70,9 @@ from .witness import (
     OUTCOME_H_EMBEDDED,
     OUTCOME_HYPOTHESIS_NOT_MET,
     OUTCOME_INDUCED_K2T,
+    Ledger,
     Packing,
     ProofTrace,
-    VertexLedger,
     extract,
     greedy_packing,
     ledger,

@@ -349,12 +349,14 @@ def _proof_shard(args: tuple) -> dict:
     out = SuiteResult(suite="proof-ineq", params={})
 
     def visit(g: Graph, t: int):
-        for row in ledger(g, t):
-            if row.m_v < row.q_of_gamma:
+        columns = ledger(g, t)
+        for v, (m_v, gamma) in enumerate(zip(columns.missing, columns.gammas)):
+            q = forced_missing_edges(gamma, t)
+            if m_v < q:
                 out.add_violation(
-                    f"packing-debt n={g.n} t={t} v={row.v}",
-                    f"m_v={row.m_v} gamma={row.gamma_v}",
-                    f"m_v>=q(gamma)={row.q_of_gamma}",
+                    f"packing-debt n={g.n} t={t} v={v}",
+                    f"m_v={m_v} gamma={gamma}",
+                    f"m_v>=q(gamma)={q}",
                     graph6=graph6_encode(g),
                 )
 

@@ -2,7 +2,7 @@
 
 For a host graph G and target subgraph H, the engine computes per-vertex
 packings of disjoint independent t-sets inside each neighbourhood, the
-missing-edge ledgers they force, the averaging (pigeonhole) choice of a
+missing-edge ledger they force, the averaging (pigeonhole) choice of a
 missing edge with a large common neighbourhood S, and finally either
 
   * an embedding of H (a member of {H - x} inside S, extended by an
@@ -14,7 +14,8 @@ missing edge with a large common neighbourhood S, and finally either
 
 Every certificate can be re-validated from scratch with verify_trace.
 
-``ledger`` builds all per-vertex entries in one pass. m_v is
+``ledger`` builds the whole ledger in one pass, as a ``Ledger`` of three
+int columns indexed by vertex: the degrees, m_v and gamma_v. m_v is
 C(d_v, 2) - e(N(v)). Under one cost rule, ``_stacked_pays`` (all but
 the sparsest hosts up to about a hundred vertices, and dense ones up to
 n = 336), e(N(v)) comes from the
@@ -36,8 +37,8 @@ apart with a guard bit each, and n steps of a few big-int operations take
 every lane's next part at once. On ER_11 and ER_13, where the rule fails,
 the lanes would cost several times the loops. Both ways give exactly what
 ``missing_pairs`` and ``greedy_packing`` give vertex by vertex; those stay
-as the plain per-vertex oracles. The entries are slotted and built by a
-trusted constructor.
+as the plain per-vertex oracles. q(gamma_v) is not stored: callers take
+it from ``forced_missing_edges``.
 
 ``pigeonhole_edge`` takes, under the same rule, the sum of the same cells:
 cell (u, w) of it is |N(u) & N(w)|, added up by ``bitslice.count_digits``
@@ -48,11 +49,12 @@ with one is known, as they can no longer win: a large sparse host whose
 first pairs share no neighbour is not scanned pair by pair. ``extract``
 builds the cells once for both.
 
-``verify_trace`` compares the ledger column by column with a direct
-recount of every m_v as the non-adjacent pairs of N(v): under the same
-rule from the stacked complement (every cell, less the stack and the
-diagonal), otherwise with ``missing_pairs``, so its count never goes
-through C(d_v, 2) - e(N(v)).
+``verify_trace`` requires each column to hold exactly n entries and
+compares them with independent recounts: the degrees of G, every m_v as
+the non-adjacent pairs of N(v) (under the same rule from the stacked
+complement, every cell less the stack and the diagonal, otherwise with
+``missing_pairs``, so the count never goes through C(d_v, 2) - e(N(v))),
+and 0 <= gamma_v with gamma_v t <= d_v.
 
 ``extract`` builds one trace. A complete host returns early as
 boundary-degenerate; otherwise one if/elif chain picks the outcome and
@@ -74,7 +76,7 @@ one, so the threshold is that of the whole family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
@@ -108,30 +110,15 @@ class Packing:
 
 
 @dataclass(frozen=True, slots=True)
-class VertexLedger:
-    v: int
-    degree: int
-    m_v: int
-    gamma_v: int
-    q_of_gamma: int
+class Ledger:
+    """The missing-edge ledger of a host, one column per quantity, each
+    indexed by vertex: the degrees d_v, the missing edges m_v inside N(v)
+    and the greedy packing sizes gamma_v. The forced count q(gamma_v) is
+    ``forced_missing_edges(gamma_v, t)``, not stored."""
 
-
-_SET_V, _SET_DEGREE, _SET_M, _SET_GAMMA, _SET_Q = (
-    getattr(VertexLedger, f.name).__set__ for f in fields(VertexLedger)
-)
-
-
-def _trusted_entry(v: int, degree: int, m_v: int, gamma_v: int, q_of_gamma: int) -> VertexLedger:
-    """A ledger entry with its slots set directly, as ``Graph._trusted``
-    does, past the frozen ``__init__``: only for ``ledger``, whose values
-    are right by construction."""
-    entry = object.__new__(VertexLedger)
-    _SET_V(entry, v)
-    _SET_DEGREE(entry, degree)
-    _SET_M(entry, m_v)
-    _SET_GAMMA(entry, gamma_v)
-    _SET_Q(entry, q_of_gamma)
-    return entry
+    degrees: tuple[int, ...]
+    missing: tuple[int, ...]
+    gammas: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -150,7 +137,7 @@ class SlackInfo:
 @dataclass(frozen=True)
 class ProofTrace:
     t: int
-    ledgers: tuple[VertexLedger, ...]
+    ledger: Ledger
     selected_edge: Optional[tuple[int, int]]
     s_vertices: Optional[frozenset[int]]
     outcome: str
@@ -307,10 +294,11 @@ def _missing_inside(g: Graph) -> list[int]:
     return [(non_edges & c).bit_count() // 2 for c in cells]
 
 
-def ledger(g: Graph, t: int) -> list[VertexLedger]:
-    """Per-vertex degree, missing-edge count inside the neighbourhood,
-    greedy packing size, and its q lower bound; the same entries as
-    ``greedy_packing`` and ``missing_pairs`` give vertex by vertex.
+def ledger(g: Graph, t: int) -> Ledger:
+    """The ``Ledger`` of g: the degree, the missing edges inside the
+    neighbourhood and the greedy packing size of every vertex, in three
+    columns; the same values as ``greedy_packing`` and ``missing_pairs``
+    give vertex by vertex.
 
     m_v is C(d_v, 2) - e(N(v)), with e(N(v)) from ``_edges_inside``: the
     stacked adjacency on dense hosts, one sweep over the edges on sparse or
@@ -333,7 +321,7 @@ def ledger(g: Graph, t: int) -> list[VertexLedger]:
     return _ledger(g, t, _stacked(g))
 
 
-def _ledger(g: Graph, t: int, stacked: _Stacked) -> list[VertexLedger]:
+def _ledger(g: Graph, t: int, stacked: _Stacked) -> Ledger:
     """``ledger`` with the ``_stacked`` cells given."""
     if t < 2:
         raise GraphError(f"need t >= 2, got t={t}")
@@ -360,20 +348,9 @@ def _ledger(g: Graph, t: int, stacked: _Stacked) -> list[VertexLedger]:
                     gamma += 1
                     rest ^= part
             gammas.append(gamma)
-    out = []
-    for v, row in enumerate(adj):
-        degree = row.bit_count()
-        gamma = gammas[v]
-        out.append(
-            _trusted_entry(
-                v,
-                degree,
-                degree * (degree - 1) // 2 - inside[v],
-                gamma,
-                forced_missing_edges(gamma, t),
-            )
-        )
-    return out
+    degrees = tuple(map(int.bit_count, adj))
+    missing = tuple(d * (d - 1) // 2 - e for d, e in zip(degrees, inside))
+    return Ledger(degrees, missing, tuple(gammas))
 
 
 def _lane_gammas(g: Graph) -> list[int]:
@@ -405,11 +382,12 @@ def _lane_gammas(g: Graph) -> list[int]:
 
 
 def pigeonhole_edge(
-    g: Graph, ledgers: list[VertexLedger]
+    g: Graph, ledger: Ledger
 ) -> tuple[tuple[int, int], frozenset[int]]:
     """The missing edge whose common neighbourhood S is largest (ties:
     lexicographically least edge). Averaging guarantees
-    |S| * |M| >= sum m_v, which is checked exactly; |M| = C(n, 2) - e(G).
+    |S| * |M| >= sum m_v, which is checked exactly against the sum of
+    ``ledger.missing``; |M| = C(n, 2) - e(G).
 
     Where ``_stacked_pays``, cell (u, w) of the sum of the neighbourhood
     cells of every vertex holds |N(u) & N(w)|: ``bitslice.count_digits``
@@ -423,12 +401,12 @@ def pigeonhole_edge(
     it has one. A host whose first pairs share no neighbour then skips
     every partner outside the rows of u's neighbours, and an isolated u
     costs one mask."""
-    edge, common = _averaging_edge(g, ledgers, _stacked(g))
+    edge, common = _averaging_edge(g, ledger, _stacked(g))
     return edge, frozenset(bits(common))
 
 
 def _averaging_edge(
-    g: Graph, ledgers: Sequence[VertexLedger], stacked: _Stacked
+    g: Graph, ledger: Ledger, stacked: _Stacked
 ) -> tuple[tuple[int, int], int]:
     """``pigeonhole_edge`` with the ``_stacked`` cells given, S as a mask."""
     adj = g.adj
@@ -459,7 +437,7 @@ def _averaging_edge(
         )
     missing_total = n * (n - 1) // 2 - g.edge_count
     detect.require(
-        best_size * missing_total >= sum(entry.m_v for entry in ledgers),
+        best_size * missing_total >= sum(ledger.missing),
         "averaging: |S| * |M| < sum m_v",
     )
     u, w = best_edge
@@ -501,11 +479,11 @@ def extract(g: Graph, h: Graph, t: int) -> ProofTrace:
             f"h must have 2..{detect.MAX_PATTERN_VERTICES} vertices, got {h.n}"
         )
     stacked = _stacked(g)
-    ledgers = tuple(_ledger(g, t, stacked))
+    ledger = _ledger(g, t, stacked)
     try:
-        edge, s = _averaging_edge(g, ledgers, stacked)
+        edge, s = _averaging_edge(g, ledger, stacked)
     except BoundaryDegenerateError:
-        return ProofTrace(t, ledgers, None, None, OUTCOME_BOUNDARY_DEGENERATE, None, None)
+        return ProofTrace(t, ledger, None, None, OUTCOME_BOUNDARY_DEGENERATE, None, None)
     a, b = edge
     side = detect._lex_set(g.adj, s, t, -1)
     threshold = kind = None
@@ -521,7 +499,7 @@ def extract(g: Graph, h: Graph, t: int) -> ProofTrace:
     beta_sq_n = beta(density(g).alpha, t).beta ** 2 * g.n
     s_vertices = frozenset(bits(s))
     slack = SlackInfo(len(s_vertices), beta_sq_n, threshold, kind)
-    return ProofTrace(t, ledgers, edge, s_vertices, outcome, cert, slack)
+    return ProofTrace(t, ledger, edge, s_vertices, outcome, cert, slack)
 
 
 def _lift_member(g: Graph, s: int, h: Graph, a: int) -> Optional[Embedding]:
@@ -543,24 +521,23 @@ def _lift_member(g: Graph, s: int, h: Graph, a: int) -> Optional[Embedding]:
 
 def verify_trace(g: Graph, trace: ProofTrace, h: Graph, t: int) -> bool:
     """Re-validate a trace from scratch against g using only detector
-    primitives and direct recounts. True iff everything checks out. The
-    ledger is compared column by column with the degrees, the direct
-    recount of m_v (``_missing_inside``) and q(gamma_v). The slack must be
-    the one ``extract`` reports: |S| and beta^2 n recomputed from g, with
+    primitives and direct recounts. True iff everything checks out. Each
+    ledger column must have exactly g.n entries: the degrees must be those
+    of g, the missing edges the direct recount of every m_v
+    (``_missing_inside``), and every gamma_v must satisfy
+    0 <= gamma_v with gamma_v t <= d_v, as gamma_v disjoint independent
+    t-sets must fit in the neighbourhood. The slack must be the one
+    ``extract`` reports: |S| and beta^2 n recomputed from g, with
     R(K_t, {H - x}) and its kind on hypothesis-not-met only, and no slack
     at all on boundary-degenerate."""
-    entries = trace.ledgers
-    if trace.t != t or [entry.v for entry in entries] != list(range(g.n)):
-        return False
-    degrees = [row.bit_count() for row in g.adj]
-    gammas = [entry.gamma_v for entry in entries]
+    ledger = trace.ledger
+    degrees = tuple(map(int.bit_count, g.adj))
     if (
-        [entry.degree for entry in entries] != degrees
-        or [entry.m_v for entry in entries] != _missing_inside(g)
-        or [entry.q_of_gamma for entry in entries]
-        != [forced_missing_edges(gamma, t) for gamma in gammas]
-        # gamma_v disjoint independent t-sets must fit in the neighbourhood.
-        or any(gamma < 0 or gamma * t > degree for gamma, degree in zip(gammas, degrees))
+        trace.t != t
+        or ledger.degrees != degrees
+        or ledger.missing != tuple(_missing_inside(g))
+        or len(ledger.gammas) != g.n
+        or any(gamma < 0 or gamma * t > d for gamma, d in zip(ledger.gammas, degrees))
     ):
         return False
 

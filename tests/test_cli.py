@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from k2tlab import ramsey
 from k2tlab.cli import load_graph, main
 from k2tlab.constructions import complete, cycle, empty
-from k2tlab.graphs import graph6_decode, graph6_encode
+from k2tlab.graphs import build, graph6_decode, graph6_encode
 
 
 @pytest.fixture
@@ -51,6 +51,27 @@ class TestLoadGraph:
         p = tmp_path / "five.txt"
         p.write_text("5\n")
         assert load_graph(str(p)) == empty(5)
+
+    @pytest.mark.parametrize("sep", [" ", "\t"], ids=["space", "tab"])
+    def test_one_edge_line_with_any_whitespace(self, runner, tmp_path, sep):
+        # parse_edge_text splits a line on any whitespace, and graph6 bytes
+        # (63..126) hold none, so a one-line file with a tab is edge text.
+        p = tmp_path / "edge.txt"
+        p.write_text(f"0{sep}2\n")
+        assert load_graph(str(p)) == build(3, [(0, 2)])
+        result = runner.invoke(main, ["detect", "--graph", str(p), "--t", "2"])
+        assert result.exit_code == 0, result.output
+        rep = report_of(result)
+        assert (rep["inputs"]["graph"], rep["results"]["found"]) == ("BO", False)
+        k3 = write_graph6(tmp_path, "k3.g6", complete(3))
+        result = runner.invoke(main, ["witness", "--graph", str(p), "--h", k3, "--t", "2"])
+        assert result.exit_code == 0, result.output
+        r = report_of(result)["results"]
+        assert (r["outcome"], r["verified"], r["selected_edge"]) == (
+            "hypothesis-not-met",
+            True,
+            [0, 1],
+        )
 
     def test_explicit_format(self, tmp_path):
         p = write_graph6(tmp_path, "k3.g6", complete(3))

@@ -33,7 +33,7 @@ from k2tlab.witness import (
     OUTCOME_HYPOTHESIS_NOT_MET,
     OUTCOME_INDUCED_K2T,
     BoundaryDegenerateError,
-    VertexLedger,
+    Ledger,
     extract,
     forced_missing_edges,
     greedy_packing,
@@ -159,48 +159,66 @@ class TestGreedyPacking:
             assert find_independent_set(sub.graph, t) is None
 
 
+def oracle_ledger(g, t):
+    """The ledger built vertex by vertex from the degree, missing_pairs and
+    greedy_packing."""
+    return Ledger(
+        degrees=tuple(g.degree(v) for v in range(g.n)),
+        missing=tuple(missing_pairs(g.adj, row) for row in g.adj),
+        gammas=tuple(greedy_packing(g, v, t).gamma for v in range(g.n)),
+    )
+
+
 def assert_matches_oracles(g, t):
-    """Every ledger entry equals the one built from degree, missing_pairs
+    """Every ledger column equals the one built from degree, missing_pairs
     and greedy_packing; returns the gamma_v."""
-    entries = ledger(g, t)
-    assert [e.v for e in entries] == list(range(g.n))
-    for entry in entries:
-        v = entry.v
-        gamma = greedy_packing(g, v, t).gamma
-        assert entry == VertexLedger(
-            v=v,
-            degree=g.degree(v),
-            m_v=missing_pairs(g.adj, g.adj[v]),
-            gamma_v=gamma,
-            q_of_gamma=forced_missing_edges(gamma, t),
-        )
-    return [e.gamma_v for e in entries]
+    columns = ledger(g, t)
+    assert columns == oracle_ledger(g, t)
+    return list(columns.gammas)
+
+
+def with_column(trace, name, change):
+    """``trace`` with the ledger column ``name`` replaced by
+    ``change(list of its entries)``."""
+    column = change(list(getattr(trace.ledger, name)))
+    return dataclasses.replace(
+        trace, ledger=dataclasses.replace(trace.ledger, **{name: tuple(column)})
+    )
+
+
+def set_entry(v, value):
+    """A column change that sets entry v to ``value``."""
+    def change(column):
+        column[v] = value
+        return column
+    return change
 
 
 class TestLedger:
     def test_k4(self):
-        for entry in ledger(complete(4), 2):
-            assert entry.m_v == 0 and entry.gamma_v == 0 and entry.q_of_gamma == 0
+        columns = ledger(complete(4), 2)
+        assert columns == Ledger((3,) * 4, (0,) * 4, (0,) * 4)
 
     def test_c5(self):
-        for entry in ledger(cycle(5), 2):
-            assert entry.degree == 2
-            assert entry.m_v == 1 and entry.gamma_v == 1 and entry.q_of_gamma == 1
+        columns = ledger(cycle(5), 2)
+        assert columns == Ledger((2,) * 5, (1,) * 5, (1,) * 5)
 
     def test_c4_holds_despite_induced_k22(self):
         # C4 has an induced K_{2,2}, so m_v >= q(gamma_v) is not promised,
         # yet it holds here.
-        for entry in ledger(cycle(4), 2):
-            assert entry.m_v == 1 and entry.gamma_v == 1 and entry.q_of_gamma == 1
+        columns = ledger(cycle(4), 2)
+        assert columns.missing == (1,) * 4 and columns.gammas == (1,) * 4
 
     @given(graph_masks(), st.integers(min_value=2, max_value=3))
     @settings(max_examples=150)
     def test_identity_m_plus_e(self, nm, t):
         n, mask = nm
         g = graph_from_mask(n, mask)
-        for entry in ledger(g, t):
-            sub = induced_subgraph(g, g.neighbours(entry.v))
-            assert entry.m_v + sub.graph.edge_count == comb(entry.degree, 2)
+        columns = ledger(g, t)
+        assert len(columns.degrees) == len(columns.missing) == len(columns.gammas) == n
+        for v, (degree, m_v) in enumerate(zip(columns.degrees, columns.missing)):
+            sub = induced_subgraph(g, g.neighbours(v))
+            assert m_v + sub.graph.edge_count == comb(degree, 2)
 
     @given(graph_masks(), st.integers(min_value=2, max_value=3))
     @settings(max_examples=150)
@@ -209,8 +227,9 @@ class TestLedger:
         g = graph_from_mask(n, mask)
         if find_induced_k2t(g, t) is not None:
             return
-        for entry in ledger(g, t):
-            assert entry.m_v >= entry.q_of_gamma
+        columns = ledger(g, t)
+        for m_v, gamma in zip(columns.missing, columns.gammas):
+            assert m_v >= forced_missing_edges(gamma, t)
 
     @pytest.mark.parametrize("g, t", mid_size_hosts(ts=(2, 3, 4, 5)))
     def test_matches_per_vertex_oracles(self, g, t):
@@ -287,8 +306,9 @@ class TestNeighbourhoodCounts:
 
     @pytest.mark.parametrize("g", neighbourhood_hosts())
     def test_ledger_same_on_both_paths(self, g, monkeypatch):
-        for t in (2, 3):
-            want = ledger(g, t)
+        # Each column equals its per-vertex oracle on both paths.
+        for t in (2, 3, 4):
+            want = oracle_ledger(g, t)
             for stacked in (True, False):
                 force_stacked(monkeypatch, stacked)
                 assert ledger(g, t) == want, (t, stacked)
@@ -309,7 +329,7 @@ class TestLaneGammas:
         calls = []
         lanes = witness._lane_gammas
         monkeypatch.setattr(witness, "_lane_gammas", lambda g: calls.append(g) or lanes(g))
-        assert [entry.gamma_v for entry in ledger(g, 2)] == want
+        assert list(ledger(g, 2).gammas) == want
         assert calls == [g]
 
     @pytest.mark.parametrize("q", [11, 13])
@@ -317,7 +337,7 @@ class TestLaneGammas:
         g = polarity_graph(q)
         assert not witness._stacked_pays(g)
         monkeypatch.setattr(witness, "_lane_gammas", None)
-        assert [entry.gamma_v for entry in ledger(g, 2)] == [
+        assert list(ledger(g, 2).gammas) == [
             greedy_packing(g, v, 2).gamma for v in range(g.n)
         ]
 
@@ -445,12 +465,12 @@ class TestPigeonholeEdge:
     def test_averaging_guarantee(self, nm):
         n, mask = nm
         g = graph_from_mask(n, mask)
-        entries = ledger(g, 2)
+        columns = ledger(g, 2)
         if g.edge_count == comb(n, 2):
             return
-        edge, s = pigeonhole_edge(g, entries)
+        edge, s = pigeonhole_edge(g, columns)
         missing = comb(n, 2) - g.edge_count
-        assert len(s) * missing >= sum(e.m_v for e in entries)
+        assert len(s) * missing >= sum(columns.missing)
         assert not g.has_edge(*edge)
 
     @pytest.mark.parametrize("g, t", mid_size_hosts())
@@ -531,17 +551,17 @@ class TestInPlaceSearch:
             assert verify_trace(g, trace, h, t)
 
 
-class TestLedgerEntries:
-    def test_trusted_entry_is_a_plain_entry(self):
-        entry = witness._trusted_entry(3, 5, 4, 1, 1)
-        plain = VertexLedger(v=3, degree=5, m_v=4, gamma_v=1, q_of_gamma=1)
-        assert entry == plain and hash(entry) == hash(plain) and repr(entry) == repr(plain)
+class TestLedgerColumns:
+    def test_ledger_is_slotted_and_frozen(self):
+        columns = ledger(cycle(5), 2)
+        assert type(columns) is Ledger
+        assert all(type(c) is tuple for c in (columns.degrees, columns.missing, columns.gammas))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            entry.m_v = 0
-        assert not hasattr(entry, "__dict__")
-        assert dataclasses.replace(entry, m_v=0) == VertexLedger(3, 5, 0, 1, 1)
-        assert dataclasses.asdict(entry) == {
-            "v": 3, "degree": 5, "m_v": 4, "gamma_v": 1, "q_of_gamma": 1
+            columns.missing = ()
+        assert not hasattr(columns, "__dict__")
+        assert hash(columns) == hash(Ledger((2,) * 5, (1,) * 5, (1,) * 5))
+        assert dataclasses.asdict(columns) == {
+            "degrees": (2,) * 5, "missing": (1,) * 5, "gammas": (1,) * 5
         }
 
 
@@ -698,10 +718,18 @@ class TestVerifyTrace:
     def test_rejects_tampered_ledger(self):
         g = k5_minus_edge()
         trace = extract(g, complete(4), 2)
-        entries = list(trace.ledgers)
-        entries[0] = dataclasses.replace(entries[0], m_v=entries[0].m_v + 1)
-        bad = dataclasses.replace(trace, ledgers=tuple(entries))
+        bad = with_column(trace, "missing", set_entry(0, trace.ledger.missing[0] + 1))
         assert not verify_trace(g, bad, complete(4), 2)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_rejects_changed_degree(self, delta):
+        g = random_gnp(20, 0.5, 4)
+        h = complete(4)
+        trace = extract(g, h, 2)
+        assert verify_trace(g, trace, h, 2)
+        for v in (0, g.n - 1):
+            bad = with_column(trace, "degrees", set_entry(v, g.degree(v) + delta))
+            assert not verify_trace(g, bad, h, 2), v
 
     @pytest.mark.parametrize(
         "g, t, stacked",
@@ -725,27 +753,21 @@ class TestVerifyTrace:
         assert verify_trace(g, trace, h, t)
         for v in (0, g.n // 2, g.n - 1):
             for delta in (-1, 1):
-                entries = list(trace.ledgers)
-                entries[v] = dataclasses.replace(entries[v], m_v=entries[v].m_v + delta)
-                bad = dataclasses.replace(trace, ledgers=tuple(entries))
+                m_v = trace.ledger.missing[v] + delta
+                bad = with_column(trace, "missing", set_entry(v, m_v))
                 assert not verify_trace(g, bad, h, t), (v, delta)
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_rejects_packing_that_cannot_fit(self, t):
         # gamma_v disjoint independent t-sets need gamma_v * t neighbours; a
-        # ledger entry claiming more, with the q that matches its claim,
-        # must not verify.
+        # ledger claiming more, or a negative gamma_v, must not verify.
         g = polarity_graph(7)
         h = complete(4)
         trace = extract(g, h, t)
         assert verify_trace(g, trace, h, t)
-        entries = list(trace.ledgers)
-        assert entries[0].degree == 8
-        for gamma in (8 // t + 1, 9):
-            entries[0] = dataclasses.replace(
-                entries[0], gamma_v=gamma, q_of_gamma=forced_missing_edges(gamma, t)
-            )
-            bad = dataclasses.replace(trace, ledgers=tuple(entries))
+        assert trace.ledger.degrees[0] == 8
+        for gamma in (8 // t + 1, 9, -1):
+            bad = with_column(trace, "gammas", set_entry(0, gamma))
             assert not verify_trace(g, bad, h, t), gamma
 
     def test_rejects_wrong_outcome_tag(self):
@@ -754,19 +776,19 @@ class TestVerifyTrace:
         bad = dataclasses.replace(trace, outcome=OUTCOME_INDUCED_K2T)
         assert not verify_trace(g, bad, complete(3), 2)
 
+    @pytest.mark.parametrize("name", ["degrees", "missing", "gammas"])
     @pytest.mark.parametrize(
-        "relabel",
-        [lambda v: 0, lambda v: v - 5, lambda v: v + 5],
-        ids=["all v = 0", "v - 5", "v + 5"],
+        "change",
+        [lambda c: c[:-1], lambda c: c + c[-1:]], ids=["one short", "one long"],
     )
-    def test_rejects_forged_ledger_vertices(self, relabel):
-        # C5 is vertex-transitive, so every entry but its v matches any
-        # vertex's row: entry i must name vertex i, and an id out of range
-        # is a rejection, not an IndexError.
+    def test_rejects_column_of_wrong_length(self, name, change):
+        # C5 is vertex-transitive, so every entry of a column matches any
+        # vertex: a column must hold exactly one entry per vertex, and a
+        # short one is a rejection, not an IndexError.
         g = cycle(5)
         trace = extract(g, complete(3), 2)
-        entries = tuple(dataclasses.replace(e, v=relabel(e.v)) for e in trace.ledgers)
-        bad = dataclasses.replace(trace, ledgers=entries)
+        assert verify_trace(g, trace, complete(3), 2)
+        bad = with_column(trace, name, change)
         assert not verify_trace(g, bad, complete(3), 2)
 
     def test_rejects_fake_boundary(self):
