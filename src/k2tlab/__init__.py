@@ -6,7 +6,6 @@ exhaustive verification suites, all with machine-checkable certificates.
 """
 
 from .bounds import (
-    BetaValue,
     BoundReport,
     TuranBound,
     beta,
@@ -42,7 +41,6 @@ from .detect import (
     max_clique,
 )
 from .graphs import (
-    DensityStats,
     Graph,
     GraphError,
     InducedSubgraph,
@@ -71,7 +69,6 @@ from .witness import (
     OUTCOME_HYPOTHESIS_NOT_MET,
     OUTCOME_INDUCED_K2T,
     Ledger,
-    Packing,
     ProofTrace,
     extract,
     greedy_packing,

@@ -27,15 +27,6 @@ class BoundError(ValueError):
 
 
 @dataclass(frozen=True)
-class BetaValue:
-    """beta_t(alpha) with the inputs it was computed from."""
-
-    alpha: float
-    t: int
-    beta: float
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """One evaluated bound formula.
 
@@ -73,27 +64,28 @@ def _check_alpha_t(alpha: Real, t: int) -> float:
     return a
 
 
-def beta(alpha: Real, t: int) -> BetaValue:
+def beta(alpha: Real, t: int) -> float:
     """beta_t(alpha) = t/(2 sqrt(t-1)) * [sqrt(1 - (1 - 2/t)^2 alpha)
     - sqrt(1 - alpha)]."""
     a = _check_alpha_t(alpha, t)
     # The defining identity pins the endpoints exactly: beta(0) = 0 and
     # beta(1) = 1; evaluating the radicals there only leaves float dust.
+    # The literals also keep an input of -0.0 from coming back as -0.0.
     if a == 0.0:
-        return BetaValue(alpha=a, t=t, beta=0.0)
+        return 0.0
     if a == 1.0:
-        return BetaValue(alpha=a, t=t, beta=1.0)
+        return 1.0
     shrink = (1.0 - 2.0 / t) ** 2
     value = (t / (2.0 * math.sqrt(t - 1))) * (
         math.sqrt(1.0 - shrink * a) - math.sqrt(1.0 - a)
     )
-    return BetaValue(alpha=a, t=t, beta=min(max(value, 0.0), 1.0))
+    return min(max(value, 0.0), 1.0)
 
 
 def beta_identity_residual(alpha: Real, t: int) -> float:
     """|(t-1)(alpha - beta^2)^2 - t^2 (1-alpha) beta^2| at beta_t(alpha)."""
     a = _check_alpha_t(alpha, t)
-    b = beta(a, t).beta
+    b = beta(a, t)
     return abs((t - 1) * (a - b * b) ** 2 - t * t * (1.0 - a) * b * b)
 
 
@@ -118,7 +110,7 @@ def theorem_clique_r(
         raise BoundError(f"need n >= 2, got n={n}")
     a = _check_alpha_t(alpha, t)
     fn = ramsey_fn if ramsey_fn is not None else _es_ramsey
-    budget = beta(a, t).beta ** 2 * n
+    budget = beta(a, t) ** 2 * n
     best = None
     r = 1
     while r <= n + 1:
@@ -215,7 +207,7 @@ def clique_lower_report(n: int, alpha: Real, t: int) -> list[BoundReport]:
         raise BoundError(f"need n >= 2, got n={n}")
     a = _check_alpha_t(alpha, t)
     frac = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
-    b = beta(a, t).beta
+    b = beta(a, t)
     bsq = b * b
     reports: list[BoundReport] = []
 

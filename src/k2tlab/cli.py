@@ -70,8 +70,9 @@ def load_graph(path: str, fmt: str = "auto") -> Graph:
     if fmt == "auto":
         first = stripped.splitlines()[0].strip()
         # graph6 bytes are 63..126: a first line with whitespace is an edge,
-        # and one of digits is a vertex count.
+        # one of digits a vertex count, and one led by "#" (35) a comment.
         edges = len(first.split()) > 1 or "\n" in stripped or first.isdigit()
+        edges = edges or first.startswith("#")
         fmt = "edges" if edges and not first.startswith(">>graph6<<") else "graph6"
     if fmt == "graph6":
         return graph6_decode(stripped.splitlines()[0])
@@ -317,7 +318,7 @@ def cmd_generate(kind, params, seed, out_path, json_path):
     if json_path:
         stats: dict = {"n": g.n, "edges": g.edge_count, "graph6": g6}
         if g.n >= 2:
-            stats["alpha"] = float(density(g).alpha)
+            stats["alpha"] = float(density(g))
         inputs = {
             "kind": kind,
             "params": list(params),

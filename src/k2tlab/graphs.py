@@ -134,15 +134,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class DensityStats:
-    """Edge count, exact edge density alpha, and missing-pair count."""
-
-    edge_count: int
-    alpha: Fraction
-    missing_count: int
-
-
-@dataclass(frozen=True)
 class InducedSubgraph:
     """An induced subgraph plus the relabelling back to the parent.
 
@@ -152,9 +143,6 @@ class InducedSubgraph:
 
     graph: Graph
     vertices: tuple[int, ...]
-
-    def to_parent(self, local: int) -> int:
-        return self.vertices[local]
 
 
 def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -175,16 +163,11 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph._trusted(n, adj, sum(map(int.bit_count, adj)) // 2)
 
 
-def density(g: Graph) -> DensityStats:
-    """Exact density stats; alpha = edge_count / C(n,2). Requires n >= 2."""
+def density(g: Graph) -> Fraction:
+    """Exact edge density alpha = edge_count / C(n,2). Requires n >= 2."""
     if g.n < 2:
         raise GraphError(f"alpha undefined for n={g.n} (need n >= 2)")
-    pairs = comb(g.n, 2)
-    return DensityStats(
-        edge_count=g.edge_count,
-        alpha=Fraction(g.edge_count, pairs),
-        missing_count=pairs - g.edge_count,
-    )
+    return Fraction(g.edge_count, comb(g.n, 2))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:

@@ -108,19 +108,13 @@ ORIGIN_EXPLICIT = "explicit"
 
 
 @dataclass(frozen=True)
-class FamilyProvenance:
-    """How one family member arose from H: the deleted vertices and, for
-    each member vertex i, the original H vertex kept[i]."""
-
-    removed: tuple[int, ...]
-    kept: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class GraphFamily:
+    """``provenance[k][i]`` is the H vertex kept as vertex i of
+    ``members[k]``; ``provenance[k]`` is empty for an explicit member."""
+
     members: tuple[Graph, ...]
     origin: str
-    provenance: tuple[FamilyProvenance, ...] = ()
+    provenance: tuple[tuple[int, ...], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -307,14 +301,14 @@ def _family(origin: str, h: Optional[Graph], members: tuple = ()) -> GraphFamily
             f"a family member would have {largest} vertices; family members "
             f"cap at {MAX_PATTERN_VERTICES}"
         )
-    items = [(g, FamilyProvenance(removed=(), kept=())) for g in members]
+    items = [(g, ()) for g in members]
     if h is not None:
         removals = [(v,) for v in range(h.n)]
         if origin == ORIGIN_MINUS_EBAR:
             removals += missing_edges(h)
         for removed in removals:
             sub = induced_subgraph(h, (u for u in range(h.n) if u not in removed))
-            items.append((sub.graph, FamilyProvenance(removed, sub.vertices)))
+            items.append((sub.graph, sub.vertices))
     items = _dedupe(items, itemgetter(0))
     return GraphFamily(
         members=tuple(g for g, _ in items),

@@ -211,16 +211,18 @@ def _run_exhaustive(
 # ---------------------------------------------------------------------------
 
 
-def run_beta(steps: int = 100, t_max: int = 10) -> SuiteResult:
+def run_beta() -> SuiteResult:
     """Grid check of the beta identities: defining quadratic residual,
-    the alpha bracketing, the t = 2 closed form, and monotonicity."""
+    the alpha bracketing, the t = 2 closed form, and monotonicity, at
+    alpha = i/100 for t = 2..10."""
+    steps, t_max = 100, 10
     result = SuiteResult(suite="beta", params={"steps": steps, "t_max": t_max})
     for t in range(2, t_max + 1):
         previous = -1.0
         for i in range(steps + 1):
             alpha = i / steps
             residual = beta_identity_residual(alpha, t)
-            b = beta(alpha, t).beta
+            b = beta(alpha, t)
             result.checked += 1
             if residual > 1e-10:
                 result.add_violation(
@@ -400,16 +402,14 @@ def run_proof_inequalities(
 # ---------------------------------------------------------------------------
 
 
-def run_ramsey_small(include_r34: bool = True) -> SuiteResult:
+def run_ramsey_small() -> SuiteResult:
     """Re-prove the verified table ``known_ramsey``: R(3,3) with the 5-cycle
-    as its unique critical graph, R(2,r) for r <= 8, and (optionally)
-    R(3,4). ``ramsey_exact`` itself requires every witness to have no
-    independent t-set and no family member, so only the values and the
-    pentagon are checked here."""
-    result = SuiteResult(
-        suite="ramsey-small", params={"include_r34": include_r34}
-    )
-    queries = [(3, 3)] + [(2, r) for r in range(1, 9)] + [(3, 4)] * include_r34
+    as its unique critical graph, R(2,r) for r <= 8, and R(3,4).
+    ``ramsey_exact`` itself requires every witness to have no independent
+    t-set and no family member, so only the values and the pentagon are
+    checked here."""
+    result = SuiteResult(suite="ramsey-small", params={"include_r34": True})
+    queries = [(3, 3)] + [(2, r) for r in range(1, 9)] + [(3, 4)]
     values = {}
     for t, r in queries:
         res = ramsey_exact(RamseyQuery(t=t, family=explicit_family([complete(r)])))
@@ -433,7 +433,10 @@ def run_ramsey_small(include_r34: bool = True) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def run_polarity(qs: tuple[int, ...] = (2, 3, 5, 7)) -> SuiteResult:
+def run_polarity() -> SuiteResult:
+    """The polarity graphs ER_q, q = 2, 3, 5, 7: q + 1 vertices of degree
+    q, the rest of degree q + 1, and no induced K_(2,2)."""
+    qs = (2, 3, 5, 7)
     result = SuiteResult(suite="polarity", params={"qs": list(qs)})
     stats = {}
     for q in qs:
@@ -599,17 +602,12 @@ def run_turan_upper(
 # ---------------------------------------------------------------------------
 
 
-def run_witness_random(
-    count: int = 1000,
-    n: int = 20,
-    ps: tuple[float, ...] = (0.3, 0.5, 0.7),
-    t: int = 2,
-    h: Optional[Graph] = None,
-) -> SuiteResult:
-    """Criterion: on seeded random graphs every extract outcome passes
-    verify_trace, which re-checks each embedded H and each induced-K_{2,t}
-    certificate against the graph."""
-    h = complete(4) if h is None else h
+def run_witness_random() -> SuiteResult:
+    """Criterion: on 1000 seeded G(20, p), p cycling through 0.3, 0.5 and
+    0.7, every extract outcome for H = K_4 at t = 2 passes verify_trace,
+    which re-checks each embedded H and each induced-K_{2,t} certificate
+    against the graph."""
+    count, n, ps, t, h = 1000, 20, (0.3, 0.5, 0.7), 2, complete(4)
     result = SuiteResult(
         suite="witness-random",
         params={

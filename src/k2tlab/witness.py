@@ -96,19 +96,6 @@ class BoundaryDegenerateError(ValueError):
     """The graph is complete: there is no missing edge to average over."""
 
 
-@dataclass(frozen=True)
-class Packing:
-    """Pairwise disjoint independent t-sets inside the neighbourhood of v;
-    maximal, so the residual neighbourhood holds no further t-set."""
-
-    v: int
-    parts: tuple[frozenset[int], ...]
-
-    @property
-    def gamma(self) -> int:
-        return len(self.parts)
-
-
 @dataclass(frozen=True, slots=True)
 class Ledger:
     """The missing-edge ledger of a host, one column per quantity, each
@@ -152,9 +139,11 @@ def forced_missing_edges(gamma: int, t: int) -> int:
     return (t - 1) * gamma * (gamma + t - 1) // 2
 
 
-def greedy_packing(g: Graph, v: int, t: int) -> Packing:
-    """Maximal packing built by repeatedly extracting the lexicographically
-    least independent t-set from what remains of the neighbourhood."""
+def greedy_packing(g: Graph, v: int, t: int) -> tuple[frozenset[int], ...]:
+    """Pairwise disjoint independent t-sets inside the neighbourhood of v,
+    built by repeatedly extracting the lexicographically least one from
+    what remains; maximal, so the residual holds no further t-set. gamma_v
+    is the number of parts."""
     if t < 2:
         raise GraphError(f"need t >= 2, got t={t}")
     if not 0 <= v < g.n:
@@ -167,7 +156,7 @@ def greedy_packing(g: Graph, v: int, t: int) -> Packing:
             break
         parts.append(frozenset(bits(mask)))
         residual &= ~mask
-    return Packing(v=v, parts=tuple(parts))
+    return tuple(parts)
 
 
 def missing_pairs(adj: Sequence[int], subset: int) -> int:
@@ -496,7 +485,7 @@ def extract(g: Graph, h: Graph, t: int) -> ProofTrace:
         outcome = OUTCOME_HYPOTHESIS_NOT_MET
         threshold, kind = _family_threshold(t, h)
     detect.require(cert is None or cert.check(g), f"extract: invalid {outcome} certificate")
-    beta_sq_n = beta(density(g).alpha, t).beta ** 2 * g.n
+    beta_sq_n = beta(density(g), t) ** 2 * g.n
     s_vertices = frozenset(bits(s))
     slack = SlackInfo(len(s_vertices), beta_sq_n, threshold, kind)
     return ProofTrace(t, ledger, edge, s_vertices, outcome, cert, slack)
@@ -512,9 +501,9 @@ def _lift_member(g: Graph, s: int, h: Graph, a: int) -> Optional[Embedding]:
     emb = detect.contains_family_member(g, family.members, s)
     if emb is None:
         return None
-    prov = family.provenance[family.members.index(emb.pattern)]
+    kept = family.provenance[family.members.index(emb.pattern)]
     mapping = [a] * h.n
-    for j, original in enumerate(prov.kept):
+    for j, original in enumerate(kept):
         mapping[original] = emb.mapping[j]
     return Embedding(pattern=h, mapping=tuple(mapping))
 
@@ -579,5 +568,5 @@ def verify_trace(g: Graph, trace: ProofTrace, h: Graph, t: int) -> bool:
         threshold = _family_threshold(t, h)
     else:
         return False
-    beta_sq_n = beta(density(g).alpha, t).beta ** 2 * g.n
+    beta_sq_n = beta(density(g), t) ** 2 * g.n
     return trace.slack == SlackInfo(len(trace.s_vertices), beta_sq_n, *threshold)

@@ -12,6 +12,8 @@ import time
 import pytest
 
 from k2tlab.bounds import beta, beta_identity_residual
+from k2tlab.constructions import complete
+from k2tlab.ramsey import RamseyQuery, explicit_family, ramsey_exact
 from k2tlab.suites import (
     run_beta,
     run_clique_exhaustive,
@@ -40,11 +42,11 @@ def criterion(number, label, result, elapsed, budget):
 
 def test_criterion_1_beta_identities():
     started = time.monotonic()
-    result = run_beta(steps=100, t_max=10)
+    result = run_beta()
     elapsed = time.monotonic() - started
     # Residual and bracket tolerances are enforced inside the suite
     # (1e-10 and -1e-12); spot-check the closed form once more here.
-    assert abs(beta(0.37, 2).beta - (1 - math.sqrt(0.63))) <= 1e-12
+    assert abs(beta(0.37, 2) - (1 - math.sqrt(0.63))) <= 1e-12
     assert beta_identity_residual(0.99, 10) <= 1e-10
     criterion(1, "beta identities on the (alpha, t) grid", result, elapsed, 1.0)
 
@@ -68,11 +70,12 @@ def test_criterion_3_proof_internal_inequalities():
 
 def test_criterion_4_ramsey_engine():
     started = time.monotonic()
-    quick = run_ramsey_small(include_r34=False)
+    for t, r in [(3, 3)] + [(2, r) for r in range(1, 9)]:
+        ramsey_exact(RamseyQuery(t=t, family=explicit_family([complete(r)])))
     quick_elapsed = time.monotonic() - started
     assert quick_elapsed < 1.0, "R(3,3) and R(2,r) must resolve in under 1s"
     started = time.monotonic()
-    result = run_ramsey_small(include_r34=True)
+    result = run_ramsey_small()
     elapsed = time.monotonic() - started
     criterion(4, "ramsey engine R(3,3), R(2,r<=8), R(3,4)", result, elapsed, 600.0)
     assert result.details["values"]["R(3,3)"] == 6
@@ -82,7 +85,7 @@ def test_criterion_4_ramsey_engine():
 
 def test_criterion_5_polarity_graphs():
     started = time.monotonic()
-    result = run_polarity(qs=(2, 3, 5, 7))
+    result = run_polarity()
     elapsed = time.monotonic() - started
     criterion(5, "polarity graphs q in {2,3,5,7}", result, elapsed, 30.0)
     assert result.details["stats"][7] == {
@@ -95,7 +98,7 @@ def test_criterion_5_polarity_graphs():
 
 def test_criterion_6_witness_extraction_end_to_end():
     started = time.monotonic()
-    result = run_witness_random(count=1000, n=20, ps=(0.3, 0.5, 0.7), t=2)
+    result = run_witness_random()
     elapsed = time.monotonic() - started
     criterion(6, "witness extraction on 1000 seeded graphs", result, elapsed, 60.0)
     assert result.checked == 1000

@@ -71,7 +71,7 @@ def check_window(n, lo, hi):
                     int(m_v < k) for k in range(len(less[v]))
                 ]
                 for t, levels in packings.items():
-                    gamma = greedy_packing(g, v, t).gamma
+                    gamma = len(greedy_packing(g, v, t))
                     assert [(x >> p) & 1 for x in levels[v]] == [
                         int(gamma > j) for j in range(len(levels[v]))
                     ], (n, mask, v, t)

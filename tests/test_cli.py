@@ -73,6 +73,18 @@ class TestLoadGraph:
             [0, 1],
         )
 
+    @pytest.mark.parametrize("line", ["#", "#note"])
+    def test_one_comment_token_is_edge_text(self, runner, tmp_path, line):
+        # "#" (35) is never a graph6 byte (63..126); parse_edge_text reads a
+        # file holding only a comment as the graph on no vertices.
+        p = tmp_path / "c.txt"
+        p.write_text(f"{line}\n")
+        assert load_graph(str(p)) == empty(0)
+        result = runner.invoke(main, ["detect", "--graph", str(p), "--t", "2"])
+        assert result.exit_code == 0, result.output
+        rep = report_of(result)
+        assert (rep["inputs"]["graph"], rep["results"]["found"]) == ("?", False)
+
     def test_explicit_format(self, tmp_path):
         p = write_graph6(tmp_path, "k3.g6", complete(3))
         assert load_graph(p, "graph6") == complete(3)

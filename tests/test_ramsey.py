@@ -434,10 +434,10 @@ class TestFamilies:
     def test_provenance_rebuilds_member(self):
         h = complete_bipartite(2, 3)
         fam = family_minus_vertex(h)
-        for member, prov in zip(fam.members, fam.provenance):
-            assert len(prov.kept) == member.n
+        for member, kept in zip(fam.members, fam.provenance):
+            assert len(kept) == member.n
             for i, j in member.edges():
-                assert h.has_edge(prov.kept[i], prov.kept[j])
+                assert h.has_edge(kept[i], kept[j])
 
     def test_members_pairwise_nonisomorphic(self):
         for h in (cycle(6), complete_bipartite(3, 3), path(6)):

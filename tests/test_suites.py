@@ -6,6 +6,7 @@ import pytest
 
 from k2tlab import suites
 from k2tlab.bounds import theorem_clique_r
+from k2tlab.constructions import PRNG_NAME
 from k2tlab.ramsey import known_ramsey
 from k2tlab.suites import (
     SUITE_IDS,
@@ -30,6 +31,7 @@ class TestBetaSuite:
         result = run_beta()
         assert result.passed
         assert result.checked == 101 * 9
+        assert result.params == {"steps": 100, "t_max": 10}
 
 
 class TestCliqueExhaustive:
@@ -76,17 +78,19 @@ class TestProofInequalities:
 
 class TestRamseySmall:
     def test_values(self):
-        result = run_ramsey_small(include_r34=False)
+        result = run_ramsey_small()
         assert result.passed
+        assert result.params == {"include_r34": True}
         assert result.details["values"]["R(3,3)"] == 6
         assert result.details["values"]["R(2,8)"] == 8
+        assert result.details["values"]["R(3,4)"] == 9
 
     def test_flags_a_wrong_table_entry(self, monkeypatch):
         def wrong(t, r):
             return 7 if (t, r) == (3, 3) else known_ramsey(t, r)
 
         monkeypatch.setattr(suites, "known_ramsey", wrong)
-        result = run_ramsey_small(include_r34=False)
+        result = run_ramsey_small()
         assert result.violations == [
             {"claim": "ramsey R(3,3)", "graph6": None, "observed": "6", "required": "7"}
         ]
@@ -94,8 +98,9 @@ class TestRamseySmall:
 
 class TestPolaritySuite:
     def test_clean(self):
-        result = run_polarity(qs=(2, 3, 5))
+        result = run_polarity()
         assert result.passed
+        assert result.params == {"qs": [2, 3, 5, 7]}
         assert result.details["stats"][3]["edges"] == 24
 
 
@@ -132,10 +137,18 @@ class TestTuranUpper:
 
 class TestWitnessRandom:
     def test_small_sweep_clean(self):
-        result = run_witness_random(count=90)
+        result = run_witness_random()
         assert result.passed
-        assert result.checked == 90
-        assert sum(result.details["outcomes"].values()) == 90
+        assert result.checked == 1000
+        assert sum(result.details["outcomes"].values()) == 1000
+        assert result.params == {
+            "count": 1000,
+            "n": 20,
+            "ps": [0.3, 0.5, 0.7],
+            "t": 2,
+            "h": "C~",
+            "prng": PRNG_NAME,
+        }
 
 
 class TestTriangleFormula:
